@@ -112,6 +112,22 @@ class _LabeledVector:
             self.labels + (str(label),), np.append(self.values, value)
         )
 
+    @classmethod
+    def _trusted(cls, labels: tuple[str, ...], pos: dict[str, int], values: Array):
+        """Build from already validated ``labels``/``pos`` without copying.
+
+        ``values`` must be a fresh 1-D float array of matching length that
+        no one else writes to; it is frozen here.
+        """
+        if cls._require_finite and not np.all(np.isfinite(values)):
+            raise ValueError("all values must be finite")
+        values.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "labels", labels)
+        object.__setattr__(out, "values", values)
+        object.__setattr__(out, "_pos", pos)
+        return out
+
     def leq(self, other: "_LabeledVector") -> bool:
         """Componentwise ``<=`` against a vector with the same labels."""
         _require_same_labels(self, other)
@@ -170,6 +186,13 @@ class EquilibriumMap:
     z_function, diagonal_isotone, m_function, m0_function:
         Declared structure flags. They are caller declarations, verified
         only by the sampling checks in this module.
+    blocks, update_block:
+        Optional block form of ``update_value``. ``blocks`` splits the
+        coordinates into consecutive ``(start, stop)`` ranges whose
+        coordinates never read each other's prices; ``update_block(b,
+        values)`` returns the updates of block ``b`` as an array equal bit
+        for bit to ``update_value`` on each of its coordinates. The sweeps
+        use it only while ``update_value`` is set too.
     """
 
     labels: tuple[str, ...]
@@ -180,6 +203,8 @@ class EquilibriumMap:
     diagonal_isotone: bool = False
     m_function: bool = False
     m0_function: bool = False
+    blocks: tuple[tuple[int, int], ...] | None = None
+    update_block: Callable[[int, Array], Array] | None = None
 
     def __post_init__(self):
         labels = tuple(str(z) for z in self.labels)
@@ -187,6 +212,22 @@ class EquilibriumMap:
             raise ValueError("labels must be unique")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_pos", {z: i for i, z in enumerate(labels)})
+        if self.update_block is not None and self.blocks is None:
+            raise ValueError("update_block needs blocks")
+        if self.blocks is not None:
+            blocks = tuple((int(lo), int(hi)) for lo, hi in self.blocks)
+            edges = [0] + [hi for _, hi in blocks]
+            if (
+                [lo for lo, _ in blocks] != edges[:-1]
+                or edges[-1] != len(labels)
+                or any(hi < lo for lo, hi in blocks)
+            ):
+                raise ValueError(
+                    "blocks must split the coordinates into consecutive ranges"
+                )
+            block_of = np.repeat(np.arange(len(blocks)), np.diff(edges))
+            object.__setattr__(self, "blocks", blocks)
+            object.__setattr__(self, "_block_of", block_of)
 
     def index(self, label: str) -> int:
         return self._pos[label]
@@ -196,10 +237,10 @@ class EquilibriumMap:
         if p.labels != self.labels:
             raise ValueError("price vector labels do not match the map")
         with np.errstate(over="ignore", invalid="ignore"):
-            out = np.asarray(self.eval_values(p.values), dtype=float)
+            out = np.array(self.eval_values(p.values), dtype=float)
         if out.shape != p.values.shape:
             raise InternalError("evaluator returned a wrong-shaped excess")
-        return ExcessVector(self.labels, out)
+        return ExcessVector._trusted(self.labels, self._pos, out)
 
     def residual(self, z: str, pi: float, p: PriceVector) -> float:
         """Single-coordinate residual ``Q_z(pi, p_{-z})``."""
@@ -497,10 +538,51 @@ def coordinate_update(
     return _update_at(Q, Q.index(z), p.values, opts)
 
 
-def _damp(old: float, new: float, damping: float) -> float:
+def _damp(old, new, damping: float):
+    # Elementwise on scalars and arrays alike, so both paths round the same.
     if damping == 1.0:
         return new
     return old + damping * (new - old)
+
+
+def _uses_blocks(Q: EquilibriumMap) -> bool:
+    return Q.update_block is not None and Q.update_value is not None
+
+
+def _block_update(Q: EquilibriumMap, b: int, values: Array) -> Array:
+    lo, hi = Q.blocks[b]
+    with np.errstate(over="ignore", invalid="ignore"):
+        new = np.asarray(Q.update_block(b, values), dtype=float)
+    if new.shape != (hi - lo,):
+        raise InternalError("block update returned a wrong-shaped array")
+    return new
+
+
+def _raise_first_nonfinite(Q, visit, lo: int, new: Array, damped=None) -> None:
+    """Raise as the per-coordinate loop would: at the first coordinate in
+    visit order whose update, or else damped update, is non-finite."""
+    for i in visit:
+        z = Q.labels[i]
+        if not math.isfinite(new[i - lo]):
+            raise NonFiniteResidual(f"coordinate {z!r}: update is non-finite")
+        if damped is not None and not math.isfinite(damped[i - lo]):
+            raise NonFiniteResidual(f"coordinate {z!r}: damped update non-finite")
+
+
+def _block_runs(Q: EquilibriumMap, order: Sequence[int]):
+    """``(block, visit order)`` pairs when ``order`` visits every block as
+    one contiguous run, else ``None``."""
+    runs = []
+    start = 0
+    while start < len(order):
+        b = int(Q._block_of[order[start]])
+        lo, hi = Q.blocks[b]
+        run = order[start:start + hi - lo]
+        if sorted(run) != list(range(lo, hi)):
+            return None
+        runs.append((b, run))
+        start += hi - lo
+    return runs
 
 
 def jacobi_sweep(
@@ -511,19 +593,27 @@ def jacobi_sweep(
     With damping ``d`` the result is ``p + d * (T(p) - p)`` where ``T`` is
     the coordinate-update operator; ``d = 1`` returns ``T(p)`` exactly.
     Each update reads only the frozen input vector, so evaluation order is
-    immaterial.
+    immaterial; a map with block updates is updated one block at a time.
     """
     opts = opts or SolverOptions()
     if p.labels != Q.labels:
         raise ValueError("price vector labels do not match the map")
     base = p.values
-    out = np.empty_like(base)
-    for i in range(base.size):
-        out[i] = _damp(base[i], _update_at(Q, i, base, opts), opts.damping)
+    if _uses_blocks(Q):
+        new = np.empty_like(base)
+        for b, (lo, hi) in enumerate(Q.blocks):
+            new[lo:hi] = _block_update(Q, b, base)
+        if not np.all(np.isfinite(new)):
+            _raise_first_nonfinite(Q, range(base.size), 0, new)
+        out = _damp(base, new, opts.damping)
+    else:
+        out = np.empty_like(base)
+        for i in range(base.size):
+            out[i] = _damp(base[i], _update_at(Q, i, base, opts), opts.damping)
     if not np.all(np.isfinite(out)):
         bad = Q.labels[int(np.flatnonzero(~np.isfinite(out))[0])]
         raise NonFiniteResidual(f"coordinate {bad!r}: damped update non-finite")
-    return PriceVector(p.labels, out)
+    return PriceVector._trusted(p.labels, p._pos, out)
 
 
 def gauss_seidel_sweep(
@@ -533,6 +623,9 @@ def gauss_seidel_sweep(
 
     Each update sees the values already updated earlier in the sweep. The
     order is ``opts.sweep_order`` when given, else the map's label order.
+    A map with block updates is updated one block at a time when the order
+    visits each block as one contiguous run (the label order does); since a
+    block's coordinates never read each other, the result is the same.
     """
     opts = opts or SolverOptions()
     if p.labels != Q.labels:
@@ -541,12 +634,27 @@ def gauss_seidel_sweep(
     if sorted(order) != sorted(Q.labels):
         raise ValueError("sweep_order must be a permutation of the map labels")
     values = p.values.copy()
-    for z in order:
-        i = Q.index(z)
-        values[i] = _damp(values[i], _update_at(Q, i, values, opts), opts.damping)
-        if not math.isfinite(values[i]):
-            raise NonFiniteResidual(f"coordinate {z!r}: damped update non-finite")
-    return PriceVector(p.labels, values)
+    runs = None
+    if _uses_blocks(Q):
+        if opts.sweep_order is None:
+            runs = [(b, range(lo, hi)) for b, (lo, hi) in enumerate(Q.blocks)]
+        else:
+            runs = _block_runs(Q, [Q.index(z) for z in order])
+    if runs is not None:
+        for b, visit in runs:
+            lo, hi = Q.blocks[b]
+            new = _block_update(Q, b, values)
+            damped = _damp(values[lo:hi], new, opts.damping)
+            if not np.all(np.isfinite(damped)):
+                _raise_first_nonfinite(Q, visit, lo, new, damped)
+            values[lo:hi] = damped
+    else:
+        for z in order:
+            i = Q.index(z)
+            values[i] = _damp(values[i], _update_at(Q, i, values, opts), opts.damping)
+            if not math.isfinite(values[i]):
+                raise NonFiniteResidual(f"coordinate {z!r}: damped update non-finite")
+    return PriceVector._trusted(p.labels, p._pos, values)
 
 
 # ---------------------------------------------------------------------------

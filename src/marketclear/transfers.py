@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Array, EquilibriumMap, PriceVector
+from .core import Array, EquilibriumMap, PriceVector, gauss_seidel_sweep
 from .errors import ResponsivenessViolation, UnsupportedFrontier, InternalError
 
 __all__ = [
@@ -428,6 +428,27 @@ def _lse(values: Array) -> float:
 # The singles map
 
 
+def _tu_singles_x_block(phi, py, n, sigma) -> Array:
+    if phi.shape[1] == 0:
+        log_s = np.full(phi.shape[0], -np.inf)
+    else:
+        log_s = np.logaddexp.reduce((phi - py[None, :]) / (2.0 * sigma), axis=1)
+    big = log_s > _LOG_GUARD
+    s = np.exp(np.where(big, 0.0, log_s))
+    a = 2.0 * n / (s + np.hypot(s, 2.0 * np.sqrt(n)))
+    return np.where(big, 2.0 * sigma * (np.log(n) - log_s), 2.0 * sigma * np.log(a))
+
+
+def _tu_singles_y_block(phi, px, m, sigma) -> Array:
+    if phi.shape[1] == 0:
+        return np.empty(0)
+    log_s = np.logaddexp.reduce((px[:, None] + phi) / (2.0 * sigma), axis=0)
+    big = log_s > _LOG_GUARD
+    s = np.exp(np.where(big, 0.0, log_s))
+    b = 2.0 * m / (s + np.hypot(s, 2.0 * np.sqrt(m)))
+    return np.where(big, 2.0 * sigma * (log_s - np.log(m)), -2.0 * sigma * np.log(b))
+
+
 def build_transfer_map(market: AggregateMarket) -> EquilibriumMap:
     """Market map with outside options: one coordinate per type.
 
@@ -489,6 +510,11 @@ def build_transfer_map(market: AggregateMarket) -> EquilibriumMap:
             b = 2.0 * target / (s + np.hypot(s, 2.0 * np.sqrt(target)))
             return float(-2.0 * sigma * np.log(b))
 
+        def update_block(b: int, values: Array) -> Array:
+            if b == 0:
+                return _tu_singles_x_block(phi, values[nx:], n, sigma)
+            return _tu_singles_y_block(phi, values[:nx], m, sigma)
+
     return EquilibriumMap(
         labels=market.labels,
         eval_values=eval_values,
@@ -498,6 +524,8 @@ def build_transfer_map(market: AggregateMarket) -> EquilibriumMap:
         diagonal_isotone=True,
         m_function=True,
         m0_function=True,
+        blocks=None if update is None else ((0, nx), (nx, nx + ny)),
+        update_block=None if update is None else update_block,
     )
 
 
@@ -508,50 +536,15 @@ def build_transfer_map(market: AggregateMarket) -> EquilibriumMap:
 def sinkhorn_update(market: AggregateMarket, p: PriceVector) -> PriceVector:
     """One block update: all x-prices from ``p_y``, then all y-prices.
 
-    Requires perfect transfers. With singles each block solves its
-    stabilized quadratic exactly; without singles the blocks are the
-    classic log-domain marginal-matching steps for the balanced kernel
-    ``exp((phi + p_x - p_y) / sigma)`` (the updates registered by
-    :func:`build_ot_map`).
+    Requires perfect transfers. This is one Gauss-Seidel sweep of
+    :func:`build_transfer_map` (with singles, each block solves its
+    stabilized quadratic exactly) or of :func:`build_ot_map` (without
+    singles, the classic log-domain marginal-matching steps), both of which
+    the engine runs one block at a time.
     """
     _require_kind(market, "tu")
-    if p.labels != market.labels:
-        raise ValueError("price labels do not match the market")
-    phi = market.frontiers.phi
-    sigma, n, m = market.sigma, market.n, market.m
-    nx = len(market.x_labels)
-    py = p.values[nx:]
-
-    if market.singles:
-        px = _tu_singles_x_block(phi, py, n, sigma)
-        py_new = _tu_singles_y_block(phi, px, m, sigma)
-    else:
-        z = (phi - py[None, :]) / sigma
-        px = sigma * (np.log(n) - np.logaddexp.reduce(z, axis=1))
-        z = (px[:, None] + phi) / sigma
-        py_new = sigma * (np.logaddexp.reduce(z, axis=0) - np.log(m))
-    return PriceVector(p.labels, np.concatenate([px, py_new]))
-
-
-def _tu_singles_x_block(phi, py, n, sigma) -> Array:
-    if phi.shape[1] == 0:
-        log_s = np.full(phi.shape[0], -np.inf)
-    else:
-        log_s = np.logaddexp.reduce((phi - py[None, :]) / (2.0 * sigma), axis=1)
-    big = log_s > _LOG_GUARD
-    s = np.exp(np.where(big, 0.0, log_s))
-    a = 2.0 * n / (s + np.hypot(s, 2.0 * np.sqrt(n)))
-    return np.where(big, 2.0 * sigma * (np.log(n) - log_s), 2.0 * sigma * np.log(a))
-
-
-def _tu_singles_y_block(phi, px, m, sigma) -> Array:
-    if phi.shape[1] == 0:
-        return np.empty(0)
-    log_s = np.logaddexp.reduce((px[:, None] + phi) / (2.0 * sigma), axis=0)
-    big = log_s > _LOG_GUARD
-    s = np.exp(np.where(big, 0.0, log_s))
-    b = 2.0 * m / (s + np.hypot(s, 2.0 * np.sqrt(m)))
-    return np.where(big, 2.0 * sigma * (log_s - np.log(m)), -2.0 * sigma * np.log(b))
+    q = build_transfer_map(market) if market.singles else build_ot_map(market)
+    return gauss_seidel_sweep(q, p)
 
 
 def build_ot_map(market: AggregateMarket) -> EquilibriumMap:
@@ -592,6 +585,13 @@ def build_ot_map(market: AggregateMarket) -> EquilibriumMap:
         log_s = _lse((phi[:, j] + values[:nx]) / sigma)
         return float(sigma * (log_s - np.log(m[j])))
 
+    def update_block(b: int, values: Array) -> Array:
+        if b == 0:
+            log_s = np.logaddexp.reduce((phi - values[nx:]) / sigma, axis=1)
+            return sigma * (np.log(n) - log_s)
+        log_s = np.logaddexp.reduce((values[:nx, None] + phi) / sigma, axis=0)
+        return sigma * (log_s - np.log(m))
+
     return EquilibriumMap(
         labels=market.labels,
         eval_values=eval_values,
@@ -601,6 +601,8 @@ def build_ot_map(market: AggregateMarket) -> EquilibriumMap:
         diagonal_isotone=True,
         m_function=False,
         m0_function=True,
+        blocks=((0, nx), (nx, len(market.labels))),
+        update_block=update_block,
     )
 
 
@@ -675,6 +677,15 @@ def build_full_assignment_map(
             log_s = _lse((values[:nx] + phi[:, j]) / (2.0 * sigma))
             return float(2.0 * sigma * (log_s - np.log(m[j])))
 
+        phi_keep, m_keep = phi[:, keep], m[keep]
+
+        def update_block(b: int, values: Array) -> Array:
+            if b == 0:
+                z = (phi - full_py(values)) / (2.0 * sigma)
+                return 2.0 * sigma * (np.log(n) - np.logaddexp.reduce(z, axis=1))
+            z = (values[:nx, None] + phi_keep) / (2.0 * sigma)
+            return 2.0 * sigma * (np.logaddexp.reduce(z, axis=0) - np.log(m_keep))
+
     return EquilibriumMap(
         labels=labels,
         eval_values=eval_values,
@@ -684,6 +695,8 @@ def build_full_assignment_map(
         diagonal_isotone=True,
         m_function=True,
         m0_function=True,
+        blocks=None if update is None else ((0, nx), (nx, len(labels))),
+        update_block=None if update is None else update_block,
     )
 
 
@@ -840,7 +853,10 @@ def recover_equilibrium(
     pass ``"ot"`` for maps built by :func:`build_ot_map`. For markets
     without singles a reduced price vector is first expanded with
     ``p_{y0} = pi``. Raises ``ValueError`` when the implied marginals miss
-    the masses by more than ``tol`` (relative).
+    the masses by more than ``tol`` (relative). In the full-assignment
+    family the excess of the pinned column ``y0`` is minus the sum of the
+    other excesses (up to the mass imbalance), so its tolerance also allows
+    for that sum.
     """
     if model is None:
         model = "transfer"
@@ -885,9 +901,15 @@ def recover_equilibrium(
 
     rx = mu.sum(axis=1) + mu_x0 - n
     ry = mu.sum(axis=0) + mu_0y - m
-    if np.any(np.abs(rx) > tol * (1.0 + np.abs(n))) or np.any(
-        np.abs(ry) > tol * (1.0 + np.abs(m))
-    ):
+    slack_y = tol * (1.0 + np.abs(m))
+    if model == "transfer" and not market.singles:
+        j0 = _full_assignment_layout(market, y0)[1]
+        slack_y[j0] += (
+            np.abs(rx).sum()
+            + np.abs(np.delete(ry, j0)).sum()
+            + abs(float(n.sum() - m.sum()))
+        )
+    if np.any(np.abs(rx) > tol * (1.0 + np.abs(n))) or np.any(np.abs(ry) > slack_y):
         raise ValueError("prices do not clear the market within tolerance")
 
     U_pay = -px[:, None] - D

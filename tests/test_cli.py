@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from marketclear import cli
 
 REPO = Path(__file__).resolve().parent.parent
 MARKETS = REPO / "markets"
@@ -25,6 +28,48 @@ SOLVABLE = [
     "nt_8x8.json",
     "nt_aggregate.json",
 ]
+
+# sha256 of each file ``solve --out`` writes with default options, recorded
+# when every sweep still updated one coordinate at a time. Faster sweeps must
+# reproduce the iterates, and so these bytes, exactly.
+PINNED_ARTIFACTS = {
+    "ot_small.json": {
+        "mu.csv":
+            "30f8d6529537de41a8cca2446c24c5a69d5b9029fac26d4b0c6516cd2d6ea4b5",
+        "payoffs.csv":
+            "4ea463b466b3c1e48707541ffb62044070ed8a9ebc67f43794841097366f7f87",
+        "solution.json":
+            "f1d8d02c6f7e405ca59406d6df5c372d46885eee434a5b69b4bd4ac4b6449068",
+        "trace.csv":
+            "fe7585038a3dafe76fbf74fe14e3b83692cec794e469f42ef93688aa095b939b",
+        "wages.csv":
+            "e4489708531bdb04dbfd0a180a6396d0316131f57ecff188b2b73304b19c49ea",
+    },
+    "transfer_full.json": {
+        "mu.csv":
+            "5f86a55f52b6ab09bf607f1f2ad95a553308e41c601802e2c7886ecb244b3818",
+        "payoffs.csv":
+            "cb815549669d9fcfc56011d6944c535150db66b353b2c87165790146abd840d2",
+        "solution.json":
+            "38d08b5ad1d2e8427e1723ad509bb75d82f6d5038c47f0188ce19b70dad199f8",
+        "trace.csv":
+            "bb3fa804d96e8542477ea0f6b2341c7311f906fe32e325ce29444584b39e818e",
+        "wages.csv":
+            "87b9e0d7925695b44c4ae67a6221dbe337944b4678edae01c759be0cf0bc1f01",
+    },
+    "transfer_tu.json": {
+        "mu.csv":
+            "01aec01f3de82ff50ff154797724bd2078cbfc91c28ca6427f4d8f7b2377d559",
+        "payoffs.csv":
+            "9efa6cb7ea917205e645af1d8d24dc776b18d20810161b4e054078ecca39f767",
+        "solution.json":
+            "242b67a02f2d460945ee55e5aa64ad04331e2dc7b2d30170003f15e8e4612248",
+        "trace.csv":
+            "338ad09c83055844cc962f78a1e74fccf7264e56f62e8ac69cb55d5ab383c0ee",
+        "wages.csv":
+            "a58d692a67b66ed94000d11a2081a48b7c9d180bb53cdda2d0539f2708b85f2f",
+    },
+}
 
 
 def run_cli(*argv: str):
@@ -173,6 +218,17 @@ class TestSolve:
             "solve", str(MARKETS / "hedonic.json"), "--start", "sideways"
         )
         assert proc.returncode == 1
+
+
+class TestPinnedArtifacts:
+    @pytest.mark.parametrize("name", sorted(PINNED_ARTIFACTS))
+    def test_default_artifacts_match_recorded_hashes(self, name, tmp_path, capsys):
+        assert cli.main(["solve", str(MARKETS / name), "--out", str(tmp_path)]) == 0
+        written = {
+            f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in tmp_path.iterdir()
+        }
+        assert written == PINNED_ARTIFACTS[name]
 
 
 class TestCheck:

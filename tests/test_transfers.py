@@ -373,7 +373,16 @@ class TestSinkhorn:
         p = PriceVector(q.labels, rng.uniform(-2.0, 2.0, len(q.labels)))
         swept = gauss_seidel_sweep(q, p, SolverOptions())
         stepped = sinkhorn_update(market, p)
-        assert_allclose(stepped.values, swept.values, rtol=0, atol=1e-14)
+        assert np.array_equal(stepped.values, swept.values)
+
+    def test_balanced_update_equals_sequential_sweep(self):
+        rng = np.random.default_rng(42)
+        market = random_tu_market(rng, nx=4, ny=3, singles=False)
+        q = build_ot_map(market)
+        p = PriceVector(q.labels, rng.uniform(-2.0, 2.0, len(q.labels)))
+        swept = gauss_seidel_sweep(q, p, SolverOptions())
+        stepped = sinkhorn_update(market, p)
+        assert np.array_equal(stepped.values, swept.values)
 
     def test_fixed_point_is_solution(self):
         rng = np.random.default_rng(42)
@@ -560,6 +569,28 @@ class TestRecovery:
         bad = PriceVector(market.labels, np.full(len(market.labels), 2.0))
         with pytest.raises(ValueError):
             recover_equilibrium(market, bad)
+
+    def test_full_assignment_small_numeraire_mass(self):
+        # The pinned column's excess is minus the sum of the 59 others, about
+        # 1.8e-9 here, above 1e-9 * (1 + m_y0) for this draw's m_y0 = 0.719.
+        market = random_tu_market(
+            np.random.default_rng(2), nx=30, ny=30, singles=False
+        )
+        assert market.m[0] < 0.85
+        q = build_full_assignment_map(market)
+        p, _ = solve(
+            q,
+            full_assignment_supersolution(market),
+            SolverOptions(residual_tol=1e-10, mode="gauss_seidel"),
+        )
+        eq = recover_equilibrium(market, p)
+        assert_allclose(eq.mu.sum(axis=0), market.m, rtol=0, atol=1e-8)
+        recover_wages(market, p)
+        for k in (0, len(market.x_labels)):
+            values = p.values.copy()
+            values[k] += 1e-6
+            with pytest.raises(ValueError):
+                recover_equilibrium(market, PriceVector(p.labels, values))
 
 
 class TestWages:
