@@ -56,6 +56,33 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
+# Input validators shared by the market classes
+
+
+def _positive_vector(name: str, value, count: int) -> Array:
+    """Read-only copy of a length-``count`` vector of finite positive entries."""
+    out = np.array(value, dtype=float).reshape(-1)
+    if out.size != count:
+        raise ValueError(f"{name} must have length {count}")
+    if not np.all(np.isfinite(out)) or not np.all(out > 0):
+        raise ValueError(f"{name} must be finite and strictly positive")
+    out.setflags(write=False)
+    return out
+
+
+def _finite_matrix(name: str, value, shape: tuple[int, int] | None = None) -> Array:
+    """Read-only copy of a finite 2-D matrix, of ``shape`` when given."""
+    out = np.array(value, dtype=float)
+    if out.ndim != 2 or (shape is not None and out.shape != shape):
+        of_shape = f" of shape {shape}" if shape else ""
+        raise ValueError(f"{name} must be a 2-D matrix{of_shape}")
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{name} must be finite")
+    out.setflags(write=False)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Labeled vectors
 
 
@@ -540,9 +567,11 @@ def coordinate_update(
 
 def _damp(old, new, damping: float):
     # Elementwise on scalars and arrays alike, so both paths round the same.
+    # An overflow here is reported as NonFiniteResidual by the caller.
     if damping == 1.0:
         return new
-    return old + damping * (new - old)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return old + damping * (new - old)
 
 
 def _uses_blocks(Q: EquilibriumMap) -> bool:

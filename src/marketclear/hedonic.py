@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, EquilibriumMap, PriceVector
+from .core import Array, EquilibriumMap, PriceVector, _finite_matrix, _positive_vector
 from .errors import ResponsivenessViolation
 
 __all__ = [
@@ -26,26 +26,6 @@ __all__ = [
 ]
 
 _MAX_DOUBLINGS = 60
-
-
-def _positive_vector(name: str, value, count: int) -> Array:
-    out = np.array(value, dtype=float).reshape(-1)
-    if out.size != count:
-        raise ValueError(f"{name} must have length {count}")
-    if not np.all(np.isfinite(out)) or not np.all(out > 0):
-        raise ValueError(f"{name} must be finite and strictly positive")
-    out.setflags(write=False)
-    return out
-
-
-def _finite_matrix(name: str, value, shape: tuple[int, int]) -> Array:
-    out = np.array(value, dtype=float)
-    if out.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}")
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"{name} must be finite")
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, EquilibriumMap, PriceVector
+from .core import Array, EquilibriumMap, PriceVector, _finite_matrix, _positive_vector
 from .errors import InstanceTooLarge, InternalError, MaxRoundsExceeded
 
 __all__ = [
@@ -50,16 +50,6 @@ _ENUM_LIMIT = 7
 # Individual markets
 
 
-def _payoff_matrix(name: str, value, shape=None) -> Array:
-    out = np.array(value, dtype=float)
-    if out.ndim != 2 or (shape is not None and out.shape != shape):
-        raise ValueError(f"{name} must be a 2-D matrix" + (f" of shape {shape}" if shape else ""))
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"{name} must be finite")
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class IndividualMarket:
     """Unit workers and firms with strict preferences.
@@ -83,8 +73,8 @@ class IndividualMarket:
         if len(set(i_labels)) != len(i_labels) or len(set(j_labels)) != len(j_labels):
             raise ValueError("labels must be unique on each side")
         shape = (len(i_labels), len(j_labels))
-        alpha = _payoff_matrix("alpha", self.alpha, shape)
-        gamma = _payoff_matrix("gamma", self.gamma, shape)
+        alpha = _finite_matrix("alpha", self.alpha, shape)
+        gamma = _finite_matrix("gamma", self.gamma, shape)
         for row in alpha:
             if np.unique(row).size != row.size or np.any(row == 0.0):
                 raise ValueError("alpha rows must hold distinct nonzero values")
@@ -490,16 +480,6 @@ def lattice_join_I(
 # Aggregate markets
 
 
-def _mass_vector(name: str, value, count: int) -> Array:
-    out = np.array(value, dtype=float).reshape(-1)
-    if out.size != count:
-        raise ValueError(f"{name} must have length {count}")
-    if not np.all(np.isfinite(out)) or not np.all(out > 0):
-        raise ValueError(f"{name} must be finite and strictly positive")
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class AggregateNTMarket:
     """Divisible type masses with fixed per-cell payoffs and no transfers."""
@@ -521,10 +501,10 @@ class AggregateNTMarket:
         shape = (len(x_labels), len(y_labels))
         object.__setattr__(self, "x_labels", x_labels)
         object.__setattr__(self, "y_labels", y_labels)
-        object.__setattr__(self, "n", _mass_vector("n", self.n, shape[0]))
-        object.__setattr__(self, "m", _mass_vector("m", self.m, shape[1]))
-        object.__setattr__(self, "alpha", _payoff_matrix("alpha", self.alpha, shape))
-        object.__setattr__(self, "gamma", _payoff_matrix("gamma", self.gamma, shape))
+        object.__setattr__(self, "n", _positive_vector("n", self.n, shape[0]))
+        object.__setattr__(self, "m", _positive_vector("m", self.m, shape[1]))
+        object.__setattr__(self, "alpha", _finite_matrix("alpha", self.alpha, shape))
+        object.__setattr__(self, "gamma", _finite_matrix("gamma", self.gamma, shape))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Array, EquilibriumMap, PriceVector, gauss_seidel_sweep
+from .core import (
+    Array,
+    EquilibriumMap,
+    PriceVector,
+    _finite_matrix,
+    _positive_vector,
+    gauss_seidel_sweep,
+)
 from .errors import ResponsivenessViolation, UnsupportedFrontier, InternalError
 
 __all__ = [
@@ -129,6 +136,29 @@ def invert_net_wage(schedule: TaxSchedule, nu):
 # ---------------------------------------------------------------------------
 # Single-cell frontiers
 
+# One distance formula per family. Scalar frontiers and FrontierGrid both call
+# these, so a grid cell and its frontier object agree bit for bit.
+
+
+def _tu_distance(U, V, phi):
+    return (U + V - phi) / 2.0
+
+
+def _bracket_distance(U, V, alpha, gamma, rate, threshold):
+    return (U - alpha + (1.0 - rate) * (V - gamma + threshold)) / (2.0 - rate)
+
+
+def _taxes_distance(U, V, alpha, gamma, schedule):
+    out = None
+    for rate, thr in zip(schedule.rates, schedule.thresholds):
+        d = _bracket_distance(U, V, alpha, gamma, rate, thr)
+        out = d if out is None else np.maximum(out, d)
+    return out
+
+
+def _ntu_distance(U, V, alpha, gamma):
+    return np.maximum(U - alpha, V - gamma)
+
 
 class _FrontierBase:
     def feasible(self, U, V, tol: float = 0.0):
@@ -145,7 +175,7 @@ class TUFrontier(_FrontierBase):
     phi: float
 
     def distance(self, U, V):
-        return (U + V - self.phi) / 2.0
+        return _tu_distance(U, V, self.phi)
 
 
 @dataclass(frozen=True)
@@ -158,9 +188,9 @@ class TaxBracketFrontier(_FrontierBase):
     threshold: float
 
     def distance(self, U, V):
-        return (
-            U - self.alpha + (1.0 - self.rate) * (V - self.gamma + self.threshold)
-        ) / (2.0 - self.rate)
+        return _bracket_distance(
+            U, V, self.alpha, self.gamma, self.rate, self.threshold
+        )
 
 
 @dataclass(frozen=True)
@@ -189,13 +219,7 @@ class TaxesFrontier(_FrontierBase):
         )
 
     def distance(self, U, V):
-        out = None
-        for rate, thr in zip(self.schedule.rates, self.schedule.thresholds):
-            d = (
-                U - self.alpha + (1.0 - rate) * (V - self.gamma + thr)
-            ) / (2.0 - rate)
-            out = d if out is None else np.maximum(out, d)
-        return out
+        return _taxes_distance(U, V, self.alpha, self.gamma, self.schedule)
 
 
 @dataclass(frozen=True)
@@ -206,7 +230,7 @@ class NTUFrontier(_FrontierBase):
     gamma: float
 
     def distance(self, U, V):
-        return np.maximum(U - self.alpha, V - self.gamma)
+        return _ntu_distance(U, V, self.alpha, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -241,16 +265,6 @@ def combine_distances(frontiers, mode: str = "intersection") -> CombinedFrontier
 # Grids of frontiers
 
 
-def _matrix(name: str, value) -> Array:
-    out = np.array(value, dtype=float)
-    if out.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D matrix")
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"{name} must be finite")
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class FrontierGrid:
     """One frontier per (x, y) cell, sharing a common family.
@@ -276,12 +290,12 @@ class FrontierGrid:
                 raise ValueError("'tu' grids take phi only")
             if self.schedule is not None:
                 raise ValueError("'tu' grids take no schedule")
-            object.__setattr__(self, "phi", _matrix("phi", self.phi))
+            object.__setattr__(self, "phi", _finite_matrix("phi", self.phi))
         else:
             if self.alpha is None or self.gamma is None or self.phi is not None:
                 raise ValueError(f"'{self.kind}' grids take alpha and gamma")
-            alpha = _matrix("alpha", self.alpha)
-            gamma = _matrix("gamma", self.gamma)
+            alpha = _finite_matrix("alpha", self.alpha)
+            gamma = _finite_matrix("gamma", self.gamma)
             if alpha.shape != gamma.shape:
                 raise ValueError("alpha and gamma must have equal shapes")
             object.__setattr__(self, "alpha", alpha)
@@ -312,18 +326,12 @@ class FrontierGrid:
     def distance(self, U, V, rows=_ALL, cols=_ALL):
         """Distances for the selected cells; ``U``/``V`` must broadcast."""
         if self.kind == "tu":
-            return (U + V - self.phi[rows, cols]) / 2.0
-        if self.kind == "ntu":
-            return np.maximum(
-                U - self.alpha[rows, cols], V - self.gamma[rows, cols]
-            )
+            return _tu_distance(U, V, self.phi[rows, cols])
         a = self.alpha[rows, cols]
         g = self.gamma[rows, cols]
-        out = None
-        for rate, thr in zip(self.schedule.rates, self.schedule.thresholds):
-            d = (U - a + (1.0 - rate) * (V - g + thr)) / (2.0 - rate)
-            out = d if out is None else np.maximum(out, d)
-        return out
+        if self.kind == "ntu":
+            return _ntu_distance(U, V, a, g)
+        return _taxes_distance(U, V, a, g, self.schedule)
 
     def distance_matrix(self, U, V) -> Array:
         """Full (x, y) distance matrix for broadcastable ``U``, ``V``."""
@@ -342,16 +350,6 @@ class FrontierGrid:
 
 # ---------------------------------------------------------------------------
 # Markets
-
-
-def _vector(name: str, value, count: int) -> Array:
-    out = np.array(value, dtype=float).reshape(-1)
-    if out.size != count:
-        raise ValueError(f"{name} must have length {count}")
-    if not np.all(np.isfinite(out)) or not np.all(out > 0):
-        raise ValueError(f"{name} must be finite and strictly positive")
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -379,8 +377,8 @@ class AggregateMarket:
         every = x_labels + y_labels
         if len(set(every)) != len(every):
             raise ValueError("labels must be unique across both sides")
-        n = _vector("n", self.n, len(x_labels))
-        m = _vector("m", self.m, len(y_labels))
+        n = _positive_vector("n", self.n, len(x_labels))
+        m = _positive_vector("m", self.m, len(y_labels))
         if self.frontiers.shape != (len(x_labels), len(y_labels)):
             raise ValueError("frontier grid shape must match the label counts")
         sigma = float(self.sigma)
@@ -418,35 +416,172 @@ def _colsums(K: Array) -> Array:
     return np.ascontiguousarray(K.T).sum(axis=1)
 
 
-def _lse(values: Array) -> float:
-    if values.size == 0:
-        return -np.inf
-    return float(np.logaddexp.reduce(values))
+def _log_mass(z: Array, axis: int) -> Array:
+    """``log(sum(exp(z)))`` along ``axis``; ``-inf`` along an empty axis."""
+    if z.shape[axis] == 0:
+        return np.full(z.shape[1 - axis], -np.inf)
+    return np.logaddexp.reduce(z, axis=axis)
+
+
+def _share_price(
+    log_s: Array, target: Array, scale: float, singles: bool, side: int
+) -> Array:
+    """Closed-form prices that clear rows (``side = 1``) or columns (``-1``).
+
+    At price ``t`` a row (column) has matched mass ``a * exp(log_s)`` with
+    ``a = exp(side * t / scale)``, plus single mass ``a**2`` with singles
+    (whose ``scale`` is ``2 sigma``); ``t`` brings the total to ``target``.
+    The quadratic is solved in its stable form, and in logs alone once
+    ``log_s`` exceeds ``_LOG_GUARD``.
+    """
+    log_ratio = np.log(target) - log_s if side > 0 else log_s - np.log(target)
+    if not singles:
+        return scale * log_ratio
+    big = log_s > _LOG_GUARD
+    s = np.exp(np.where(big, 0.0, log_s))
+    a = 2.0 * target / (s + np.hypot(s, 2.0 * np.sqrt(target)))
+    return np.where(big, scale * log_ratio, side * scale * np.log(a))
 
 
 # ---------------------------------------------------------------------------
-# The singles map
+# Bipartite maps
 
 
-def _tu_singles_x_block(phi, py, n, sigma) -> Array:
-    if phi.shape[1] == 0:
-        log_s = np.full(phi.shape[0], -np.inf)
-    else:
-        log_s = np.logaddexp.reduce((phi - py[None, :]) / (2.0 * sigma), axis=1)
-    big = log_s > _LOG_GUARD
-    s = np.exp(np.where(big, 0.0, log_s))
-    a = 2.0 * n / (s + np.hypot(s, 2.0 * np.sqrt(n)))
-    return np.where(big, 2.0 * sigma * (np.log(n) - log_s), 2.0 * sigma * np.log(a))
+class _Layout:
+    """Coordinates of a bipartite map: every x-price, then the free y-prices.
+
+    Every y-price is free unless column ``j0`` is pinned at the numeraire
+    value ``pi``, which takes it out of the coordinates. Outside options come
+    with the market's ``singles``, and so does strict responsiveness of the
+    aggregate excess (``m_function``): without singles the aggregate is
+    constant (balanced) or the inflow into the pinned column plus a constant,
+    which no free y-price moves.
+    """
+
+    def __init__(
+        self, market: AggregateMarket, j0: int | None = None, pi: float = 0.0
+    ):
+        self.singles = market.singles
+        self.nx, self.ny = len(market.x_labels), len(market.y_labels)
+        self.j0, self.pi = j0, float(pi)
+        self.keep = _ALL if j0 is None else np.delete(np.arange(self.ny), j0)
+        y_free = tuple(z for j, z in enumerate(market.y_labels) if j != j0)
+        self.labels = market.x_labels + y_free
+
+    @classmethod
+    def pinned(cls, market: AggregateMarket, y0: str | None, pi: float):
+        """The full-assignment layout; ``y0`` defaults to the first y-type."""
+        if market.singles:
+            raise ValueError("full-assignment maps need a market without singles")
+        y0 = market.y_labels[0] if y0 is None else str(y0)
+        if y0 not in market.y_labels:
+            raise ValueError(f"unknown y-type {y0!r}")
+        return cls(market, market.y_labels.index(y0), pi)
+
+    def column(self, r: int) -> int:
+        """The y column of free y-price ``r``."""
+        return r if self.j0 is None or r < self.j0 else r + 1
+
+    def py(self, values: Array) -> Array:
+        """Every y-price of a coordinate vector, the pinned one included."""
+        if self.j0 is None:
+            return values[self.nx:]
+        py = np.empty(self.ny)
+        py[self.j0] = self.pi
+        py[self.keep] = values[self.nx:]
+        return py
 
 
-def _tu_singles_y_block(phi, px, m, sigma) -> Array:
-    if phi.shape[1] == 0:
-        return np.empty(0)
-    log_s = np.logaddexp.reduce((px[:, None] + phi) / (2.0 * sigma), axis=0)
-    big = log_s > _LOG_GUARD
-    s = np.exp(np.where(big, 0.0, log_s))
-    b = 2.0 * m / (s + np.hypot(s, 2.0 * np.sqrt(m)))
-    return np.where(big, 2.0 * sigma * (log_s - np.log(m)), -2.0 * sigma * np.log(b))
+def _bipartite_map(
+    market: AggregateMarket,
+    layout: _Layout,
+    log_kernel,
+    scale: float | None = None,
+) -> EquilibriumMap:
+    """The excess-supply map of ``market`` over ``layout``.
+
+    Cell masses are ``exp(log_kernel(p_x, p_y, rows, cols))``. The x excess
+    is the row mass (plus the single mass ``exp(p_x / sigma)``) minus
+    ``n_x``; the y excess is ``m_y`` minus the column mass (plus the single
+    mass ``exp(-p_y / sigma)``). A ``scale`` ``s`` states that the kernel is
+    ``exp((phi + p_x - p_y) / s)`` and registers closed-form updates: the
+    x and y blocks, and per coordinate the same formula on a one-row slice.
+    """
+    sigma, n, m = market.sigma, market.n, market.m
+    singles, nx, keep = layout.singles, layout.nx, layout.keep
+
+    def eval_values(values: Array) -> Array:
+        px, py = values[:nx], layout.py(values)
+        K = np.exp(log_kernel(px[:, None], py[None, :]))
+        rows, cols = K.sum(axis=1), _colsums(K)
+        if singles:
+            rows = rows + np.exp(px / sigma)
+            cols = cols + np.exp(-py / sigma)
+        return np.concatenate([rows - n, (m - cols)[keep]])
+
+    def residual_value(i: int, t: float, values: Array) -> float:
+        if i < nx:
+            mass = np.sum(np.exp(log_kernel(t, layout.py(values), i, _ALL)))
+            if singles:
+                mass = mass + np.exp(t / sigma)
+            return float(mass - n[i])
+        j = layout.column(i - nx)
+        mass = np.sum(np.exp(log_kernel(values[:nx], t, _ALL, j)))
+        if singles:
+            mass = mass + np.exp(-t / sigma)
+        return float(m[j] - mass)
+
+    update = update_block = None
+    if scale is not None:
+        phi = market.frontiers.phi
+        # A C-ordered copy: phi[:, keep] alone is F-ordered and slows the
+        # column reduce when a column is pinned.
+        phi_y, m_y = np.ascontiguousarray(phi[:, keep]), m[keep]
+
+        def x_prices(values: Array, rows) -> Array:
+            z = (phi[rows] - layout.py(values)) / scale
+            return _share_price(_log_mass(z, 1), n[rows], scale, singles, 1)
+
+        def y_prices(values: Array, cols) -> Array:
+            z = (values[:nx, None] + phi_y[:, cols]) / scale
+            return _share_price(_log_mass(z, 0), m_y[cols], scale, singles, -1)
+
+        def update_block(b: int, values: Array) -> Array:
+            return x_prices(values, _ALL) if b == 0 else y_prices(values, _ALL)
+
+        def update(i: int, values: Array) -> float:
+            if i < nx:
+                return float(x_prices(values, slice(i, i + 1))[0])
+            r = i - nx
+            return float(y_prices(values, slice(r, r + 1))[0])
+
+    return EquilibriumMap(
+        labels=layout.labels,
+        eval_values=eval_values,
+        update_value=update,
+        residual_value=residual_value,
+        z_function=True,
+        diagonal_isotone=True,
+        m_function=singles,
+        m0_function=True,
+        blocks=None if scale is None else ((0, nx), (nx, len(layout.labels))),
+        update_block=update_block,
+    )
+
+
+def _distance_map(market: AggregateMarket, layout: _Layout) -> EquilibriumMap:
+    """The frontier kernel ``exp(-D(-p_x, p_y) / sigma)`` over ``layout``.
+
+    Under perfect transfers ``-D / sigma = (phi + p_x - p_y) / (2 sigma)``,
+    so those maps get closed-form updates at scale ``2 sigma``.
+    """
+    grid, sigma = market.frontiers, market.sigma
+
+    def log_kernel(px, py, rows=_ALL, cols=_ALL):
+        return -grid.distance(-px, py, rows, cols) / sigma
+
+    scale = 2.0 * sigma if grid.kind == "tu" else None
+    return _bipartite_map(market, layout, log_kernel, scale)
 
 
 def build_transfer_map(market: AggregateMarket) -> EquilibriumMap:
@@ -462,71 +597,62 @@ def build_transfer_map(market: AggregateMarket) -> EquilibriumMap:
         raise ValueError(
             "market has no singles; use build_full_assignment_map instead"
         )
-    grid = market.frontiers
-    sigma = market.sigma
-    n, m = market.n, market.m
-    nx, ny = len(market.x_labels), len(market.y_labels)
+    return _distance_map(market, _Layout(market))
 
-    def eval_values(values: Array) -> Array:
-        px = values[:nx]
-        py = values[nx:]
-        D = grid.distance_matrix(-px[:, None], py[None, :])
-        K = np.exp(-D / sigma)
-        qx = K.sum(axis=1) + np.exp(px / sigma) - n
-        qy = -_colsums(K) - np.exp(-py / sigma) + m
-        return np.concatenate([qx, qy])
 
-    def residual_value(i: int, pi: float, values: Array) -> float:
-        if i < nx:
-            py = values[nx:]
-            D = grid.distance(-pi, py, rows=i)
-            K = np.exp(-D / sigma)
-            return float(np.sum(K) + np.exp(pi / sigma) - n[i])
-        j = i - nx
-        px = values[:nx]
-        D = grid.distance(-px, pi, cols=j)
-        K = np.exp(-D / sigma)
-        return float(-np.sum(K) - np.exp(-pi / sigma) + m[j])
+def build_ot_map(market: AggregateMarket) -> EquilibriumMap:
+    """Balanced perfect-transfer map over all coordinates, kernel scale ``sigma``.
 
-    update = None
-    if grid.kind == "tu":
-        phi = grid.phi
+    Match masses are ``exp((phi + p_x - p_y) / sigma)``; the x excess is the
+    row sum minus ``n_x`` and the y excess is ``m_y`` minus the column sum.
+    The aggregate excess is identically zero, so the map is only weakly
+    responsive: solutions are determined up to a common shift, and only
+    supersolution starts make all coordinates reachable in practice.
+    """
+    _require_kind(market, "tu")
+    if market.singles:
+        raise ValueError("the balanced map is for markets without singles")
+    phi, sigma = market.frontiers.phi, market.sigma
 
-        def update(i: int, values: Array) -> float:
-            if i < nx:
-                log_s = _lse((phi[i] - values[nx:]) / (2.0 * sigma))
-                target = float(n[i])
-                if log_s > _LOG_GUARD:
-                    return 2.0 * sigma * (np.log(target) - log_s)
-                s = np.exp(log_s)
-                a = 2.0 * target / (s + np.hypot(s, 2.0 * np.sqrt(target)))
-                return float(2.0 * sigma * np.log(a))
-            j = i - nx
-            log_s = _lse((values[:nx] + phi[:, j]) / (2.0 * sigma))
-            target = float(m[j])
-            if log_s > _LOG_GUARD:
-                return 2.0 * sigma * (log_s - np.log(target))
-            s = np.exp(log_s)
-            b = 2.0 * target / (s + np.hypot(s, 2.0 * np.sqrt(target)))
-            return float(-2.0 * sigma * np.log(b))
+    def log_kernel(px, py, rows=_ALL, cols=_ALL):
+        return (phi[rows, cols] + px - py) / sigma
 
-        def update_block(b: int, values: Array) -> Array:
-            if b == 0:
-                return _tu_singles_x_block(phi, values[nx:], n, sigma)
-            return _tu_singles_y_block(phi, values[:nx], m, sigma)
+    return _bipartite_map(market, _Layout(market), log_kernel, sigma)
 
-    return EquilibriumMap(
-        labels=market.labels,
-        eval_values=eval_values,
-        update_value=update,
-        residual_value=residual_value,
-        z_function=True,
-        diagonal_isotone=True,
-        m_function=True,
-        m0_function=True,
-        blocks=None if update is None else ((0, nx), (nx, nx + ny)),
-        update_block=None if update is None else update_block,
-    )
+
+def build_full_assignment_map(
+    market: AggregateMarket, y0: str | None = None, pi: float = 0.0
+) -> EquilibriumMap:
+    """Everyone-matches map with one y-price pinned at ``pi``.
+
+    Coordinates are all x-types plus all y-types except ``y0`` (default:
+    the first). Match masses follow ``exp(-D(-p_x, p_y) / sigma)`` with no
+    outside-option terms; pinning ``p_{y0}`` removes the translation
+    freedom of the balanced system. The aggregate excess is the inflow into
+    column ``y0`` plus a constant, which no free y-price moves, so the map
+    is declared weakly responsive (``m0_function``) only. For perfect
+    transfers closed-form log-domain coordinate updates are registered.
+    """
+    return _distance_map(market, _Layout.pinned(market, y0, pi))
+
+
+def full_assignment_prices(
+    market: AggregateMarket,
+    p: PriceVector,
+    y0: str | None = None,
+    pi: float = 0.0,
+) -> PriceVector:
+    """Expand a reduced price vector to all coordinates (inserting ``p_{y0} = pi``).
+
+    A vector that already covers every coordinate is returned unchanged.
+    """
+    if p.labels == market.labels:
+        return p
+    layout = _Layout.pinned(market, y0, pi)
+    if p.labels != layout.labels:
+        raise ValueError("price labels match neither the full nor the reduced layout")
+    values = np.concatenate([p.values[:layout.nx], layout.py(p.values)])
+    return PriceVector(market.labels, values)
 
 
 # ---------------------------------------------------------------------------
@@ -545,181 +671,6 @@ def sinkhorn_update(market: AggregateMarket, p: PriceVector) -> PriceVector:
     _require_kind(market, "tu")
     q = build_transfer_map(market) if market.singles else build_ot_map(market)
     return gauss_seidel_sweep(q, p)
-
-
-def build_ot_map(market: AggregateMarket) -> EquilibriumMap:
-    """Balanced perfect-transfer map over all coordinates, kernel scale ``sigma``.
-
-    Match masses are ``exp((phi + p_x - p_y) / sigma)``; the x excess is the
-    row sum minus ``n_x`` and the y excess is ``m_y`` minus the column sum.
-    The aggregate excess is identically zero, so the map is only weakly
-    responsive: solutions are determined up to a common shift, and only
-    supersolution starts make all coordinates reachable in practice.
-    """
-    _require_kind(market, "tu")
-    if market.singles:
-        raise ValueError("the balanced map is for markets without singles")
-    phi = market.frontiers.phi
-    sigma, n, m = market.sigma, market.n, market.m
-    nx = len(market.x_labels)
-
-    def eval_values(values: Array) -> Array:
-        px = values[:nx]
-        py = values[nx:]
-        K = np.exp((phi + px[:, None] - py[None, :]) / sigma)
-        return np.concatenate([K.sum(axis=1) - n, m - _colsums(K)])
-
-    def residual_value(i: int, pi: float, values: Array) -> float:
-        if i < nx:
-            K = np.exp((phi[i] + pi - values[nx:]) / sigma)
-            return float(np.sum(K) - n[i])
-        j = i - nx
-        K = np.exp((phi[:, j] + values[:nx] - pi) / sigma)
-        return float(m[j] - np.sum(K))
-
-    def update(i: int, values: Array) -> float:
-        if i < nx:
-            log_s = _lse((phi[i] - values[nx:]) / sigma)
-            return float(sigma * (np.log(n[i]) - log_s))
-        j = i - nx
-        log_s = _lse((phi[:, j] + values[:nx]) / sigma)
-        return float(sigma * (log_s - np.log(m[j])))
-
-    def update_block(b: int, values: Array) -> Array:
-        if b == 0:
-            log_s = np.logaddexp.reduce((phi - values[nx:]) / sigma, axis=1)
-            return sigma * (np.log(n) - log_s)
-        log_s = np.logaddexp.reduce((values[:nx, None] + phi) / sigma, axis=0)
-        return sigma * (log_s - np.log(m))
-
-    return EquilibriumMap(
-        labels=market.labels,
-        eval_values=eval_values,
-        update_value=update,
-        residual_value=residual_value,
-        z_function=True,
-        diagonal_isotone=True,
-        m_function=False,
-        m0_function=True,
-        blocks=((0, nx), (nx, len(market.labels))),
-        update_block=update_block,
-    )
-
-
-# ---------------------------------------------------------------------------
-# The full-assignment map
-
-
-def _full_assignment_layout(market: AggregateMarket, y0: str | None):
-    if market.singles:
-        raise ValueError("full-assignment maps need a market without singles")
-    y0 = market.y_labels[0] if y0 is None else str(y0)
-    if y0 not in market.y_labels:
-        raise ValueError(f"unknown y-type {y0!r}")
-    j0 = market.y_labels.index(y0)
-    keep = [j for j in range(len(market.y_labels)) if j != j0]
-    labels = market.x_labels + tuple(market.y_labels[j] for j in keep)
-    return y0, j0, np.array(keep, dtype=int), labels
-
-
-def build_full_assignment_map(
-    market: AggregateMarket, y0: str | None = None, pi: float = 0.0
-) -> EquilibriumMap:
-    """Everyone-matches map with one y-price pinned at ``pi``.
-
-    Coordinates are all x-types plus all y-types except ``y0`` (default:
-    the first). Match masses follow ``exp(-D(-p_x, p_y) / sigma)`` with no
-    outside-option terms; pinning ``p_{y0}`` removes the translation
-    freedom of the balanced system and makes the reduced map strongly
-    responsive. For perfect transfers closed-form log-domain coordinate
-    updates are registered.
-    """
-    y0, j0, keep, labels = _full_assignment_layout(market, y0)
-    grid = market.frontiers
-    sigma, n, m = market.sigma, market.n, market.m
-    nx, ny = len(market.x_labels), len(market.y_labels)
-    pi = float(pi)
-
-    def full_py(values: Array) -> Array:
-        py = np.empty(ny)
-        py[j0] = pi
-        py[keep] = values[nx:]
-        return py
-
-    def eval_values(values: Array) -> Array:
-        px = values[:nx]
-        py = full_py(values)
-        D = grid.distance_matrix(-px[:, None], py[None, :])
-        K = np.exp(-D / sigma)
-        qx = K.sum(axis=1) - n
-        qy = m - _colsums(K)
-        return np.concatenate([qx, qy[keep]])
-
-    def residual_value(i: int, pival: float, values: Array) -> float:
-        if i < nx:
-            py = full_py(values)
-            D = grid.distance(-pival, py, rows=i)
-            return float(np.sum(np.exp(-D / sigma)) - n[i])
-        j = int(keep[i - nx])
-        px = values[:nx]
-        D = grid.distance(-px, pival, cols=j)
-        return float(m[j] - np.sum(np.exp(-D / sigma)))
-
-    update = None
-    if grid.kind == "tu":
-        phi = grid.phi
-
-        def update(i: int, values: Array) -> float:
-            if i < nx:
-                log_s = _lse((phi[i] - full_py(values)) / (2.0 * sigma))
-                return float(2.0 * sigma * (np.log(n[i]) - log_s))
-            j = int(keep[i - nx])
-            log_s = _lse((values[:nx] + phi[:, j]) / (2.0 * sigma))
-            return float(2.0 * sigma * (log_s - np.log(m[j])))
-
-        phi_keep, m_keep = phi[:, keep], m[keep]
-
-        def update_block(b: int, values: Array) -> Array:
-            if b == 0:
-                z = (phi - full_py(values)) / (2.0 * sigma)
-                return 2.0 * sigma * (np.log(n) - np.logaddexp.reduce(z, axis=1))
-            z = (values[:nx, None] + phi_keep) / (2.0 * sigma)
-            return 2.0 * sigma * (np.logaddexp.reduce(z, axis=0) - np.log(m_keep))
-
-    return EquilibriumMap(
-        labels=labels,
-        eval_values=eval_values,
-        update_value=update,
-        residual_value=residual_value,
-        z_function=True,
-        diagonal_isotone=True,
-        m_function=True,
-        m0_function=True,
-        blocks=None if update is None else ((0, nx), (nx, len(labels))),
-        update_block=None if update is None else update_block,
-    )
-
-
-def full_assignment_prices(
-    market: AggregateMarket,
-    p: PriceVector,
-    y0: str | None = None,
-    pi: float = 0.0,
-) -> PriceVector:
-    """Expand a reduced price vector to all coordinates (inserting ``p_{y0} = pi``).
-
-    A vector that already covers every coordinate is returned unchanged.
-    """
-    if p.labels == market.labels:
-        return p
-    y0, j0, keep, labels = _full_assignment_layout(market, y0)
-    if p.labels != labels:
-        raise ValueError("price labels match neither the full nor the reduced layout")
-    nx, ny = len(market.x_labels), len(market.y_labels)
-    py = np.empty(ny)
-    py[j0] = float(pi)
-    py[keep] = p.values[nx:]
-    return PriceVector(market.labels, np.concatenate([p.values[:nx], py]))
 
 
 # ---------------------------------------------------------------------------
@@ -777,31 +728,28 @@ def full_assignment_supersolution(
     until its column inflow is at most ``m_y``; this never disturbs step 1
     because the ``y0`` column is untouched.
     """
-    y0c, j0, keep, labels = _full_assignment_layout(market, y0)
-    grid = market.frontiers
-    sigma = market.sigma
-    nx = len(market.x_labels)
-    pi = float(pi)
+    layout = _Layout.pinned(market, y0, pi)
+    grid, sigma, nx = market.frontiers, market.sigma, layout.nx
 
     px = np.empty(nx)
     for i in range(nx):
         target = -sigma * float(np.log(market.n[i]))
         U = _double_until(
-            lambda u, i=i: float(grid.distance(u, pi, rows=i, cols=j0)) <= target,
+            lambda u, i=i: float(grid.distance(u, layout.pi, i, layout.j0)) <= target,
             start=0.0,
             upward=False,
         )
         px[i] = -U
 
-    Q = build_full_assignment_map(market, y0=y0c, pi=pi)
-    values = np.concatenate([px, np.zeros(len(keep))])
-    for r in range(len(keep)):
-        values[nx + r] = _double_until(
-            lambda t, i=nx + r: Q.residual_at(i, t, values) >= 0.0,
+    Q = _distance_map(market, layout)
+    values = np.concatenate([px, np.zeros(layout.ny - 1)])
+    for i in range(nx, len(values)):
+        values[i] = _double_until(
+            lambda t, i=i: Q.residual_at(i, t, values) >= 0.0,
             start=0.0,
             upward=True,
         )
-    return PriceVector(labels, values)
+    return PriceVector(layout.labels, values)
 
 
 def _double_until(pred, start: float, upward: bool) -> float:
@@ -879,31 +827,25 @@ def recover_equilibrium(
             raise ValueError("the 'ot' model applies to markets without singles")
         mu = np.exp((grid.phi + px[:, None] - py[None, :]) / sigma)
         D = (-px[:, None] + py[None, :] - grid.phi) / 2.0
+        u = -px
+        v = py.copy()
     else:
         D = grid.distance_matrix(-px[:, None], py[None, :])
         mu = np.exp(-D / sigma)
-
-    if model == "ot":
-        mu_x0 = np.zeros(nx)
-        mu_0y = np.zeros(len(market.y_labels))
-        u = -px
-        v = py.copy()
-    elif market.singles:
-        mu_x0 = np.exp(px / sigma)
-        mu_0y = np.exp(-py / sigma)
         u = -px + sigma * np.log(n)
         v = py + sigma * np.log(m)
+    if market.singles:
+        mu_x0 = np.exp(px / sigma)
+        mu_0y = np.exp(-py / sigma)
     else:
         mu_x0 = np.zeros(nx)
         mu_0y = np.zeros(len(market.y_labels))
-        u = -px + sigma * np.log(n)
-        v = py + sigma * np.log(m)
 
     rx = mu.sum(axis=1) + mu_x0 - n
     ry = mu.sum(axis=0) + mu_0y - m
     slack_y = tol * (1.0 + np.abs(m))
     if model == "transfer" and not market.singles:
-        j0 = _full_assignment_layout(market, y0)[1]
+        j0 = _Layout.pinned(market, y0, pi).j0
         slack_y[j0] += (
             np.abs(rx).sum()
             + np.abs(np.delete(ry, j0)).sum()
@@ -970,106 +912,39 @@ def recover_wages(
 # Rent-controlled housing (fixed splits, unit scale)
 
 
-def _housing_params(market: AggregateMarket):
+def _require_housing(market: AggregateMarket) -> None:
     _require_kind(market, "ntu")
     if market.sigma != 1.0:
         raise ValueError("the housing map requires sigma = 1")
-    return market.frontiers.alpha, market.frontiers.gamma
 
 
 def build_housing_map(market: AggregateMarket) -> EquilibriumMap:
-    """Singles market map for fixed splits written in min form.
+    """Singles map of a housing market, after checking that it is one.
 
-    Cell masses are ``min(exp(p_x + alpha), exp(gamma - p_y))`` — whichever
-    side's cap binds. This equals the distance-kernel map of
-    :func:`build_transfer_map` on the same market bit for bit, but is
-    built without evaluating any distance.
+    Cell masses ``min(exp(p_x + alpha), exp(gamma - p_y))`` — whichever
+    side's cap binds — are the fixed-split kernel at ``sigma = 1``, so this
+    is :func:`build_transfer_map` on a market checked to have fixed splits,
+    unit scale and singles.
     """
     if not market.singles:
         raise ValueError("the housing map needs a singles market")
-    alpha, gamma = _housing_params(market)
-    n, m = market.n, market.m
-    nx = len(market.x_labels)
-
-    def eval_values(values: Array) -> Array:
-        px = values[:nx]
-        py = values[nx:]
-        K = np.minimum(
-            np.exp(px[:, None] + alpha), np.exp(gamma - py[None, :])
-        )
-        qx = K.sum(axis=1) + np.exp(px) - n
-        qy = -_colsums(K) - np.exp(-py) + m
-        return np.concatenate([qx, qy])
-
-    def residual_value(i: int, pi: float, values: Array) -> float:
-        if i < nx:
-            py = values[nx:]
-            K = np.minimum(np.exp(pi + alpha[i]), np.exp(gamma[i] - py))
-            return float(np.sum(K) + np.exp(pi) - n[i])
-        j = i - nx
-        px = values[:nx]
-        K = np.minimum(np.exp(px + alpha[:, j]), np.exp(gamma[:, j] - pi))
-        return float(-np.sum(K) - np.exp(-pi) + m[j])
-
-    return EquilibriumMap(
-        labels=market.labels,
-        eval_values=eval_values,
-        residual_value=residual_value,
-        z_function=True,
-        diagonal_isotone=True,
-        m_function=True,
-        m0_function=True,
-    )
+    _require_housing(market)
+    return build_transfer_map(market)
 
 
 def build_housing_full_assignment_map(
     market: AggregateMarket, y0: str | None = None, pi: float = 0.0
 ) -> EquilibriumMap:
-    """Everyone-housed variant of the min-form map (experimental).
+    """Everyone-housed variant: :func:`build_full_assignment_map` on a
+    market checked to have fixed splits and unit scale (experimental).
 
     Because each cell mass saturates at ``exp(gamma - p_y)``, coordinates
     can lose responsiveness on price plateaus; updates may then raise
-    :class:`ResponsivenessViolation`. Declared only weakly responsive.
+    :class:`ResponsivenessViolation`. Like every pinned map it is declared
+    weakly responsive (``m0_function``) only.
     """
-    y0, j0, keep, labels = _full_assignment_layout(market, y0)
-    alpha, gamma = _housing_params(market)
-    n, m = market.n, market.m
-    nx, ny = len(market.x_labels), len(market.y_labels)
-    pi = float(pi)
-
-    def full_py(values: Array) -> Array:
-        py = np.empty(ny)
-        py[j0] = pi
-        py[keep] = values[nx:]
-        return py
-
-    def eval_values(values: Array) -> Array:
-        px = values[:nx]
-        py = full_py(values)
-        K = np.minimum(
-            np.exp(px[:, None] + alpha), np.exp(gamma - py[None, :])
-        )
-        return np.concatenate([K.sum(axis=1) - n, (m - _colsums(K))[keep]])
-
-    def residual_value(i: int, pival: float, values: Array) -> float:
-        if i < nx:
-            py = full_py(values)
-            K = np.minimum(np.exp(pival + alpha[i]), np.exp(gamma[i] - py))
-            return float(np.sum(K) - n[i])
-        j = int(keep[i - nx])
-        px = values[:nx]
-        K = np.minimum(np.exp(px + alpha[:, j]), np.exp(gamma[:, j] - pival))
-        return float(m[j] - np.sum(K))
-
-    return EquilibriumMap(
-        labels=labels,
-        eval_values=eval_values,
-        residual_value=residual_value,
-        z_function=True,
-        diagonal_isotone=True,
-        m_function=False,
-        m0_function=True,
-    )
+    _require_housing(market)
+    return build_full_assignment_map(market, y0, pi)
 
 
 # ---------------------------------------------------------------------------

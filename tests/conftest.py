@@ -62,20 +62,24 @@ def random_schedule(rng: np.random.Generator, brackets: int = 3) -> TaxSchedule:
 
 
 def random_taxes_market(
-    rng: np.random.Generator, nx: int = 3, ny: int = 3
+    rng: np.random.Generator, nx: int = 3, ny: int = 3, singles: bool = True
 ) -> AggregateMarket:
+    n = rng.uniform(0.5, 2.0, nx)
+    m = rng.uniform(0.5, 2.0, ny)
+    if not singles:
+        m = m * (n.sum() / m.sum())
     return AggregateMarket(
         x_labels=labels("x", nx),
         y_labels=labels("y", ny),
-        n=rng.uniform(0.5, 2.0, nx),
-        m=rng.uniform(0.5, 2.0, ny),
+        n=n,
+        m=m,
         frontiers=FrontierGrid.taxes(
             rng.uniform(-0.5, 0.5, (nx, ny)),
             rng.uniform(-0.5, 0.5, (nx, ny)),
             random_schedule(rng),
         ),
         sigma=float(rng.uniform(0.5, 1.5)),
-        singles=True,
+        singles=singles,
     )
 
 

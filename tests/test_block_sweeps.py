@@ -7,6 +7,7 @@ the engine fall back to one ``update_value`` call per coordinate.
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -189,7 +190,8 @@ def test_nonfinite_update_names_the_loop_coordinate(sweep, bad, start, damping):
         values[list(bad)] = start
     p = PriceVector(q.labels, values)
     opts = SolverOptions(damping=damping)
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(NonFiniteResidual) as loop_err:
             sweep(loop_map(q), p, opts)
         with pytest.raises(NonFiniteResidual) as block_err:

@@ -29,10 +29,23 @@ SOLVABLE = [
     "nt_aggregate.json",
 ]
 
-# sha256 of each file ``solve --out`` writes with default options, recorded
-# when every sweep still updated one coordinate at a time. Faster sweeps must
-# reproduce the iterates, and so these bytes, exactly.
+# sha256 of each file ``solve --out`` writes with default options. The TU, OT
+# and full-assignment hashes were recorded when every sweep still updated one
+# coordinate at a time; the housing and taxes ones when the housing map was
+# written in min form and each bipartite map had a builder of its own. Faster
+# sweeps and shared builders must reproduce the iterates, and so these bytes,
+# exactly.
 PINNED_ARTIFACTS = {
+    "housing.json": {
+        "mu.csv":
+            "1458641fc7a747ae67276cc9d9539db8c6736fb5c2e390b7beffd514145c68ae",
+        "payoffs.csv":
+            "f8ac43f8dcbd2137e929790a624b4876a50ee26e445ec85ac74b76f278ae93ea",
+        "solution.json":
+            "a5a03851f5dbea54d406f8d52c03a2d0c146aabb63ae540dbd4568afbb3459d4",
+        "trace.csv":
+            "2fb514a052f4903c5d6b2031b6203dd3ef3708f38329457118a162390e262a74",
+    },
     "ot_small.json": {
         "mu.csv":
             "30f8d6529537de41a8cca2446c24c5a69d5b9029fac26d4b0c6516cd2d6ea4b5",
@@ -56,6 +69,18 @@ PINNED_ARTIFACTS = {
             "bb3fa804d96e8542477ea0f6b2341c7311f906fe32e325ce29444584b39e818e",
         "wages.csv":
             "87b9e0d7925695b44c4ae67a6221dbe337944b4678edae01c759be0cf0bc1f01",
+    },
+    "transfer_taxes.json": {
+        "mu.csv":
+            "8fa4613b7f3070305b517205a9ceef7028edbb3f77a16b87a251c6adf1ab0b24",
+        "payoffs.csv":
+            "ba301da7bacc01f1bf45f0e1fb1ada3d5bbf949a4130c0875ca5829301a0e276",
+        "solution.json":
+            "254de564dd90f3a971d1c90031a85250bf49e531b3fb661ae06e3cdd96662954",
+        "trace.csv":
+            "6e36ac44777175fbb3748b88aeec6d8aa1503567343f00dcee285a2383d4bbbe",
+        "wages.csv":
+            "38c4bf8d9f180917472d33ab6b1c47234bd8e8413d9b19452544f5cb98db29fa",
     },
     "transfer_tu.json": {
         "mu.csv":

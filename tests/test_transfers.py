@@ -631,18 +631,44 @@ class TestWages:
             recover_wages(market, p)
 
 
+def housing_min_form(market, values, j0=None, pi=0.0):
+    """Housing excesses from occupancy ``min(e^{p_x + alpha}, e^{gamma - p_y})``;
+    ``j0`` is the y column pinned at ``pi`` (full assignment), if any."""
+    nx = len(market.x_labels)
+    px, py = values[:nx], values[nx:]
+    if j0 is not None:
+        py = np.insert(py, j0, pi)
+    alpha, gamma = market.frontiers.alpha, market.frontiers.gamma
+    K = np.minimum(np.exp(px[:, None] + alpha), np.exp(gamma - py[None, :]))
+    rows, cols = K.sum(axis=1), np.ascontiguousarray(K.T).sum(axis=1)
+    if market.singles:
+        rows, cols = rows + np.exp(px), cols + np.exp(-py)
+    qy = market.m - cols
+    if j0 is not None:
+        qy = np.delete(qy, j0)
+    return np.concatenate([rows - market.n, qy])
+
+
 class TestHousing:
-    def test_min_form_equals_transfer_map_bitwise(self):
+    def test_maps_equal_min_form_oracle_bitwise(self):
         rng = np.random.default_rng(42)
-        for _ in range(10):
-            market = random_ntu_market(rng)
-            fast = build_housing_map(market)
-            slow = build_transfer_map(market)
-            values = rng.uniform(-3.0, 3.0, len(fast.labels))
-            p = PriceVector(fast.labels, values)
+        for singles in [True, False] * 20:
+            nx, ny = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            market = random_ntu_market(rng, nx, ny, singles=singles)
+            if singles:
+                q, j0, pi = build_housing_map(market), None, 0.0
+            else:
+                j0, pi = int(rng.integers(ny)), float(rng.uniform(-1.0, 1.0))
+                q = build_housing_full_assignment_map(market, market.y_labels[j0], pi)
+            values = rng.uniform(-3.0, 3.0, len(q.labels))
             assert np.array_equal(
-                fast.evaluate(p).values, slow.evaluate(p).values
+                q.eval_values(values), housing_min_form(market, values, j0, pi)
             )
+            for i, t in enumerate(rng.uniform(-3.0, 3.0, values.size)):
+                probe = values.copy()
+                probe[i] = t
+                oracle = housing_min_form(market, probe, j0, pi)[i]
+                assert q.residual_at(i, t, values) == oracle
 
     def test_solve_and_occupancy_identity(self):
         rng = np.random.default_rng(42)
@@ -693,6 +719,68 @@ class TestHousing:
         except (ResponsivenessViolation, MaxSweepsExceeded):
             return
         assert float(np.max(np.abs(q.evaluate(p).values))) <= 1e-9
+
+
+FLAG_CASES = [
+    ("transfer", "tu"),
+    ("transfer", "taxes"),
+    ("transfer", "ntu"),
+    ("ot", "tu"),
+    ("full", "tu"),
+    ("full", "taxes"),
+    ("full", "ntu"),
+    ("housing", "ntu"),
+    ("housing_full", "ntu"),
+]
+
+
+def flag_case_map(builder, kind, rng):
+    singles = builder in ("transfer", "housing")
+    make = {
+        "tu": random_tu_market,
+        "taxes": random_taxes_market,
+        "ntu": random_ntu_market,
+    }[kind]
+    ny = int(rng.integers(1, 5))
+    market = make(rng, int(rng.integers(1, 5)), ny, singles=singles)
+    if builder in ("transfer", "housing", "ot"):
+        return {
+            "transfer": build_transfer_map,
+            "housing": build_housing_map,
+            "ot": build_ot_map,
+        }[builder](market)
+    build = (
+        build_full_assignment_map if builder == "full"
+        else build_housing_full_assignment_map
+    )
+    y0 = market.y_labels[int(rng.integers(ny))]
+    return build(market, y0, float(rng.uniform(-1.0, 1.0)))
+
+
+class TestStructureFlags:
+    @pytest.mark.parametrize("builder, kind", FLAG_CASES)
+    def test_declared_flags_hold_under_bumps(self, builder, kind):
+        # Only singles give the aggregate a strict rise in every coordinate;
+        # a pinned map's aggregate is the pinned column's inflow plus a
+        # constant, and a balanced map's is constant.
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            q = flag_case_map(builder, kind, rng)
+            assert q.z_function and q.diagonal_isotone and q.m0_function
+            assert q.m_function == (builder in ("transfer", "housing"))
+            base = rng.uniform(-1.0, 1.0, len(q.labels))
+            before = q.eval_values(base)
+            tol = 1e-12 * (1.0 + np.abs(before).sum())
+            for k in range(base.size):
+                bumped = base.copy()
+                bumped[k] += 0.25
+                change = q.eval_values(bumped) - before
+                assert change[k] >= -tol
+                assert np.all(np.delete(change, k) <= tol)
+                rise = change.sum()
+                assert rise >= -tol
+                if q.m_function:
+                    assert rise > tol
 
 
 class TestNonintegrability:
