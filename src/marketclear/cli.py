@@ -299,6 +299,34 @@ def _write(files: list[str], path: Path, writer) -> None:
     files.append(str(path))
 
 
+def _write_xy_table(files: list[str], path: Path, market, table) -> None:
+    """One row per x-type, one column per y-type."""
+    _write(
+        files, path,
+        lambda path: write_csv(
+            path,
+            ["x", *market.y_labels],
+            ([label, *row] for label, row in zip(market.x_labels, table)),
+        ),
+    )
+
+
+def _write_payoffs(files: list[str], path: Path, sides) -> None:
+    """``side,label,value`` rows from ``(side, labels, payoffs)`` triples."""
+    _write(
+        files, path,
+        lambda path: write_csv(
+            path,
+            ["side", "label", "value"],
+            [
+                [side, label, float(val)]
+                for side, labels, payoffs in sides
+                for label, val in zip(labels, payoffs)
+            ],
+        ),
+    )
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -349,38 +377,17 @@ def _solve_engine(loaded: LoadedMarket, args, report: dict, files: list[str]) ->
             mu_x0=[float(v) for v in eq.mu_x0],
             mu_0y=[float(v) for v in eq.mu_0y],
         )
-        _write(
-            files, outdir / "mu.csv",
-            lambda path: write_csv(
-                path,
-                ["x", *market.y_labels],
-                ([label, *row] for label, row in zip(market.x_labels, eq.mu)),
-            ),
-        )
-        _write(
+        _write_xy_table(files, outdir / "mu.csv", market, eq.mu)
+        _write_payoffs(
             files, outdir / "payoffs.csv",
-            lambda path: write_csv(
-                path,
-                ["side", "label", "value"],
-                [
-                    *(["x", s, float(val)] for s, val in zip(market.x_labels, eq.u)),
-                    *(["y", s, float(val)] for s, val in zip(market.y_labels, eq.v)),
-                ],
-            ),
+            [("x", market.x_labels, eq.u), ("y", market.y_labels, eq.v)],
         )
         if ctx["kind"] in ("tu", "taxes"):
             wages = recover_wages(
                 market, p,
                 model=ctx["recover_model"], y0=ctx["y0"], pi=ctx["pi"],
             )
-            _write(
-                files, outdir / "wages.csv",
-                lambda path: write_csv(
-                    path,
-                    ["x", *market.y_labels],
-                    ([label, *row] for label, row in zip(market.x_labels, wages)),
-                ),
-            )
+            _write_xy_table(files, outdir / "wages.csv", market, wages)
     elif loaded.model == "hedonic":
         market = ctx["market"]
         s_vals = supply(market, p)
@@ -430,17 +437,10 @@ def _solve_nt(loaded: LoadedMarket, args, report: dict, files: list[str]) -> Non
             ([i, j, float(m)] for i, j, m in pairs),
         ),
     )
-    _write(
+    _write_payoffs(
         files, outdir / "payoffs.csv",
-        lambda path: write_csv(
-            path, ["side", "label", "value"],
-            [
-                *(["worker", s, float(val)]
-                  for s, val in zip(market.i_labels, outcome.u)),
-                *(["firm", s, float(val)]
-                  for s, val in zip(market.j_labels, outcome.v)),
-            ],
-        ),
+        [("worker", market.i_labels, outcome.u),
+         ("firm", market.j_labels, outcome.v)],
     )
     _write(
         files, outdir / "solution.json",
@@ -470,25 +470,10 @@ def _solve_nt_aggregate(
     outdir = _outdir(args)
     if outdir is None:
         return
-    _write(
-        files, outdir / "mu.csv",
-        lambda path: write_csv(
-            path,
-            ["x", *market.y_labels],
-            ([label, *row] for label, row in zip(market.x_labels, outcome.mu)),
-        ),
-    )
-    _write(
+    _write_xy_table(files, outdir / "mu.csv", market, outcome.mu)
+    _write_payoffs(
         files, outdir / "payoffs.csv",
-        lambda path: write_csv(
-            path, ["side", "label", "value"],
-            [
-                *(["x", s, float(val)]
-                  for s, val in zip(market.x_labels, outcome.u)),
-                *(["y", s, float(val)]
-                  for s, val in zip(market.y_labels, outcome.v)),
-            ],
-        ),
+        [("x", market.x_labels, outcome.u), ("y", market.y_labels, outcome.v)],
     )
     _write(
         files, outdir / "solution.json",

@@ -28,6 +28,8 @@ from .errors import (
 
 Array = np.ndarray
 
+_MAX_DOUBLINGS = 60
+
 __all__ = [
     "PriceVector",
     "ExcessVector",
@@ -218,8 +220,9 @@ class EquilibriumMap:
         coordinates into consecutive ``(start, stop)`` ranges whose
         coordinates never read each other's prices; ``update_block(b,
         values)`` returns the updates of block ``b`` as an array equal bit
-        for bit to ``update_value`` on each of its coordinates. The sweeps
-        use it only while ``update_value`` is set too.
+        for bit to ``update_value`` on each of its coordinates. A sweep
+        updates a block through it whenever its visit order covers the whole
+        block in one stretch, and only while ``update_value`` is set too.
     """
 
     labels: tuple[str, ...]
@@ -255,6 +258,7 @@ class EquilibriumMap:
             block_of = np.repeat(np.arange(len(blocks)), np.diff(edges))
             object.__setattr__(self, "blocks", blocks)
             object.__setattr__(self, "_block_of", block_of)
+        object.__setattr__(self, "_runs", _visit_runs(self, range(len(labels))))
 
     def index(self, label: str) -> int:
         return self._pos[label]
@@ -523,6 +527,29 @@ def smallest_root(
     return _bisect_on_nonpositive(f, le_lo, pos_hi, opts.bisection_tol)
 
 
+def _double_until(passes, start, upward: bool) -> Array:
+    """First passing probe of ``start, start ± 1, start ± 3, start ± 7, …``.
+
+    ``passes`` maps an array of probes to a boolean array of the same shape,
+    so every coordinate is searched at once and keeps the first probe at
+    which it passes. Raises :class:`ResponsivenessViolation` when a
+    coordinate still fails after ``_MAX_DOUBLINGS`` steps.
+    """
+    probe = np.array(start, dtype=float)
+    found = np.full_like(probe, np.nan)
+    step = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_MAX_DOUBLINGS + 1):
+            found = np.where(np.isnan(found) & passes(probe), probe, found)
+            if not np.isnan(found).any():
+                return found
+            probe = probe + step if upward else probe - step
+            step *= 2.0
+    raise ResponsivenessViolation(
+        "could not construct a starting point by doubling"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Sweeps
 
@@ -574,10 +601,6 @@ def _damp(old, new, damping: float):
         return old + damping * (new - old)
 
 
-def _uses_blocks(Q: EquilibriumMap) -> bool:
-    return Q.update_block is not None and Q.update_value is not None
-
-
 def _block_update(Q: EquilibriumMap, b: int, values: Array) -> Array:
     lo, hi = Q.blocks[b]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -587,31 +610,95 @@ def _block_update(Q: EquilibriumMap, b: int, values: Array) -> Array:
     return new
 
 
+def _damped_nonfinite(Q: EquilibriumMap, i: int) -> NonFiniteResidual:
+    return NonFiniteResidual(f"coordinate {Q.labels[i]!r}: damped update non-finite")
+
+
 def _raise_first_nonfinite(Q, visit, lo: int, new: Array, damped=None) -> None:
     """Raise as the per-coordinate loop would: at the first coordinate in
     visit order whose update, or else damped update, is non-finite."""
     for i in visit:
-        z = Q.labels[i]
         if not math.isfinite(new[i - lo]):
+            z = Q.labels[i]
             raise NonFiniteResidual(f"coordinate {z!r}: update is non-finite")
         if damped is not None and not math.isfinite(damped[i - lo]):
-            raise NonFiniteResidual(f"coordinate {z!r}: damped update non-finite")
+            raise _damped_nonfinite(Q, i)
 
 
-def _block_runs(Q: EquilibriumMap, order: Sequence[int]):
-    """``(block, visit order)`` pairs when ``order`` visits every block as
-    one contiguous run, else ``None``."""
-    runs = []
-    start = 0
-    while start < len(order):
-        b = int(Q._block_of[order[start]])
-        lo, hi = Q.blocks[b]
-        run = order[start:start + hi - lo]
-        if sorted(run) != list(range(lo, hi)):
-            return None
-        runs.append((b, run))
-        start += hi - lo
-    return runs
+def _visit_runs(Q: EquilibriumMap, order: Sequence[int]) -> tuple:
+    """Split a visit order into runs ``(block, visit)``.
+
+    A stretch that visits a whole block, in any order inside it, is one run
+    through ``update_block``. Every other coordinate ``i`` is a run
+    ``(None, i)`` of its own. Blocks count only while ``update_value`` is set
+    too. A block can only be visited whole from its first coordinate in
+    ``order``, so each block is tested once.
+    """
+    use_blocks = Q.update_block is not None and Q.update_value is not None
+    runs, tested, k = [], set(), 0
+    while k < len(order):
+        i = order[k]
+        b = int(Q._block_of[i]) if use_blocks else None
+        if b is not None and b not in tested:
+            tested.add(b)
+            lo, hi = Q.blocks[b]
+            stretch = order[k:k + hi - lo]
+            if sorted(stretch) == list(range(lo, hi)):
+                runs.append((b, stretch))
+                k += hi - lo
+                continue
+        runs.append((None, i))
+        k += 1
+    return tuple(runs)
+
+
+def _sweep(
+    Q: EquilibriumMap,
+    p: PriceVector,
+    opts: SolverOptions,
+    order: Sequence[str] | None,
+    frozen: bool,
+) -> PriceVector:
+    """One sweep over ``order`` (the label order when ``None``), run by run.
+
+    With ``frozen`` every update reads ``p`` and the damped step is taken
+    once all updates are in (Jacobi); otherwise each run reads the values
+    already updated and is damped at once (Gauss-Seidel). Non-finite values
+    raise at the coordinate the per-coordinate loop would name: Gauss-Seidel
+    checks each update, then its damped step, in visit order; Jacobi checks
+    every update before any damped step.
+    """
+    if p.labels != Q.labels:
+        raise ValueError("price vector labels do not match the map")
+    if order is None:
+        runs = Q._runs
+    elif sorted(order) != sorted(Q.labels):
+        raise ValueError("sweep_order must be a permutation of the map labels")
+    else:
+        runs = _visit_runs(Q, [Q.index(z) for z in order])
+    damping = opts.damping
+    values = p.values.copy()
+    read = p.values if frozen else values
+    for b, visit in runs:
+        if b is None:
+            new = _update_at(Q, visit, read, opts)
+            if not frozen:
+                new = _damp(values[visit], new, damping)
+                if not math.isfinite(new):
+                    raise _damped_nonfinite(Q, visit)
+            values[visit] = new
+        else:
+            lo, hi = Q.blocks[b]
+            new = _block_update(Q, b, read)
+            step = new if frozen else _damp(values[lo:hi], new, damping)
+            if not np.all(np.isfinite(step)):
+                _raise_first_nonfinite(Q, visit, lo, new, None if frozen else step)
+            values[lo:hi] = step
+    if frozen:
+        values = _damp(p.values, values, damping)
+        if not np.all(np.isfinite(values)):
+            raise _damped_nonfinite(Q, int(np.flatnonzero(~np.isfinite(values))[0]))
+    return PriceVector._trusted(p.labels, p._pos, values)
 
 
 def jacobi_sweep(
@@ -624,25 +711,7 @@ def jacobi_sweep(
     Each update reads only the frozen input vector, so evaluation order is
     immaterial; a map with block updates is updated one block at a time.
     """
-    opts = opts or SolverOptions()
-    if p.labels != Q.labels:
-        raise ValueError("price vector labels do not match the map")
-    base = p.values
-    if _uses_blocks(Q):
-        new = np.empty_like(base)
-        for b, (lo, hi) in enumerate(Q.blocks):
-            new[lo:hi] = _block_update(Q, b, base)
-        if not np.all(np.isfinite(new)):
-            _raise_first_nonfinite(Q, range(base.size), 0, new)
-        out = _damp(base, new, opts.damping)
-    else:
-        out = np.empty_like(base)
-        for i in range(base.size):
-            out[i] = _damp(base[i], _update_at(Q, i, base, opts), opts.damping)
-    if not np.all(np.isfinite(out)):
-        bad = Q.labels[int(np.flatnonzero(~np.isfinite(out))[0])]
-        raise NonFiniteResidual(f"coordinate {bad!r}: damped update non-finite")
-    return PriceVector._trusted(p.labels, p._pos, out)
+    return _sweep(Q, p, opts or SolverOptions(), None, frozen=True)
 
 
 def gauss_seidel_sweep(
@@ -652,38 +721,12 @@ def gauss_seidel_sweep(
 
     Each update sees the values already updated earlier in the sweep. The
     order is ``opts.sweep_order`` when given, else the map's label order.
-    A map with block updates is updated one block at a time when the order
-    visits each block as one contiguous run (the label order does); since a
+    A stretch of the order that visits a whole block (the label order
+    visits every block so) is updated through the block hook; since a
     block's coordinates never read each other, the result is the same.
     """
     opts = opts or SolverOptions()
-    if p.labels != Q.labels:
-        raise ValueError("price vector labels do not match the map")
-    order = opts.sweep_order or Q.labels
-    if sorted(order) != sorted(Q.labels):
-        raise ValueError("sweep_order must be a permutation of the map labels")
-    values = p.values.copy()
-    runs = None
-    if _uses_blocks(Q):
-        if opts.sweep_order is None:
-            runs = [(b, range(lo, hi)) for b, (lo, hi) in enumerate(Q.blocks)]
-        else:
-            runs = _block_runs(Q, [Q.index(z) for z in order])
-    if runs is not None:
-        for b, visit in runs:
-            lo, hi = Q.blocks[b]
-            new = _block_update(Q, b, values)
-            damped = _damp(values[lo:hi], new, opts.damping)
-            if not np.all(np.isfinite(damped)):
-                _raise_first_nonfinite(Q, visit, lo, new, damped)
-            values[lo:hi] = damped
-    else:
-        for z in order:
-            i = Q.index(z)
-            values[i] = _damp(values[i], _update_at(Q, i, values, opts), opts.damping)
-            if not math.isfinite(values[i]):
-                raise NonFiniteResidual(f"coordinate {z!r}: damped update non-finite")
-    return PriceVector._trusted(p.labels, p._pos, values)
+    return _sweep(Q, p, opts, opts.sweep_order or None, frozen=False)
 
 
 # ---------------------------------------------------------------------------
@@ -914,12 +957,22 @@ class SetOrderReport:
     violations: tuple[tuple[PriceVector, PriceVector], ...]
 
 
-def _ordered_pair(qa: Array, qb: Array):
-    if np.all(qa <= qb):
-        return 0
-    if np.all(qb <= qa):
-        return 1
-    return None
+def _ordered_pairs(Q: EquilibriumMap, sample_count: int, rng_seed: int, box: float):
+    """Draw ``sample_count`` i.i.d. uniform pairs ``(a, b)`` from ``[-box,
+    box]`` per coordinate and yield ``(a, b, lo, hi, q_lo, q_hi)`` for each
+    pair whose images are componentwise ordered: ``(lo, hi)`` is the pair
+    sorted so that ``q_lo = Q(lo) <= Q(hi) = q_hi``."""
+    rng = np.random.default_rng(rng_seed)
+    n = len(Q.labels)
+    for _ in range(sample_count):
+        a = rng.uniform(-box, box, n)
+        b = rng.uniform(-box, box, n)
+        qa = np.asarray(Q.eval_values(a))
+        qb = np.asarray(Q.eval_values(b))
+        if np.all(qa <= qb):
+            yield a, b, a, b, qa, qb
+        elif np.all(qb <= qa):
+            yield a, b, b, a, qb, qa
 
 
 def check_inverse_isotone(
@@ -935,20 +988,10 @@ def check_inverse_isotone(
     the images are componentwise ordered, asserts the arguments are ordered
     the same way, recording each failing pair.
     """
-    rng = np.random.default_rng(rng_seed)
-    n = len(Q.labels)
     comparable = 0
     violations: list[tuple[PriceVector, PriceVector]] = []
-    for _ in range(sample_count):
-        a = rng.uniform(-box, box, n)
-        b = rng.uniform(-box, box, n)
-        qa = np.asarray(Q.eval_values(a))
-        qb = np.asarray(Q.eval_values(b))
-        which = _ordered_pair(qa, qb)
-        if which is None:
-            continue
+    for _, _, lo, hi, _, _ in _ordered_pairs(Q, sample_count, rng_seed, box):
         comparable += 1
-        lo, hi = (a, b) if which == 0 else (b, a)
         if not np.all(lo <= hi):
             violations.append(
                 (PriceVector(Q.labels, lo), PriceVector(Q.labels, hi))
@@ -969,20 +1012,10 @@ def check_m0_strong_set_order(
     Whenever ``Q(p) <= Q(q)`` componentwise, asserts
     ``Q(p meet q) = Q(p)`` and ``Q(p join q) = Q(q)`` within ``tol``.
     """
-    rng = np.random.default_rng(rng_seed)
-    n = len(Q.labels)
     comparable = 0
     violations: list[tuple[PriceVector, PriceVector]] = []
-    for _ in range(sample_count):
-        a = rng.uniform(-box, box, n)
-        b = rng.uniform(-box, box, n)
-        qa = np.asarray(Q.eval_values(a))
-        qb = np.asarray(Q.eval_values(b))
-        which = _ordered_pair(qa, qb)
-        if which is None:
-            continue
+    for a, b, _, _, qlo, qhi in _ordered_pairs(Q, sample_count, rng_seed, box):
         comparable += 1
-        qlo, qhi = (qa, qb) if which == 0 else (qb, qa)
         q_meet = np.asarray(Q.eval_values(np.minimum(a, b)))
         q_join = np.asarray(Q.eval_values(np.maximum(a, b)))
         if (

@@ -13,8 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, EquilibriumMap, PriceVector, _finite_matrix, _positive_vector
-from .errors import ResponsivenessViolation
+from .core import (
+    Array,
+    EquilibriumMap,
+    PriceVector,
+    _double_until,
+    _finite_matrix,
+    _positive_vector,
+)
 
 __all__ = [
     "HedonicMarket",
@@ -24,9 +30,6 @@ __all__ = [
     "uniform_subsolution",
     "uniform_supersolution",
 ]
-
-_MAX_DOUBLINGS = 60
-
 
 @dataclass(frozen=True)
 class HedonicMarket:
@@ -120,19 +123,16 @@ def build_hedonic_map(market: HedonicMarket) -> EquilibriumMap:
 
 
 def _uniform_start(market: HedonicMarket, sign: float) -> PriceVector:
+    """The first constant vector at ``sign * 2**k`` whose excesses are all
+    nonnegative (``sign > 0``) or all nonpositive (``sign < 0``)."""
     Q = build_hedonic_map(market)
-    level = sign
-    for _ in range(_MAX_DOUBLINGS):
-        values = np.full(len(market.z_labels), level)
-        excess = Q.eval_values(values)
-        if sign > 0 and np.all(excess >= 0.0):
-            return PriceVector(market.z_labels, values)
-        if sign < 0 and np.all(excess <= 0.0):
-            return PriceVector(market.z_labels, values)
-        level *= 2.0
-    raise ResponsivenessViolation(
-        "no uniform price level bounds the market from this side"
+    count = len(market.z_labels)
+    level = _double_until(
+        lambda t: np.all(sign * Q.eval_values(np.full(count, t)) >= 0.0),
+        sign,
+        upward=sign > 0,
     )
+    return PriceVector(market.z_labels, np.full(count, level))
 
 
 def uniform_subsolution(market: HedonicMarket) -> PriceVector:

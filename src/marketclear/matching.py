@@ -20,7 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, EquilibriumMap, PriceVector, _finite_matrix, _positive_vector
+from .core import (
+    Array,
+    EquilibriumMap,
+    PriceVector,
+    _finite_matrix,
+    _positive_vector,
+    gauss_seidel_sweep,
+    jacobi_sweep,
+)
 from .errors import InstanceTooLarge, InternalError, MaxRoundsExceeded
 
 __all__ = [
@@ -275,27 +283,10 @@ def adachi_map(market: IndividualMarket):
     worker (or 0); each firm coordinate moves to the best payoff among
     workers that would currently accept the firm (or 0). The operator is
     isotone, and its fixed points correspond exactly to stable matchings.
+    It is one Jacobi sweep of :func:`build_matching_map`.
     """
-    alpha, gamma = market.alpha, market.gamma
-    labels = market.labels
-    count_i = len(market.i_labels)
-
-    def operator(p: PriceVector) -> PriceVector:
-        if p.labels != labels:
-            raise ValueError("state labels do not match the market")
-        p_workers = p.values[:count_i]
-        p_firms = p.values[count_i:]
-        return PriceVector(
-            labels,
-            np.concatenate(
-                [
-                    _worker_block(alpha, gamma, p_firms),
-                    _firm_block(alpha, gamma, p_workers),
-                ]
-            ),
-        )
-
-    return operator
+    q = build_matching_map(market)
+    return lambda p: jacobi_sweep(q, p)
 
 
 def build_matching_map(market: IndividualMarket) -> EquilibriumMap:
@@ -306,9 +297,12 @@ def build_matching_map(market: IndividualMarket) -> EquilibriumMap:
     firm coordinates mirror it with the opposite sign. The registered
     coordinate updates are the exact operator components, so sweeps move
     along the finite payoff grid rather than bisecting the step function.
+    Workers and firms are the two blocks; a single coordinate's update is
+    its block formula on one row (worker) or one column (firm).
     """
     alpha, gamma = market.alpha, market.gamma
     count_i = len(market.i_labels)
+    count = len(market.labels)
 
     def eval_values(values: Array) -> Array:
         p_workers = values[:count_i]
@@ -318,13 +312,17 @@ def build_matching_map(market: IndividualMarket) -> EquilibriumMap:
         qj = 1.0 - both.sum(axis=0) - (0.0 >= p_firms)
         return np.concatenate([qi, qj])
 
+    def update_block(b: int, values: Array) -> Array:
+        if b == 0:
+            return _worker_block(alpha, gamma, values[count_i:])
+        return _firm_block(alpha, gamma, values[:count_i])
+
     def update(i: int, values: Array) -> float:
         if i < count_i:
-            masked = np.where(gamma[i] >= values[count_i:], -alpha[i], np.inf)
-            return float(min(masked.min(), 0.0))
-        j = i - count_i
-        masked = np.where(values[:count_i] >= -alpha[:, j], gamma[:, j], -np.inf)
-        return float(max(masked.max(), 0.0))
+            rows = slice(i, i + 1)
+            return float(_worker_block(alpha[rows], gamma[rows], values[count_i:])[0])
+        cols = slice(i - count_i, i - count_i + 1)
+        return float(_firm_block(alpha[:, cols], gamma[:, cols], values[:count_i])[0])
 
     return EquilibriumMap(
         labels=market.labels,
@@ -334,6 +332,8 @@ def build_matching_map(market: IndividualMarket) -> EquilibriumMap:
         diagonal_isotone=True,
         m_function=False,
         m0_function=True,
+        blocks=((0, count_i), (count_i, count)),
+        update_block=update_block,
     )
 
 
@@ -342,12 +342,12 @@ def adachi_solve(
 ) -> IndividualOutcome:
     """Iterate the reservation-payoff operator to a one-sided-best matching.
 
-    Runs block sweeps (workers from the current firm payoffs, then firms
-    from the updated worker payoffs) from the extremal start until the
-    state repeats exactly; all values live on the finite grid
-    ``{-alpha} ∪ {gamma} ∪ {0}``, so exact comparison terminates. From
-    ``"worker_optimal"`` the least fixed point is reached (workers best
-    off); ``"firm_optimal"`` reaches the greatest.
+    Runs Gauss-Seidel sweeps of :func:`build_matching_map` (workers from
+    the current firm payoffs, then firms from the updated worker payoffs)
+    from the extremal start until the state repeats exactly; all values
+    live on the finite grid ``{-alpha} ∪ {gamma} ∪ {0}``, so exact
+    comparison terminates. From ``"worker_optimal"`` the least fixed point
+    is reached (workers best off); ``"firm_optimal"`` reaches the greatest.
     """
     alpha, gamma = market.alpha, market.gamma
     count_i, count_j = alpha.shape
@@ -359,15 +359,16 @@ def adachi_solve(
         p_firms = np.maximum(gamma.max(axis=0), 0.0)
     else:
         raise ValueError("start must be 'worker_optimal' or 'firm_optimal'")
+    q = build_matching_map(market)
+    p = PriceVector(market.labels, np.concatenate([p_workers, p_firms]))
     bound = count_i * count_j + count_i + count_j + 1
     for _ in range(bound):
-        new_workers = _worker_block(alpha, gamma, p_firms)
-        new_firms = _firm_block(alpha, gamma, new_workers)
-        if np.array_equal(new_workers, p_workers) and np.array_equal(
-            new_firms, p_firms
-        ):
-            return _outcome_from_fixed_point(market, p_workers, p_firms)
-        p_workers, p_firms = new_workers, new_firms
+        p_next = gauss_seidel_sweep(q, p)
+        if np.array_equal(p_next.values, p.values):
+            return _outcome_from_fixed_point(
+                market, p.values[:count_i], p.values[count_i:]
+            )
+        p = p_next
     raise InternalError("reservation-payoff iteration exceeded its sweep bound")
 
 

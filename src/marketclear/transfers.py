@@ -25,11 +25,12 @@ from .core import (
     Array,
     EquilibriumMap,
     PriceVector,
+    _double_until,
     _finite_matrix,
     _positive_vector,
     gauss_seidel_sweep,
 )
-from .errors import ResponsivenessViolation, UnsupportedFrontier, InternalError
+from .errors import UnsupportedFrontier, InternalError
 
 __all__ = [
     "TaxSchedule",
@@ -63,7 +64,6 @@ __all__ = [
 _ALL = slice(None)
 _BALANCE_RTOL = 1e-9
 _LOG_GUARD = 300.0
-_MAX_DOUBLINGS = 60
 
 
 # ---------------------------------------------------------------------------
@@ -688,16 +688,13 @@ def singles_supersolution(market: AggregateMarket) -> PriceVector:
     if not market.singles:
         raise ValueError("use full_assignment_supersolution for markets without singles")
     Q = build_transfer_map(market)
-    nx = len(market.x_labels)
-    values = np.zeros(len(market.labels))
-    values[:nx] = market.sigma * (np.log(market.n) + 1.0)
-    for j in range(len(market.y_labels)):
-        values[nx + j] = _double_until(
-            lambda t, i=nx + j: Q.residual_at(i, t, values) >= 0.0,
-            start=0.0,
-            upward=True,
-        )
-    return PriceVector(market.labels, values)
+    px = market.sigma * (np.log(market.n) + 1.0)
+    py = _double_until(
+        lambda t: Q.eval_values(np.concatenate([px, t]))[px.size:] >= 0.0,
+        np.zeros(len(market.y_labels)),
+        upward=True,
+    )
+    return PriceVector(market.labels, np.concatenate([px, py]))
 
 
 def singles_subsolution(market: AggregateMarket) -> PriceVector:
@@ -706,15 +703,13 @@ def singles_subsolution(market: AggregateMarket) -> PriceVector:
         raise ValueError("this constructor needs a singles market")
     Q = build_transfer_map(market)
     nx = len(market.x_labels)
-    values = np.zeros(len(market.labels))
-    values[nx:] = -market.sigma * (np.log(market.m) + 1.0)
-    for i in range(nx):
-        values[i] = _double_until(
-            lambda t, i=i: Q.residual_at(i, t, values) <= 0.0,
-            start=0.0,
-            upward=False,
-        )
-    return PriceVector(market.labels, values)
+    py = -market.sigma * (np.log(market.m) + 1.0)
+    px = _double_until(
+        lambda t: Q.eval_values(np.concatenate([t, py]))[:nx] <= 0.0,
+        np.zeros(nx),
+        upward=False,
+    )
+    return PriceVector(market.labels, np.concatenate([px, py]))
 
 
 def full_assignment_supersolution(
@@ -729,42 +724,20 @@ def full_assignment_supersolution(
     because the ``y0`` column is untouched.
     """
     layout = _Layout.pinned(market, y0, pi)
-    grid, sigma, nx = market.frontiers, market.sigma, layout.nx
-
-    px = np.empty(nx)
-    for i in range(nx):
-        target = -sigma * float(np.log(market.n[i]))
-        U = _double_until(
-            lambda u, i=i: float(grid.distance(u, layout.pi, i, layout.j0)) <= target,
-            start=0.0,
-            upward=False,
-        )
-        px[i] = -U
-
-    Q = _distance_map(market, layout)
-    values = np.concatenate([px, np.zeros(layout.ny - 1)])
-    for i in range(nx, len(values)):
-        values[i] = _double_until(
-            lambda t, i=i: Q.residual_at(i, t, values) >= 0.0,
-            start=0.0,
-            upward=True,
-        )
-    return PriceVector(layout.labels, values)
-
-
-def _double_until(pred, start: float, upward: bool) -> float:
-    if pred(start):
-        return start
-    step = 1.0
-    probe = start
-    for _ in range(_MAX_DOUBLINGS):
-        probe = probe + step if upward else probe - step
-        if pred(probe):
-            return probe
-        step *= 2.0
-    raise ResponsivenessViolation(
-        "could not construct a starting point by doubling"
+    grid, nx = market.frontiers, layout.nx
+    target = -market.sigma * np.log(market.n)
+    px = -_double_until(
+        lambda u: grid.distance(u, layout.pi, _ALL, layout.j0) <= target,
+        np.zeros(nx),
+        upward=False,
     )
+    Q = _distance_map(market, layout)
+    py = _double_until(
+        lambda t: Q.eval_values(np.concatenate([px, t]))[nx:] >= 0.0,
+        np.zeros(layout.ny - 1),
+        upward=True,
+    )
+    return PriceVector(layout.labels, np.concatenate([px, py]))
 
 
 # ---------------------------------------------------------------------------

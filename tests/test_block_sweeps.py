@@ -22,6 +22,7 @@ from marketclear import (
     PriceVector,
     SolverOptions,
     build_full_assignment_map,
+    build_matching_map,
     build_ot_map,
     build_transfer_map,
     gauss_seidel_sweep,
@@ -29,7 +30,7 @@ from marketclear import (
     solve,
 )
 from marketclear.transfers import _LOG_GUARD
-from conftest import labels, random_tu_market
+from conftest import labels, random_individual_market, random_tu_market
 
 SWEEPS = (jacobi_sweep, gauss_seidel_sweep)
 
@@ -39,7 +40,11 @@ def loop_map(q: EquilibriumMap) -> EquilibriumMap:
 
 
 def tu_map(kind: str, seed: int, nx: int, ny: int, sigma: float, y0=0, pi=0.0):
+    """A map with blocks: one of the three TU builders, or the matching map
+    (``kind="match"``, which ignores ``sigma``, ``y0`` and ``pi``)."""
     rng = np.random.default_rng(seed)
+    if kind == "match":
+        return build_matching_map(random_individual_market(rng, nx, max(ny, 1)))
     if kind == "singles":
         return build_transfer_map(random_tu_market(rng, nx, ny, sigma))
     market = random_tu_market(rng, nx, max(ny, 1), sigma, singles=False)
@@ -61,7 +66,7 @@ def assert_sweeps_match(q: EquilibriumMap, p: PriceVector, opts: SolverOptions):
 
 
 @given(
-    kind=st.sampled_from(["singles", "full", "ot"]),
+    kind=st.sampled_from(["singles", "full", "ot", "match"]),
     seed=st.integers(0, 2**32 - 1),
     nx=st.integers(1, 6),
     ny=st.integers(0, 6),
@@ -136,6 +141,22 @@ def test_interleaved_order_falls_back_to_the_loop():
     swept = gauss_seidel_sweep(q, p, opts)
     assert spy.calls == 0
     assert np.array_equal(swept.values, gauss_seidel_sweep(loop_map(q), p, opts).values)
+
+
+def test_whole_block_stretch_uses_the_hook_in_a_mixed_order():
+    q = tu_map("singles", 5, 3, 3, 1.0)
+    spy = CountingBlocks(q)
+    q = dataclasses.replace(q, update_block=spy)
+    p = random_prices(q, 5, 2.0)
+    # y2 breaks the y block; the x block is still visited whole
+    order = ("y2", "x3", "x1", "x2", "y1", "y3")
+    for damping in (1.0, 0.6):
+        opts = SolverOptions(sweep_order=order, damping=damping)
+        swept = gauss_seidel_sweep(q, p, opts)
+        assert spy.calls == 1
+        spy.calls = 0
+        expected = gauss_seidel_sweep(loop_map(q), p, opts).values
+        assert np.array_equal(swept.values, expected)
 
 
 def test_block_runs_in_any_order_use_the_hook():

@@ -32,10 +32,19 @@ SOLVABLE = [
 # sha256 of each file ``solve --out`` writes with default options. The TU, OT
 # and full-assignment hashes were recorded when every sweep still updated one
 # coordinate at a time; the housing and taxes ones when the housing map was
-# written in min form and each bipartite map had a builder of its own. Faster
-# sweeps and shared builders must reproduce the iterates, and so these bytes,
-# exactly.
+# written in min form and each bipartite map had a builder of its own; the
+# hedonic and both nt ones when each start constructor ran its own doubling
+# loop and each solve route wrote its own CSV tables. Faster sweeps and shared
+# builders must reproduce the iterates, and so these bytes, exactly.
 PINNED_ARTIFACTS = {
+    "hedonic.json": {
+        "prices.csv":
+            "6803a584efcc3a6dc32c1986d833a2d18c7be2a34a91de087dc9f767f2cbd2ab",
+        "solution.json":
+            "67e53fc1ba876b004ea267e5d20bdece2fa42b75af4c8dd44fa3cdda350f7262",
+        "trace.csv":
+            "df93317ee667bbc00ce09e452385465a0f8ddda46618e885cc97ec47c9df9a1a",
+    },
     "housing.json": {
         "mu.csv":
             "1458641fc7a747ae67276cc9d9539db8c6736fb5c2e390b7beffd514145c68ae",
@@ -45,6 +54,22 @@ PINNED_ARTIFACTS = {
             "a5a03851f5dbea54d406f8d52c03a2d0c146aabb63ae540dbd4568afbb3459d4",
         "trace.csv":
             "2fb514a052f4903c5d6b2031b6203dd3ef3708f38329457118a162390e262a74",
+    },
+    "nt_aggregate.json": {
+        "mu.csv":
+            "35b347aef9381a42701664a153288df227da30a8104447be01aabff9f7e5217c",
+        "payoffs.csv":
+            "f082fed0b244406aa73192b45cc24f83785e070d2354fa74970dc6f8b8966a7f",
+        "solution.json":
+            "7af2253b2bec628efefa0c5a55cf5ea4ffd477dc5bcb14ef4db2a64067d07b38",
+    },
+    "nt_small.json": {
+        "matching.csv":
+            "f81f867172294c66e26e581058b9b0a061c0bd0f8e861125ea6ee23c6642c034",
+        "payoffs.csv":
+            "9704c4c5f52769687300d594c0f302461cda69167c35f0e5d2edb6696d13ef76",
+        "solution.json":
+            "36c271010d039ad7a3ae9ed9b18db14aac468f98c9235a1b0e355fd54041c527",
     },
     "ot_small.json": {
         "mu.csv":
