@@ -29,6 +29,8 @@ from .errors import (
 Array = np.ndarray
 
 _MAX_DOUBLINGS = 60
+# Explicit sweep orders whose runs a map keeps.
+_ORDER_CACHE = 8
 
 __all__ = [
     "PriceVector",
@@ -142,13 +144,20 @@ class _LabeledVector:
         )
 
     @classmethod
-    def _trusted(cls, labels: tuple[str, ...], pos: dict[str, int], values: Array):
+    def _trusted(
+        cls,
+        labels: tuple[str, ...],
+        pos: dict[str, int],
+        values: Array,
+        finite: bool = False,
+    ):
         """Build from already validated ``labels``/``pos`` without copying.
 
         ``values`` must be a fresh 1-D float array of matching length that
-        no one else writes to; it is frozen here.
+        no one else writes to; it is frozen here. ``finite`` states that the
+        caller has already checked every value, so the check is skipped.
         """
-        if cls._require_finite and not np.all(np.isfinite(values)):
+        if cls._require_finite and not finite and not np.all(np.isfinite(values)):
             raise ValueError("all values must be finite")
         values.setflags(write=False)
         out = object.__new__(cls)
@@ -212,6 +221,13 @@ class EquilibriumMap:
         Must reproduce ``eval_values`` bit-for-bit on its coordinate; when
         omitted, the residual substitutes into a copy and calls
         ``eval_values`` so consistency is automatic.
+    residual_block:
+        Optional batch of one-coordinate residuals ``(idx, probes, values)
+        -> array``: entry ``r`` is the residual of coordinate ``idx[r]`` at
+        price ``probes[r]``, every other price read from ``values``. Must
+        equal ``residual_at`` bit for bit on every entry. Bisection sweeps
+        send each round of probes through it; without it they loop
+        ``residual_at``.
     z_function, diagonal_isotone, m_function, m0_function:
         Declared structure flags. They are caller declarations, verified
         only by the sampling checks in this module.
@@ -223,6 +239,7 @@ class EquilibriumMap:
         for bit to ``update_value`` on each of its coordinates. A sweep
         updates a block through it whenever its visit order covers the whole
         block in one stretch, and only while ``update_value`` is set too.
+        Without ``update_value`` such a stretch is bisected in lockstep.
     """
 
     labels: tuple[str, ...]
@@ -235,6 +252,7 @@ class EquilibriumMap:
     m0_function: bool = False
     blocks: tuple[tuple[int, int], ...] | None = None
     update_block: Callable[[int, Array], Array] | None = None
+    residual_block: Callable[[Array, Array, Array], Array] | None = None
 
     def __post_init__(self):
         labels = tuple(str(z) for z in self.labels)
@@ -258,7 +276,14 @@ class EquilibriumMap:
             block_of = np.repeat(np.arange(len(blocks)), np.diff(edges))
             object.__setattr__(self, "blocks", blocks)
             object.__setattr__(self, "_block_of", block_of)
-        object.__setattr__(self, "_runs", _visit_runs(self, range(len(labels))))
+        runs = _visit_runs(self, range(len(labels)))
+        object.__setattr__(self, "_runs", runs)
+        # A bisection Jacobi sweep reads only its input: one lockstep run.
+        whole = ((0, len(labels), tuple(range(len(labels)))),)
+        object.__setattr__(
+            self, "_frozen_runs", runs if self.update_value is not None else whole
+        )
+        object.__setattr__(self, "_order_runs", {})
 
     def index(self, label: str) -> int:
         return self._pos[label]
@@ -286,6 +311,33 @@ class EquilibriumMap:
             vals = values.copy()
             vals[i] = pi
             return float(np.asarray(self.eval_values(vals))[i])
+
+    def residuals_at(self, idx: Array, probes: Array, values: Array) -> Array:
+        """``residual_at`` of each coordinate ``idx[r]`` at ``probes[r]``."""
+        if self.residual_block is None:
+            pairs = zip(np.asarray(idx).tolist(), np.asarray(probes).tolist())
+            return np.array([self.residual_at(i, t, values) for i, t in pairs])
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.asarray(self.residual_block(idx, probes, values), dtype=float)
+        if out.shape != (len(idx),):
+            raise InternalError("residual block returned a wrong-shaped array")
+        return out
+
+    def _sweep_runs(self, order: Sequence[str] | None) -> tuple:
+        """The runs of a Gauss-Seidel sweep in ``order`` (label order when
+        empty), validated and split once per order and cached."""
+        if not order:
+            return self._runs
+        key = tuple(order)
+        runs = self._order_runs.get(key)
+        if runs is None:
+            if sorted(key) != sorted(self.labels):
+                raise ValueError("sweep_order must be a permutation of the map labels")
+            runs = _visit_runs(self, [self._pos[z] for z in key])
+            if len(self._order_runs) >= _ORDER_CACHE:
+                self._order_runs.clear()
+            self._order_runs[key] = runs
+        return runs
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +387,9 @@ class SolverOptions:
             raise ValueError("mode must be 'jacobi' or 'gauss_seidel'")
         if not 0 < self.damping <= 1:
             raise ValueError("damping must lie in (0, 1]")
+
+
+_DEFAULT_OPTIONS = SolverOptions()
 
 
 # ---------------------------------------------------------------------------
@@ -413,40 +468,85 @@ def is_supersolution(Q: EquilibriumMap, p: PriceVector, tol: float = 0.0) -> boo
 
 
 # ---------------------------------------------------------------------------
-# Scalar root finding
+# Root finding
 
 
-def _eval_scalar(f: Callable[[float], float], x: float) -> float:
-    v = float(f(x))
-    if math.isnan(v):
-        raise NonFiniteResidual(f"f({x!r}) is NaN")
-    return v
-
-
-def _bisect_on_negative(f, lo, hi, tol) -> float:
-    # invariant: f(lo) < 0 <= f(hi); converges to inf{pi : f(pi) >= 0}
-    while hi - lo > tol:
+def _root_steps(opts: BracketOptions, hint: float):
+    """The steps of :func:`smallest_root` as a state machine: a generator
+    that yields each probe, is sent the (non-NaN) value there, and returns
+    the root or raises :class:`ResponsivenessViolation`."""
+    h = opts.initial_halfwidth
+    fh = yield hint
+    if fh < 0:
+        lo = hint
+        hi = None
+        for _ in range(opts.max_expansions):
+            cand = hint + h
+            if (yield cand) >= 0:
+                hi = cand
+                break
+            lo = cand
+            h *= opts.growth_factor
+        if hi is None:
+            raise ResponsivenessViolation(
+                "no point with f >= 0 found above the hint"
+            )
+        negative = True
+    else:
+        # Search downward for a strictly negative value.
+        hi = hint  # smallest known point with f >= 0
+        pos_hi = hint if fh > 0 else None  # smallest known point with f > 0
+        le_lo = hint if fh == 0 else None  # largest known point with f <= 0
+        lo = None
+        for _ in range(opts.max_expansions):
+            cand = hint - h
+            fc = yield cand
+            if fc < 0:
+                lo = cand
+                break
+            hi = cand
+            if fc > 0:
+                pos_hi = cand
+            elif le_lo is None:
+                le_lo = cand
+            h *= opts.growth_factor
+        negative = lo is not None
+        if not negative:
+            if le_lo is None:
+                raise ResponsivenessViolation(
+                    "no point with f <= 0 found below the hint"
+                )
+            # f reaches zero but never goes negative: the boundary root.
+            if pos_hi is None:
+                h = opts.initial_halfwidth
+                for _ in range(opts.max_expansions):
+                    cand = hint + h
+                    fc = yield cand
+                    if fc > 0:
+                        pos_hi = cand
+                        break
+                    le_lo = cand
+                    h *= opts.growth_factor
+                if pos_hi is None:
+                    raise ResponsivenessViolation(
+                        "f has no sign change on the searched range"
+                    )
+            lo, hi = le_lo, pos_hi
+    # negative: f(lo) < 0 <= f(hi); otherwise f(lo) <= 0 < f(hi)
+    while hi - lo > opts.bisection_tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if _eval_scalar(f, mid) < 0:
+        fm = yield mid
+        if fm < 0 or (fm == 0 and not negative):
             lo = mid
         else:
             hi = mid
-    return hi
+    return hi if negative else lo
 
 
-def _bisect_on_nonpositive(f, lo, hi, tol) -> float:
-    # invariant: f(lo) <= 0 < f(hi); converges to sup{pi : f(pi) <= 0}
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if _eval_scalar(f, mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _nan_probe(x: float) -> NonFiniteResidual:
+    return NonFiniteResidual(f"f({x!r}) is NaN")
 
 
 def smallest_root(
@@ -461,70 +561,58 @@ def smallest_root(
     edge of the zero set (within ``bisection_tol``). When ``f`` touches zero
     without ever going negative, the boundary root ``sup{pi : f(pi) <= 0}``
     is returned instead. If no zero can be bracketed within the expansion
-    budget, raises :class:`ResponsivenessViolation`.
+    budget, raises :class:`ResponsivenessViolation`; a NaN value raises
+    :class:`NonFiniteResidual`. Sweeps run the same steps in lockstep over
+    many coordinates.
     """
-    opts = opts or BracketOptions()
-    hint = float(hint)
-    fh = _eval_scalar(f, hint)
+    steps = _root_steps(opts or BracketOptions(), float(hint))
+    x = next(steps)
+    while True:
+        v = float(f(x))
+        if math.isnan(v):
+            raise _nan_probe(x)
+        try:
+            x = steps.send(v)
+        except StopIteration as stop:
+            return stop.value
 
-    if fh < 0:
-        lo = hint
-        hi = None
-        h = opts.initial_halfwidth
-        for _ in range(opts.max_expansions):
-            cand = hint + h
-            if _eval_scalar(f, cand) >= 0:
-                hi = cand
-                break
-            lo = cand
-            h *= opts.growth_factor
-        if hi is None:
-            raise ResponsivenessViolation(
-                "no point with f >= 0 found above the hint"
-            )
-        return _bisect_on_negative(f, lo, hi, opts.bisection_tol)
 
-    # f(hint) >= 0: search downward for a strictly negative value.
-    hi = hint  # smallest known point with f >= 0
-    pos_hi = hint if fh > 0 else None  # smallest known point with f > 0
-    le_lo = hint if fh == 0 else None  # largest known point with f <= 0
-    lo = None
-    h = opts.initial_halfwidth
-    for _ in range(opts.max_expansions):
-        cand = hint - h
-        fc = _eval_scalar(f, cand)
-        if fc < 0:
-            lo = cand
-            break
-        hi = cand
-        if fc > 0:
-            pos_hi = cand
-        elif le_lo is None:
-            le_lo = cand
-        h *= opts.growth_factor
-    if lo is not None:
-        return _bisect_on_negative(f, lo, hi, opts.bisection_tol)
-    if le_lo is None:
-        raise ResponsivenessViolation(
-            "no point with f <= 0 found below the hint"
-        )
+def _lockstep_roots(
+    Q: EquilibriumMap, idx: Sequence[int], values: Array, opts: SolverOptions
+) -> tuple[Array, dict[int, Exception]]:
+    """:func:`smallest_root` of every coordinate ``i`` in ``idx`` at once.
 
-    # f reaches zero but never goes negative: locate the boundary root.
-    if pos_hi is None:
-        h = opts.initial_halfwidth
-        for _ in range(opts.max_expansions):
-            cand = hint + h
-            fc = _eval_scalar(f, cand)
-            if fc > 0:
-                pos_hi = cand
-                break
-            le_lo = cand
-            h *= opts.growth_factor
-        if pos_hi is None:
-            raise ResponsivenessViolation(
-                "f has no sign change on the searched range"
-            )
-    return _bisect_on_nonpositive(f, le_lo, pos_hi, opts.bisection_tol)
+    Coordinate ``i`` solves ``Q_i(pi, values_{-i}) = 0`` hinted at
+    ``values[i]``, with its own bracket, phase and done flag, so it takes
+    exactly the probes of the scalar routine. Each round sends the pending
+    probes of every coordinate through one ``Q.residuals_at`` call. Returns
+    the roots in ``idx`` order (NaN where a coordinate failed) and the
+    error of each failed coordinate, for the caller to raise in its own
+    visit order.
+    """
+    idx = np.asarray(idx, dtype=np.intp)
+    roots = np.full(idx.size, np.nan)
+    errors: dict[int, Exception] = {}
+    machines = [_root_steps(opts.root_finder, float(values[i])) for i in idx]
+    live = list(range(idx.size))
+    probes = [next(m) for m in machines]
+    while live:
+        res = Q.residuals_at(idx[live], np.array(probes), values).tolist()
+        next_live, next_probes = [], []
+        for k, x, v in zip(live, probes, res):
+            if math.isnan(v):
+                errors[int(idx[k])] = _nan_probe(x)
+                continue
+            try:
+                next_probes.append(machines[k].send(v))
+                next_live.append(k)
+            except StopIteration as stop:
+                roots[k] = stop.value
+            except ResponsivenessViolation as exc:
+                z = Q.labels[idx[k]]
+                errors[int(idx[k])] = ResponsivenessViolation(f"coordinate {z!r}: {exc}")
+        live, probes = next_live, next_probes
+    return roots, errors
 
 
 def _double_until(passes, start, upward: bool) -> Array:
@@ -557,21 +645,16 @@ def _double_until(passes, start, upward: bool) -> Array:
 def _update_at(
     Q: EquilibriumMap, i: int, values: Array, opts: SolverOptions
 ) -> float:
-    z = Q.labels[i]
     if Q.update_value is not None:
         with np.errstate(over="ignore", invalid="ignore"):
             val = float(Q.update_value(i, values))
     else:
-        try:
-            val = smallest_root(
-                lambda pi: Q.residual_at(i, pi, values),
-                opts.root_finder,
-                hint=float(values[i]),
-            )
-        except ResponsivenessViolation as exc:
-            raise ResponsivenessViolation(f"coordinate {z!r}: {exc}") from None
+        roots, errors = _lockstep_roots(Q, (i,), values, opts)
+        if errors:
+            raise errors[i]
+        val = float(roots[0])
     if not math.isfinite(val):
-        raise NonFiniteResidual(f"coordinate {z!r}: update is non-finite")
+        raise NonFiniteResidual(f"coordinate {Q.labels[i]!r}: update is non-finite")
     return val
 
 
@@ -586,7 +669,7 @@ def coordinate_update(
     Uses the map's closed-form update when one is registered, otherwise
     bracketed bisection hinted at the current ``p_z``.
     """
-    opts = opts or SolverOptions()
+    opts = opts or _DEFAULT_OPTIONS
     if p.labels != Q.labels:
         raise ValueError("price vector labels do not match the map")
     return _update_at(Q, Q.index(z), p.values, opts)
@@ -601,40 +684,51 @@ def _damp(old, new, damping: float):
         return old + damping * (new - old)
 
 
-def _block_update(Q: EquilibriumMap, b: int, values: Array) -> Array:
-    lo, hi = Q.blocks[b]
+def _run_updates(
+    Q: EquilibriumMap, lo: int, hi: int, values: Array, opts: SolverOptions
+) -> tuple[Array, dict[int, Exception]]:
+    """Updates of coordinates ``lo..hi-1`` from ``values``, none of which
+    reads another's price: the block formula, or lockstep bisection."""
+    if Q.update_value is None:
+        return _lockstep_roots(Q, range(lo, hi), values, opts)
     with np.errstate(over="ignore", invalid="ignore"):
-        new = np.asarray(Q.update_block(b, values), dtype=float)
+        new = np.asarray(Q.update_block(int(Q._block_of[lo]), values), dtype=float)
     if new.shape != (hi - lo,):
         raise InternalError("block update returned a wrong-shaped array")
-    return new
+    return new, {}
 
 
 def _damped_nonfinite(Q: EquilibriumMap, i: int) -> NonFiniteResidual:
     return NonFiniteResidual(f"coordinate {Q.labels[i]!r}: damped update non-finite")
 
 
-def _raise_first_nonfinite(Q, visit, lo: int, new: Array, damped=None) -> None:
+def _raise_first(Q, visit, lo: int, new: Array, errors: dict, damped=None) -> None:
     """Raise as the per-coordinate loop would: at the first coordinate in
-    visit order whose update, or else damped update, is non-finite."""
+    visit order whose update failed or is non-finite, or else whose damped
+    update is non-finite."""
     for i in visit:
+        if i in errors:
+            raise errors[i]
         if not math.isfinite(new[i - lo]):
-            z = Q.labels[i]
-            raise NonFiniteResidual(f"coordinate {z!r}: update is non-finite")
+            raise NonFiniteResidual(f"coordinate {Q.labels[i]!r}: update is non-finite")
         if damped is not None and not math.isfinite(damped[i - lo]):
             raise _damped_nonfinite(Q, i)
 
 
 def _visit_runs(Q: EquilibriumMap, order: Sequence[int]) -> tuple:
-    """Split a visit order into runs ``(block, visit)``.
+    """Split a visit order into runs ``(lo, hi, visit)``.
 
-    A stretch that visits a whole block, in any order inside it, is one run
-    through ``update_block``. Every other coordinate ``i`` is a run
-    ``(None, i)`` of its own. Blocks count only while ``update_value`` is set
-    too. A block can only be visited whole from its first coordinate in
+    A stretch that visits a whole block ``lo..hi-1``, in any order inside
+    it, is one run with ``visit`` the tuple of its coordinates in visit
+    order: one ``update_block`` call, or without ``update_value`` one
+    lockstep bisection. Closed-form blocks count only while ``update_block``
+    is set. Every other coordinate ``i`` is a run ``(i, i + 1, i)`` of its
+    own. A block can only be visited whole from its first coordinate in
     ``order``, so each block is tested once.
     """
-    use_blocks = Q.update_block is not None and Q.update_value is not None
+    use_blocks = Q.blocks is not None and (
+        Q.update_block is not None or Q.update_value is None
+    )
     runs, tested, k = [], set(), 0
     while k < len(order):
         i = order[k]
@@ -642,12 +736,12 @@ def _visit_runs(Q: EquilibriumMap, order: Sequence[int]) -> tuple:
         if b is not None and b not in tested:
             tested.add(b)
             lo, hi = Q.blocks[b]
-            stretch = order[k:k + hi - lo]
+            stretch = tuple(order[k:k + hi - lo])
             if sorted(stretch) == list(range(lo, hi)):
-                runs.append((b, stretch))
+                runs.append((lo, hi, stretch))
                 k += hi - lo
                 continue
-        runs.append((None, i))
+        runs.append((i, i + 1, i))
         k += 1
     return tuple(runs)
 
@@ -663,42 +757,38 @@ def _sweep(
 
     With ``frozen`` every update reads ``p`` and the damped step is taken
     once all updates are in (Jacobi); otherwise each run reads the values
-    already updated and is damped at once (Gauss-Seidel). Non-finite values
-    raise at the coordinate the per-coordinate loop would name: Gauss-Seidel
-    checks each update, then its damped step, in visit order; Jacobi checks
-    every update before any damped step.
+    already updated and is damped at once (Gauss-Seidel). A frozen sweep of
+    a map without ``update_value`` is one lockstep bisection over every
+    coordinate. Failures raise at the coordinate the per-coordinate loop
+    would name: Gauss-Seidel checks each update, then its damped step, in
+    visit order; Jacobi checks every update before any damped step.
     """
     if p.labels != Q.labels:
         raise ValueError("price vector labels do not match the map")
-    if order is None:
-        runs = Q._runs
-    elif sorted(order) != sorted(Q.labels):
-        raise ValueError("sweep_order must be a permutation of the map labels")
-    else:
-        runs = _visit_runs(Q, [Q.index(z) for z in order])
+    runs = Q._frozen_runs if frozen else Q._sweep_runs(order)
     damping = opts.damping
     values = p.values.copy()
     read = p.values if frozen else values
-    for b, visit in runs:
-        if b is None:
-            new = _update_at(Q, visit, read, opts)
+    for lo, hi, visit in runs:
+        if isinstance(visit, int):
+            new = _update_at(Q, lo, read, opts)
             if not frozen:
-                new = _damp(values[visit], new, damping)
+                new = _damp(values[lo], new, damping)
                 if not math.isfinite(new):
-                    raise _damped_nonfinite(Q, visit)
-            values[visit] = new
+                    raise _damped_nonfinite(Q, lo)
+            values[lo] = new
         else:
-            lo, hi = Q.blocks[b]
-            new = _block_update(Q, b, read)
+            new, errors = _run_updates(Q, lo, hi, read, opts)
             step = new if frozen else _damp(values[lo:hi], new, damping)
             if not np.all(np.isfinite(step)):
-                _raise_first_nonfinite(Q, visit, lo, new, None if frozen else step)
+                _raise_first(Q, visit, lo, new, errors, None if frozen else step)
             values[lo:hi] = step
-    if frozen:
+    if frozen and damping != 1.0:
         values = _damp(p.values, values, damping)
         if not np.all(np.isfinite(values)):
             raise _damped_nonfinite(Q, int(np.flatnonzero(~np.isfinite(values))[0]))
-    return PriceVector._trusted(p.labels, p._pos, values)
+    # Every value was checked above.
+    return PriceVector._trusted(p.labels, p._pos, values, finite=True)
 
 
 def jacobi_sweep(
@@ -709,9 +799,11 @@ def jacobi_sweep(
     With damping ``d`` the result is ``p + d * (T(p) - p)`` where ``T`` is
     the coordinate-update operator; ``d = 1`` returns ``T(p)`` exactly.
     Each update reads only the frozen input vector, so evaluation order is
-    immaterial; a map with block updates is updated one block at a time.
+    immaterial; a map with block updates is updated one block at a time,
+    and a map without closed-form updates bisects every coordinate in
+    lockstep.
     """
-    return _sweep(Q, p, opts or SolverOptions(), None, frozen=True)
+    return _sweep(Q, p, opts or _DEFAULT_OPTIONS, None, frozen=True)
 
 
 def gauss_seidel_sweep(
@@ -722,11 +814,12 @@ def gauss_seidel_sweep(
     Each update sees the values already updated earlier in the sweep. The
     order is ``opts.sweep_order`` when given, else the map's label order.
     A stretch of the order that visits a whole block (the label order
-    visits every block so) is updated through the block hook; since a
-    block's coordinates never read each other, the result is the same.
+    visits every block so) is updated through the block hook, or bisected
+    in lockstep; since a block's coordinates never read each other, the
+    result is the same.
     """
-    opts = opts or SolverOptions()
-    return _sweep(Q, p, opts, opts.sweep_order or None, frozen=False)
+    opts = opts or _DEFAULT_OPTIONS
+    return _sweep(Q, p, opts, opts.sweep_order, frozen=False)
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +857,7 @@ def solve(
     sweep 0. Raises :class:`MaxSweepsExceeded` (carrying the trace) when the
     budget runs out.
     """
-    opts = opts or SolverOptions()
+    opts = opts or _DEFAULT_OPTIONS
     sweep_fn = jacobi_sweep if opts.mode == "jacobi" else gauss_seidel_sweep
     trace = SolveTrace()
     p = p0

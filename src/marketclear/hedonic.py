@@ -31,6 +31,9 @@ __all__ = [
     "uniform_supersolution",
 ]
 
+# Cells of the largest array one batched residual evaluation builds.
+_BATCH_CELLS = 1 << 18
+
 @dataclass(frozen=True)
 class HedonicMarket:
     """Producer masses/costs and consumer masses/tastes over varieties.
@@ -70,14 +73,16 @@ class HedonicMarket:
 def _choice_mass(util: Array, masses: Array) -> Array:
     """Per-column chosen mass for row-wise logit with outside weight 1.
 
-    Each row is shifted by ``max(0, row max)`` so the largest exponent is
-    at most 0 (the outside option's exponent is exactly ``-shift``).
+    ``util`` is ``(rows, columns)``, or a batch ``(k, rows, columns)`` of
+    such matrices, each reduced the same way. Each row is shifted by
+    ``max(0, row max)`` so the largest exponent is at most 0 (the outside
+    option's exponent is exactly ``-shift``).
     """
-    shift = np.maximum(util.max(axis=1), 0.0)
-    weights = np.exp(util - shift[:, None])
-    denom = np.exp(-shift) + weights.sum(axis=1)
-    shares = weights / denom[:, None]
-    return (masses[:, None] * shares).sum(axis=0)
+    shift = np.maximum(util.max(axis=-1), 0.0)
+    weights = np.exp(util - shift[..., None])
+    denom = np.exp(-shift) + weights.sum(axis=-1)
+    shares = weights / denom[..., None]
+    return (masses[:, None] * shares).sum(axis=-2)
 
 
 def _supply_values(market: HedonicMarket, values: Array) -> Array:
@@ -112,9 +117,32 @@ def build_hedonic_map(market: HedonicMarket) -> EquilibriumMap:
     def eval_values(values: Array) -> Array:
         return _supply_values(market, values) - _demand_values(market, values)
 
+    def own_excess(idx: Array, t: Array, values: Array) -> Array:
+        # Row r is the price vector with variety idx[r] at t[r]; one batched
+        # evaluation of all rows, of which each keeps its own variety.
+        r = np.arange(len(idx))
+        P = np.repeat(values[None, :], len(idx), axis=0)
+        P[r, idx] = t
+        supplied = _choice_mass(P[:, None, :] - market.c, market.n)
+        demanded = _choice_mass(market.a - P[:, None, :], market.m)
+        return supplied[r, idx] - demanded[r, idx]
+
+    # Rows per batch, so that no (rows, types, varieties) array outgrows
+    # _BATCH_CELLS.
+    step = max(1, _BATCH_CELLS // max(market.c.size, market.a.size))
+
+    def residual_block(idx: Array, t: Array, values: Array) -> Array:
+        if len(idx) <= step:
+            return own_excess(idx, t, values)
+        return np.concatenate([
+            own_excess(idx[s:s + step], t[s:s + step], values)
+            for s in range(0, len(idx), step)
+        ])
+
     return EquilibriumMap(
         labels=market.z_labels,
         eval_values=eval_values,
+        residual_block=residual_block,
         z_function=True,
         diagonal_isotone=True,
         m_function=True,

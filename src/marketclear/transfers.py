@@ -478,9 +478,9 @@ class _Layout:
             raise ValueError(f"unknown y-type {y0!r}")
         return cls(market, market.y_labels.index(y0), pi)
 
-    def column(self, r: int) -> int:
-        """The y column of free y-price ``r``."""
-        return r if self.j0 is None or r < self.j0 else r + 1
+    def column(self, r: Array) -> Array:
+        """The y columns of free y-prices ``r``."""
+        return r if self.j0 is None else r + (r >= self.j0)
 
     def py(self, values: Array) -> Array:
         """Every y-price of a coordinate vector, the pinned one included."""
@@ -503,9 +503,11 @@ def _bipartite_map(
     Cell masses are ``exp(log_kernel(p_x, p_y, rows, cols))``. The x excess
     is the row mass (plus the single mass ``exp(p_x / sigma)``) minus
     ``n_x``; the y excess is ``m_y`` minus the column mass (plus the single
-    mass ``exp(-p_y / sigma)``). A ``scale`` ``s`` states that the kernel is
-    ``exp((phi + p_x - p_y) / s)`` and registers closed-form updates: the
-    x and y blocks, and per coordinate the same formula on a one-row slice.
+    mass ``exp(-p_y / sigma)``). The x and the y coordinates form two
+    blocks, and ``residual_block`` evaluates a batch of one-coordinate
+    residuals. A ``scale`` ``s`` states that the kernel is
+    ``exp((phi + p_x - p_y) / s)`` and registers closed-form updates: per
+    block, and per coordinate the same formula on a one-row slice.
     """
     sigma, n, m = market.sigma, market.n, market.m
     singles, nx, keep = layout.singles, layout.nx, layout.keep
@@ -519,28 +521,42 @@ def _bipartite_map(
             cols = cols + np.exp(-py / sigma)
         return np.concatenate([rows - n, (m - cols)[keep]])
 
-    def residual_value(i: int, t: float, values: Array) -> float:
-        if i < nx:
-            mass = np.sum(np.exp(log_kernel(t, layout.py(values), i, _ALL)))
+    def residual_block(idx: Array, t: Array, values: Array) -> Array:
+        # One kernel row per x probe and one column per y probe; each is
+        # summed along a contiguous axis, so every entry equals the row or
+        # column sum of eval_values bit for bit.
+        out = np.empty(len(idx))
+        on_x = idx < nx
+        if on_x.any():
+            rows, tx = idx[on_x], t[on_x]
+            K = np.exp(log_kernel(tx[:, None], layout.py(values), rows, _ALL))
+            mass = K.sum(axis=1)
             if singles:
-                mass = mass + np.exp(t / sigma)
-            return float(mass - n[i])
-        j = layout.column(i - nx)
-        mass = np.sum(np.exp(log_kernel(values[:nx], t, _ALL, j)))
-        if singles:
-            mass = mass + np.exp(-t / sigma)
-        return float(m[j] - mass)
+                mass = mass + np.exp(tx / sigma)
+            out[on_x] = mass - n[rows]
+        if not on_x.all():
+            cols, ty = layout.column(idx[~on_x] - nx), t[~on_x]
+            mass = _colsums(np.exp(log_kernel(values[:nx, None], ty, _ALL, cols)))
+            if singles:
+                mass = mass + np.exp(-ty / sigma)
+            out[~on_x] = m[cols] - mass
+        return out
+
+    def residual_value(i: int, t: float, values: Array) -> float:
+        return float(residual_block(np.array([i]), np.array([t]), values)[0])
 
     update = update_block = None
     if scale is not None:
         phi = market.frontiers.phi
-        # A C-ordered copy: phi[:, keep] alone is F-ordered and slows the
-        # column reduce when a column is pinned.
+        # C-ordered copies, so that both blocks reduce along axis 0 (a fold
+        # in the same order as along axis 1, and faster): phi[:, keep] alone
+        # is F-ordered.
+        phi_x = np.ascontiguousarray(phi.T)
         phi_y, m_y = np.ascontiguousarray(phi[:, keep]), m[keep]
 
         def x_prices(values: Array, rows) -> Array:
-            z = (phi[rows] - layout.py(values)) / scale
-            return _share_price(_log_mass(z, 1), n[rows], scale, singles, 1)
+            z = (phi_x[:, rows] - layout.py(values)[:, None]) / scale
+            return _share_price(_log_mass(z, 0), n[rows], scale, singles, 1)
 
         def y_prices(values: Array, cols) -> Array:
             z = (values[:nx, None] + phi_y[:, cols]) / scale
@@ -560,11 +576,12 @@ def _bipartite_map(
         eval_values=eval_values,
         update_value=update,
         residual_value=residual_value,
+        residual_block=residual_block,
         z_function=True,
         diagonal_isotone=True,
         m_function=singles,
         m0_function=True,
-        blocks=None if scale is None else ((0, nx), (nx, len(layout.labels))),
+        blocks=((0, nx), (nx, len(layout.labels))),
         update_block=update_block,
     )
 

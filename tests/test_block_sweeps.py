@@ -29,6 +29,7 @@ from marketclear import (
     jacobi_sweep,
     solve,
 )
+import marketclear.core as core
 from marketclear.transfers import _LOG_GUARD
 from conftest import labels, random_individual_market, random_tu_market
 
@@ -255,3 +256,20 @@ def test_block_hook_needs_blocks():
             update_value=lambda i, v: 0.0,
             update_block=lambda b, v: np.zeros(1),
         )
+
+
+@pytest.mark.parametrize("update", [True, False])
+def test_explicit_order_is_split_once_per_solve(monkeypatch, update):
+    q = tu_map("singles", 12, 3, 4, 1.0)
+    if not update:
+        q = dataclasses.replace(q, update_value=None, update_block=None)
+    calls = []
+    split = core._visit_runs
+    monkeypatch.setattr(core, "_visit_runs", lambda *a: calls.append(a) or split(*a))
+    p0 = random_prices(q, 12, 2.0)
+    order = tuple(reversed(q.labels))
+    opts = SolverOptions(mode="gauss_seidel", sweep_order=order, residual_tol=1e-9)
+    _, trace = solve(q, p0, opts)
+    assert len(trace) > 3 and len(calls) == 1
+    with pytest.raises(ValueError):
+        gauss_seidel_sweep(q, p0, SolverOptions(sweep_order=order[1:]))

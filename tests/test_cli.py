@@ -34,8 +34,9 @@ SOLVABLE = [
 # coordinate at a time; the housing and taxes ones when the housing map was
 # written in min form and each bipartite map had a builder of its own; the
 # hedonic and both nt ones when each start constructor ran its own doubling
-# loop and each solve route wrote its own CSV tables. Faster sweeps and shared
-# builders must reproduce the iterates, and so these bytes, exactly.
+# loop and each solve route wrote its own CSV tables; the linear M-matrix and
+# nt 8x8 ones when every bisection probe was its own scalar call. Faster sweeps
+# and shared builders must reproduce the iterates, and so these bytes, exactly.
 PINNED_ARTIFACTS = {
     "hedonic.json": {
         "prices.csv":
@@ -54,6 +55,20 @@ PINNED_ARTIFACTS = {
             "a5a03851f5dbea54d406f8d52c03a2d0c146aabb63ae540dbd4568afbb3459d4",
         "trace.csv":
             "2fb514a052f4903c5d6b2031b6203dd3ef3708f38329457118a162390e262a74",
+    },
+    "linear_mmatrix.json": {
+        "solution.json":
+            "99a8015536e731ad31660019d08ad4327192380edc65ddac4b8082783c390588",
+        "trace.csv":
+            "8fe8cadeb0e3e3ce34059543a64050ff716a84e8390ad3b058d5ce7782f6a202",
+    },
+    "nt_8x8.json": {
+        "matching.csv":
+            "8606e89257eaaf9cea64a034ef430b7e69abf17d80ac751e903c80f54e722177",
+        "payoffs.csv":
+            "314ab8acc566a08012b87618c259cdfda5198fcd3e2df0951baf33254c3076f0",
+        "solution.json":
+            "55034c9d09a7f242672c67efecd2824bcf4d7c9349e13c76e087d86aa118d913",
     },
     "nt_aggregate.json": {
         "mu.csv":
@@ -279,6 +294,13 @@ class TestPinnedArtifacts:
             for f in tmp_path.iterdir()
         }
         assert written == PINNED_ARTIFACTS[name]
+
+    def test_divergent_market_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        name = str(MARKETS / "linear_divergent.json")
+        assert cli.main(["solve", name, "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "NonFiniteResidual"
+        assert not out.exists()
 
 
 class TestCheck:
