@@ -29,8 +29,6 @@ from .errors import (
 Array = np.ndarray
 
 _MAX_DOUBLINGS = 60
-# Explicit sweep orders whose runs a map keeps.
-_ORDER_CACHE = 8
 
 __all__ = [
     "PriceVector",
@@ -225,9 +223,9 @@ class EquilibriumMap:
         Optional batch of one-coordinate residuals ``(idx, probes, values)
         -> array``: entry ``r`` is the residual of coordinate ``idx[r]`` at
         price ``probes[r]``, every other price read from ``values``. Must
-        equal ``residual_at`` bit for bit on every entry. Bisection sweeps
-        send each round of probes through it; without it they loop
-        ``residual_at``.
+        equal ``residual_at`` bit for bit on every entry. Lockstep runs (a
+        Jacobi sweep, a whole block of a Gauss-Seidel sweep) send each round
+        of probes through it; without it they loop ``residual_at``.
     z_function, diagonal_isotone, m_function, m0_function:
         Declared structure flags. They are caller declarations, verified
         only by the sampling checks in this module.
@@ -283,7 +281,8 @@ class EquilibriumMap:
         object.__setattr__(
             self, "_frozen_runs", runs if self.update_value is not None else whole
         )
-        object.__setattr__(self, "_order_runs", {})
+        # The last explicit sweep order and its runs.
+        object.__setattr__(self, "_order_runs", (None, None))
 
     def index(self, label: str) -> int:
         return self._pos[label]
@@ -325,18 +324,17 @@ class EquilibriumMap:
 
     def _sweep_runs(self, order: Sequence[str] | None) -> tuple:
         """The runs of a Gauss-Seidel sweep in ``order`` (label order when
-        empty), validated and split once per order and cached."""
+        empty). The last explicit order is validated and split once and
+        kept, so a solve splits its order once."""
         if not order:
             return self._runs
         key = tuple(order)
-        runs = self._order_runs.get(key)
-        if runs is None:
+        last, runs = self._order_runs
+        if key != last:
             if sorted(key) != sorted(self.labels):
                 raise ValueError("sweep_order must be a permutation of the map labels")
             runs = _visit_runs(self, [self._pos[z] for z in key])
-            if len(self._order_runs) >= _ORDER_CACHE:
-                self._order_runs.clear()
-            self._order_runs[key] = runs
+            object.__setattr__(self, "_order_runs", (key, runs))
         return runs
 
 
@@ -577,6 +575,12 @@ def smallest_root(
             return stop.value
 
 
+def _at_coordinate(
+    Q: EquilibriumMap, i: int, exc: ResponsivenessViolation
+) -> ResponsivenessViolation:
+    return ResponsivenessViolation(f"coordinate {Q.labels[i]!r}: {exc}")
+
+
 def _lockstep_roots(
     Q: EquilibriumMap, idx: Sequence[int], values: Array, opts: SolverOptions
 ) -> tuple[Array, dict[int, Exception]]:
@@ -609,8 +613,7 @@ def _lockstep_roots(
             except StopIteration as stop:
                 roots[k] = stop.value
             except ResponsivenessViolation as exc:
-                z = Q.labels[idx[k]]
-                errors[int(idx[k])] = ResponsivenessViolation(f"coordinate {z!r}: {exc}")
+                errors[int(idx[k])] = _at_coordinate(Q, int(idx[k]), exc)
         live, probes = next_live, next_probes
     return roots, errors
 
@@ -649,10 +652,15 @@ def _update_at(
         with np.errstate(over="ignore", invalid="ignore"):
             val = float(Q.update_value(i, values))
     else:
-        roots, errors = _lockstep_roots(Q, (i,), values, opts)
-        if errors:
-            raise errors[i]
-        val = float(roots[0])
+        # One machine: the module-level routine, probing through residual_at.
+        try:
+            val = smallest_root(
+                lambda pi: Q.residual_at(i, pi, values),
+                opts.root_finder,
+                float(values[i]),
+            )
+        except ResponsivenessViolation as exc:
+            raise _at_coordinate(Q, i, exc) from None
     if not math.isfinite(val):
         raise NonFiniteResidual(f"coordinate {Q.labels[i]!r}: update is non-finite")
     return val

@@ -521,29 +521,39 @@ def _bipartite_map(
             cols = cols + np.exp(-py / sigma)
         return np.concatenate([rows - n, (m - cols)[keep]])
 
+    # One kernel row per x probe and one column per y probe; each is summed
+    # along a contiguous axis, so every entry equals the row or column sum
+    # of eval_values bit for bit. Rows and columns are index arrays, or a
+    # one-wide slice for a single probe.
+    def x_residuals(rows, t: Array, values: Array) -> Array:
+        K = np.exp(log_kernel(t[:, None], layout.py(values), rows, _ALL))
+        mass = K.sum(axis=1)
+        if singles:
+            mass = mass + np.exp(t / sigma)
+        return mass - n[rows]
+
+    def y_residuals(cols, t: Array, values: Array) -> Array:
+        mass = _colsums(np.exp(log_kernel(values[:nx, None], t, _ALL, cols)))
+        if singles:
+            mass = mass + np.exp(-t / sigma)
+        return m[cols] - mass
+
     def residual_block(idx: Array, t: Array, values: Array) -> Array:
-        # One kernel row per x probe and one column per y probe; each is
-        # summed along a contiguous axis, so every entry equals the row or
-        # column sum of eval_values bit for bit.
-        out = np.empty(len(idx))
         on_x = idx < nx
-        if on_x.any():
-            rows, tx = idx[on_x], t[on_x]
-            K = np.exp(log_kernel(tx[:, None], layout.py(values), rows, _ALL))
-            mass = K.sum(axis=1)
-            if singles:
-                mass = mass + np.exp(tx / sigma)
-            out[on_x] = mass - n[rows]
-        if not on_x.all():
-            cols, ty = layout.column(idx[~on_x] - nx), t[~on_x]
-            mass = _colsums(np.exp(log_kernel(values[:nx, None], ty, _ALL, cols)))
-            if singles:
-                mass = mass + np.exp(-ty / sigma)
-            out[~on_x] = m[cols] - mass
+        if on_x.all():
+            return x_residuals(idx, t, values)
+        if not on_x.any():
+            return y_residuals(layout.column(idx - nx), t, values)
+        out = np.empty(len(idx))
+        out[on_x] = x_residuals(idx[on_x], t[on_x], values)
+        out[~on_x] = y_residuals(layout.column(idx[~on_x] - nx), t[~on_x], values)
         return out
 
     def residual_value(i: int, t: float, values: Array) -> float:
-        return float(residual_block(np.array([i]), np.array([t]), values)[0])
+        if i < nx:
+            return float(x_residuals(slice(i, i + 1), np.array([t]), values)[0])
+        j = layout.column(i - nx)
+        return float(y_residuals(slice(j, j + 1), np.array([t]), values)[0])
 
     update = update_block = None
     if scale is not None:

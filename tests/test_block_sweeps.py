@@ -273,3 +273,13 @@ def test_explicit_order_is_split_once_per_solve(monkeypatch, update):
     assert len(trace) > 3 and len(calls) == 1
     with pytest.raises(ValueError):
         gauss_seidel_sweep(q, p0, SolverOptions(sweep_order=order[1:]))
+    # The map keeps the last order only: switching orders splits again, and
+    # each sweep equals one on a fresh copy of the map.
+    perm = np.random.default_rng(1).permutation(len(q.labels))
+    shuffled = tuple(q.labels[i] for i in perm)
+    for o in (shuffled, order, shuffled):
+        want = gauss_seidel_sweep(dataclasses.replace(q), p0, SolverOptions(sweep_order=o))
+        before = len(calls)
+        got = gauss_seidel_sweep(q, p0, SolverOptions(sweep_order=o))
+        assert got.values.tobytes() == want.values.tobytes()
+        assert len(calls) == before + 1

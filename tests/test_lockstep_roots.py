@@ -305,9 +305,10 @@ def test_lockstep_sweeps_equal_scalar_loop(
 
 @pytest.mark.parametrize("kind", ["taxes-singles", "taxes-pinned", "hedonic"])
 def test_each_hook_call_is_one_round(kind):
-    # Jacobi runs every coordinate in one lockstep run, Gauss-Seidel one run
-    # per block (per coordinate without blocks), so a sweep takes as many
-    # hook calls as its runs' longest scalar root searches.
+    # Jacobi runs every coordinate in one lockstep run and Gauss-Seidel one
+    # run per block, so a sweep takes as many hook calls as its runs' longest
+    # scalar root searches. A coordinate outside a block is its own run and
+    # probes through residual_at.
     q = bisection_map(kind, 4, 3, 4, 1, 0.2)
     p = PriceVector(q.labels, np.random.default_rng(4).uniform(-2, 2, len(q.labels)))
     opts = SolverOptions()
@@ -318,10 +319,14 @@ def test_each_hook_call_is_one_round(kind):
         if frozen:
             runs = [range(len(q.labels))]
         else:
-            runs = [range(*b) for b in q.blocks or [(i, i + 1) for i in range(len(q.labels))]]
+            runs = [range(*b) for b in q.blocks or ()]
         lockstep = Probes()
-        sweep(lockstep.watch(q), p, opts)
+        watched = lockstep.watch(q)
+        with lockstep.residual_at():
+            sweep(watched, p, opts)
         assert lockstep.count == scalar.count
+        outside = set(range(len(q.labels))).difference(*runs)
+        assert sum(lockstep.per.values()) == sum(scalar.per[i] for i in outside)
         assert lockstep.hook_calls == sum(max(scalar.per[i] for i in r) for r in runs)
 
 
