@@ -41,7 +41,9 @@ class InstanceTooLarge(SolverError):
 class MaxRoundsExceeded(SolverError):
     """An iterative matching algorithm ran out of rounds.
 
-    Carries the per-round trace accumulated so far in ``trace``.
+    Carries a trace in ``trace``: the per-round trace accumulated so far
+    when the caller asked for one, otherwise the last state alone, in a
+    one-element list (for ``dalm``: the last availability matrix).
     """
 
     def __init__(self, message: str, trace=None):

@@ -606,50 +606,75 @@ def is_equilibrium_matching(
     return (not violations, tuple(violations))
 
 
-def proposal_phase(market: AggregateNTMarket, available: Array) -> Array:
+def _greedy_fill(order: Array, pay: Array, caps: Array, budget: Array) -> Array:
+    """Greedy fill of every row at once, in each row's ``order``.
+
+    Row ``r`` walks its cells by ``order[r]`` and takes ``min(cap,
+    remaining budget)`` from each cell with ``pay >= 0`` until the budget is
+    spent. ``before`` is the budget left before each rank as the sequential
+    left fold ``((b - c0) - c1) - ...`` (``np.subtract.accumulate``, not a
+    cumsum), so every take is bitwise the one-cell-at-a-time loop's. Caps
+    at or below zero, or on negative pays, take nothing and leave the budget
+    as it was (``b - 0.0 == b``).
+    """
+    caps = np.take_along_axis(
+        np.where((caps > 0.0) & (pay >= 0.0), caps, 0.0), order, axis=1
+    )
+    before = np.subtract.accumulate(
+        np.column_stack([budget, caps]), axis=1
+    )[:, :-1]
+    hit = caps >= before
+    first = np.where(hit.any(axis=1), hit.argmax(axis=1), caps.shape[1])[:, None]
+    rank = np.arange(caps.shape[1])
+    take = np.where(rank < first, caps, np.where(rank == first, before, 0.0))
+    out = np.zeros(caps.shape)
+    np.put_along_axis(out, order, np.where(take > 0.0, take, 0.0), axis=1)
+    return out
+
+
+def proposal_phase(
+    market: AggregateNTMarket, available: Array, *, rows=None
+) -> Array:
     """Greedy row proposals under per-cell availability caps.
 
     Each x-type walks its cells in decreasing ``alpha`` (ties by column
     order), skipping negative-``alpha`` cells, and proposes
-    ``min(cap, remaining budget)`` until its mass is exhausted.
+    ``min(cap, remaining budget)`` until its mass is exhausted. With
+    ``rows`` (row indices) only those x-types propose, and the result is
+    their ``(len(rows), Y)`` block.
     """
     available = np.asarray(available, dtype=float)
     if available.shape != market.alpha.shape:
         raise ValueError("availability matrix has the wrong shape")
-    out = np.zeros_like(available)
-    for x in range(available.shape[0]):
-        remaining = float(market.n[x])
-        for j in np.argsort(-market.alpha[x], kind="stable"):
-            if market.alpha[x, j] < 0.0 or remaining <= 0.0:
-                break
-            take = min(float(available[x, j]), remaining)
-            if take > 0.0:
-                out[x, j] = take
-                remaining -= take
-    return out
+    if rows is None:
+        rows = np.arange(available.shape[0])
+    rows = np.asarray(rows, dtype=int)
+    pay = market.alpha[rows]
+    order = np.argsort(-pay, axis=1, kind="stable")
+    return _greedy_fill(order, pay, available[rows], market.n[rows])
 
 
-def disposal_phase(market: AggregateNTMarket, proposals: Array) -> Array:
+def disposal_phase(
+    market: AggregateNTMarket, proposals: Array, *, cols=None
+) -> Array:
     """Greedy column retention of proposed mass.
 
     Each y-type walks its cells in decreasing ``gamma`` (ties by row
     order), skipping negative-``gamma`` cells, and keeps
-    ``min(proposal, remaining capacity)`` until ``m_y`` is filled.
+    ``min(proposal, remaining capacity)`` until ``m_y`` is filled. With
+    ``cols`` (column indices) only those y-types retain, and the result is
+    their ``(X, len(cols))`` block.
     """
     proposals = np.asarray(proposals, dtype=float)
     if proposals.shape != market.gamma.shape:
         raise ValueError("proposal matrix has the wrong shape")
-    out = np.zeros_like(proposals)
-    for y in range(proposals.shape[1]):
-        remaining = float(market.m[y])
-        for i in np.argsort(-market.gamma[:, y], kind="stable"):
-            if market.gamma[i, y] < 0.0 or remaining <= 0.0:
-                break
-            take = min(float(proposals[i, y]), remaining)
-            if take > 0.0:
-                out[i, y] = take
-                remaining -= take
-    return out
+    if cols is None:
+        cols = np.arange(proposals.shape[1])
+    cols = np.asarray(cols, dtype=int)
+    pay = market.gamma[:, cols].T
+    order = np.argsort(-pay, axis=1, kind="stable")
+    kept = _greedy_fill(order, pay, proposals[:, cols].T, market.m[cols])
+    return np.ascontiguousarray(kept.T)
 
 
 def _recover_multipliers(
@@ -686,22 +711,43 @@ def dalm(
     from availability (which therefore never increases). Stops when the
     largest rejection is negligible relative to the initial availability;
     the kept masses then form an equilibrium matching, whose payoff
-    multipliers are read off the marginal filled cells. With
-    ``return_trace=True`` also returns the availability matrices by round.
-    Raises :class:`MaxRoundsExceeded` (carrying the trace) if the budget
-    runs out.
+    multipliers are read off the marginal filled cells.
+
+    The first round is one full pass. After it, only the rows that had a
+    rejection propose again, and only the columns whose proposals changed
+    retain again: every other row and column would redo the same
+    arithmetic on the same numbers, so the result is bitwise that of full
+    rounds.
+
+    With ``return_trace=True`` also returns the availability matrices by
+    round (the start, then one per round); without it no per-round copy is
+    kept. Raises :class:`MaxRoundsExceeded` if the budget runs out; its
+    ``trace`` is that full list with ``return_trace=True``, and
+    ``[last availability]`` without.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be a positive integer")
     available = np.minimum.outer(market.n, market.m)
     threshold = 1e-12 * (1.0 + float(available.max()))
-    trace = [available.copy()]
+    trace = [available.copy()] if return_trace else None
+    rows = cols = None
     for _ in range(max_rounds):
-        proposed = proposal_phase(market, available)
-        kept = disposal_phase(market, proposed)
+        offers = proposal_phase(market, available, rows=rows)
+        if rows is None:
+            proposed = offers
+        else:
+            cols = np.flatnonzero((offers != proposed[rows]).any(axis=0))
+            proposed[rows] = offers
+        retained = disposal_phase(market, proposed, cols=cols)
+        if cols is None:
+            kept = retained
+        else:
+            kept[:, cols] = retained
         rejected = proposed - kept
-        available = available - rejected
-        trace.append(available.copy())
+        rows = np.flatnonzero(rejected.any(axis=1))
+        available[rows] -= rejected[rows]
+        if return_trace:
+            trace.append(available.copy())
         if float(rejected.max(initial=0.0)) <= threshold:
             mu = kept
             mu_x0 = market.n - mu.sum(axis=1)
@@ -713,5 +759,5 @@ def dalm(
             return (outcome, trace) if return_trace else outcome
     raise MaxRoundsExceeded(
         f"no settlement after {max_rounds} proposal/disposal rounds",
-        trace=trace,
+        trace=trace if return_trace else [available],
     )

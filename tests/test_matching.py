@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
+
+import marketclear.matching as matching
 
 from marketclear import (
     AggregateNTMarket,
@@ -605,14 +610,219 @@ class TestDalm:
             gamma=[[2.0, 1.0], [1.0, 2.0]],
         )
         with pytest.raises(MaxRoundsExceeded) as info:
-            dalm(market, max_rounds=1)
+            dalm(market, max_rounds=1, return_trace=True)
         trace = info.value.trace
         assert len(trace) == 2
         assert np.array_equal(trace[0], np.ones((2, 2)))
         assert trace[1][1, 0] == 0.0
+
+    def test_round_budget_keeps_only_last_availability_by_default(self):
+        market = random_aggregate_nt_market(np.random.default_rng(0), 20, 20)
+        for rounds in (1, 50):
+            with pytest.raises(MaxRoundsExceeded) as info:
+                dalm(market, max_rounds=rounds)
+            with pytest.raises(MaxRoundsExceeded) as full:
+                dalm(market, max_rounds=rounds, return_trace=True)
+            assert len(info.value.trace) == 1
+            assert info.value.trace[0].tobytes() == full.value.trace[-1].tobytes()
 
     def test_round_budget_validation(self):
         rng = np.random.default_rng(42)
         market = random_aggregate_nt_market(rng)
         with pytest.raises(ValueError):
             dalm(market, max_rounds=0)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the one-cell-at-a-time loops that the vectorized greedy fill and
+# the incremental dalm rounds replaced, kept as the bitwise reference.
+
+
+def loop_proposal_phase(market: AggregateNTMarket, available) -> np.ndarray:
+    out = np.zeros_like(available)
+    for x in range(available.shape[0]):
+        remaining = float(market.n[x])
+        for j in np.argsort(-market.alpha[x], kind="stable"):
+            if market.alpha[x, j] < 0.0 or remaining <= 0.0:
+                break
+            take = min(float(available[x, j]), remaining)
+            if take > 0.0:
+                out[x, j] = take
+                remaining -= take
+    return out
+
+
+def loop_disposal_phase(market: AggregateNTMarket, proposals) -> np.ndarray:
+    out = np.zeros_like(proposals)
+    for y in range(proposals.shape[1]):
+        remaining = float(market.m[y])
+        for i in np.argsort(-market.gamma[:, y], kind="stable"):
+            if market.gamma[i, y] < 0.0 or remaining <= 0.0:
+                break
+            take = min(float(proposals[i, y]), remaining)
+            if take > 0.0:
+                out[i, y] = take
+                remaining -= take
+    return out
+
+
+def loop_dalm(market: AggregateNTMarket):
+    """Full rounds; returns ``(mu, mu_x0, mu_0y, trace)``."""
+    available = np.minimum.outer(market.n, market.m)
+    threshold = 1e-12 * (1.0 + float(available.max()))
+    trace = [available.copy()]
+    for _ in range(10_000):
+        proposed = loop_proposal_phase(market, available)
+        kept = loop_disposal_phase(market, proposed)
+        rejected = proposed - kept
+        available = available - rejected
+        trace.append(available.copy())
+        if float(rejected.max(initial=0.0)) <= threshold:
+            return kept, market.n - kept.sum(axis=1), market.m - kept.sum(axis=0), trace
+    raise AssertionError("the reference loop did not settle")
+
+
+def oracle_market(seed: int, nx: int, ny: int, coarse: bool, unit: bool):
+    """Random market; ``coarse`` draws payoffs and masses on a 0.5 grid.
+
+    The grid gives ties in ``alpha`` and ``gamma``, zero and negative pays,
+    and caps that sum exactly to the remaining budget.
+    """
+    rng = np.random.default_rng(seed)
+    if coarse:
+        n = rng.integers(1, 5, nx) * 0.5
+        m = rng.integers(1, 5, ny) * 0.5
+        alpha = rng.integers(-2, 4, (nx, ny)) * 0.5
+        gamma = rng.integers(-2, 4, (nx, ny)) * 0.5
+    else:
+        n = rng.uniform(0.5, 3.0, nx)
+        m = rng.uniform(0.5, 3.0, ny)
+        alpha = rng.uniform(-1.0, 2.0, (nx, ny))
+        gamma = rng.uniform(-1.0, 2.0, (nx, ny))
+    if unit:
+        n, m = np.ones(nx), np.ones(ny)
+    return AggregateNTMarket(
+        tuple(f"x{k}" for k in range(nx)), tuple(f"y{k}" for k in range(ny)),
+        n, m, alpha, gamma,
+    )
+
+
+def oracle_caps(seed: int, shape, coarse: bool) -> np.ndarray:
+    """Caps with zeros, negatives, and (when coarse) exact budget sums."""
+    rng = np.random.default_rng([seed, 1])
+    caps = (
+        rng.integers(-1, 5, shape) * 0.5 if coarse
+        else rng.uniform(-0.5, 3.0, shape)
+    )
+    caps[rng.random(shape) < 0.2] = 0.0
+    return caps
+
+
+market_args = dict(
+    seed=st.integers(0, 2**32 - 1),
+    nx=st.integers(1, 7),
+    ny=st.integers(1, 7),
+    coarse=st.booleans(),
+    unit=st.booleans(),
+)
+
+
+@given(**market_args, rows_frac=st.floats(0.0, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_phases_equal_the_loops(seed, nx, ny, coarse, unit, rows_frac):
+    market = oracle_market(seed, nx, ny, coarse, unit)
+    caps = oracle_caps(seed, (nx, ny), coarse)
+    for phase, loop, size, key in (
+        (proposal_phase, loop_proposal_phase, nx, "rows"),
+        (disposal_phase, loop_disposal_phase, ny, "cols"),
+    ):
+        want = loop(market, caps)
+        got = phase(market, caps)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        pick = np.random.default_rng([seed, 2]).permutation(size)
+        pick = pick[: int(rows_frac * size)]
+        block = phase(market, caps, **{key: pick})
+        assert block.flags.c_contiguous
+        expect = want[pick] if key == "rows" else want[:, pick]
+        assert block.shape == expect.shape
+        assert block.tobytes() == expect.tobytes()
+
+
+def test_phases_on_empty_subsets():
+    market = oracle_market(4, 3, 5, True, False)
+    caps = oracle_caps(4, (3, 5), True)
+    assert proposal_phase(market, caps, rows=[]).shape == (0, 5)
+    assert disposal_phase(market, caps, cols=[]).shape == (3, 0)
+
+
+def test_greedy_fill_edge_cases_equal_the_loop():
+    # Ties keep column order; a cap equal to the remaining budget stops the
+    # row; a negative pay, a zero cap and a negative cap take nothing.
+    market = AggregateNTMarket(
+        ("x1", "x2", "x3"), ("y1", "y2", "y3", "y4"),
+        [2.0, 1.5, 0.5], [1.0, 1.0, 1.0, 1.0],
+        alpha=[[1.0, 1.0, 1.0, 0.5], [2.0, -1.0, 1.0, 0.0],
+               [-0.5, -1.0, -2.0, -0.0]],
+        gamma=[[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, 2.0],
+               [1.0, 1.0, -1.0, 0.5]],
+    )
+    caps = np.array([[1.0, 0.0, 1.0, 1.0], [-0.5, 1.0, 1.5, 0.5],
+                     [1.0, 1.0, 1.0, 1.0]])
+    got = proposal_phase(market, caps)
+    assert got.tobytes() == loop_proposal_phase(market, caps).tobytes()
+    assert got.tolist() == [[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.5, 0.0],
+                            [0.0, 0.0, 0.0, 0.5]]
+    kept = disposal_phase(market, caps)
+    assert kept.tobytes() == loop_disposal_phase(market, caps).tobytes()
+
+
+@given(**market_args)
+@settings(max_examples=200, deadline=None)
+def test_dalm_equals_full_rounds(seed, nx, ny, coarse, unit):
+    market = oracle_market(seed, nx, ny, coarse, unit)
+    mu, mu_x0, mu_0y, want = loop_dalm(market)
+    out, trace = dalm(market, return_trace=True)
+    assert len(trace) == len(want)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(trace, want))
+    assert out.mu.flags.c_contiguous
+    assert out.mu.tobytes() == mu.tobytes()
+    assert out.mu_x0.tobytes() == mu_x0.tobytes()
+    assert out.mu_0y.tobytes() == mu_0y.tobytes()
+    u, v = matching._recover_multipliers(market, mu, mu_x0, mu_0y)
+    assert out.u.tobytes() == u.tobytes()
+    assert out.v.tobytes() == v.tobytes()
+    plain = dalm(market)
+    for name in ("mu", "mu_x0", "mu_0y", "u", "v"):
+        assert getattr(plain, name).tobytes() == getattr(out, name).tobytes()
+
+
+def test_dalm_calls_each_phase_once_per_round(monkeypatch):
+    calls = {"proposal_phase": 0, "disposal_phase": 0}
+    for name in calls:
+        phase = getattr(matching, name)
+
+        def counted(*args, _phase=phase, _name=name, **kwargs):
+            calls[_name] += 1
+            return _phase(*args, **kwargs)
+
+        monkeypatch.setattr(matching, name, counted)
+    market = random_aggregate_nt_market(np.random.default_rng(0), nx=20, ny=20)
+    _, trace = dalm(market, return_trace=True)
+    rounds = len(trace) - 1
+    assert rounds > 100
+    assert calls == {"proposal_phase": rounds, "disposal_phase": rounds}
+
+
+def test_dalm_memory_stays_bounded_without_trace():
+    # 181 rounds; one availability snapshot per round would hold
+    # 182 · X · Y · 8 bytes.
+    nx = ny = 20
+    market = random_aggregate_nt_market(np.random.default_rng(0), nx=nx, ny=ny)
+    tracemalloc.start()
+    try:
+        dalm(market)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * nx * ny * 8
