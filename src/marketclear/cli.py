@@ -459,11 +459,11 @@ def _solve_nt_aggregate(
     loaded: LoadedMarket, args, report: dict, files: list[str]
 ) -> None:
     market = loaded.payload
-    outcome, rounds = dalm(market, max_rounds=args.max_sweeps, return_trace=True)
+    outcome = dalm(market, max_rounds=args.max_sweeps)
     ok, names = is_equilibrium_matching(market, outcome)
     report.update(
         mode="dalm",
-        sweeps=len(rounds) - 1,
+        sweeps=outcome.rounds,
         residual_sup=None,
         check={"ok": ok, "violations": list(names)},
     )
@@ -486,7 +486,7 @@ def _solve_nt_aggregate(
             "mu_0y": [float(v) for v in outcome.mu_0y],
             "u": [float(v) for v in outcome.u],
             "v": [float(v) for v in outcome.v],
-            "rounds": len(rounds) - 1,
+            "rounds": outcome.rounds,
         }),
     )
 

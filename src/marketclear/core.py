@@ -225,7 +225,11 @@ class EquilibriumMap:
         price ``probes[r]``, every other price read from ``values``. Must
         equal ``residual_at`` bit for bit on every entry. Lockstep runs (a
         Jacobi sweep, a whole block of a Gauss-Seidel sweep) send each round
-        of probes through it; without it they loop ``residual_at``.
+        of probes through it; without it they loop ``residual_at``. On runs
+        of up to 9 coordinates a round also carries speculative probes
+        deeper in each bisection, some off the path ``smallest_root``
+        takes, so the hook sees a superset of the scalar probes in fewer
+        calls; roots are the same bits (see ``_speculation_depth``).
     z_function, diagonal_isotone, m_function, m0_function:
         Declared structure flags. They are caller declarations, verified
         only by the sampling checks in this module.
@@ -469,10 +473,13 @@ def is_supersolution(Q: EquilibriumMap, p: PriceVector, tol: float = 0.0) -> boo
 # Root finding
 
 
-def _root_steps(opts: BracketOptions, hint: float):
-    """The steps of :func:`smallest_root` as a state machine: a generator
-    that yields each probe, is sent the (non-NaN) value there, and returns
-    the root or raises :class:`ResponsivenessViolation`."""
+def _bracket_steps(opts: BracketOptions, hint: float):
+    """The bracket search of :func:`smallest_root` as a state machine: a
+    generator that yields each probe, is sent the (non-NaN) value there,
+    and returns ``(lo, hi, negative)`` or raises
+    :class:`ResponsivenessViolation`. With ``negative``, ``f(lo) < 0 <=
+    f(hi)`` and the root is the left edge of the zero set; otherwise
+    ``f(lo) <= 0 < f(hi)`` and it is the boundary root."""
     h = opts.initial_halfwidth
     fh = yield hint
     if fh < 0:
@@ -489,48 +496,50 @@ def _root_steps(opts: BracketOptions, hint: float):
             raise ResponsivenessViolation(
                 "no point with f >= 0 found above the hint"
             )
-        negative = True
-    else:
-        # Search downward for a strictly negative value.
-        hi = hint  # smallest known point with f >= 0
-        pos_hi = hint if fh > 0 else None  # smallest known point with f > 0
-        le_lo = hint if fh == 0 else None  # largest known point with f <= 0
-        lo = None
+        return lo, hi, True
+    # Search downward for a strictly negative value.
+    hi = hint  # smallest known point with f >= 0
+    pos_hi = hint if fh > 0 else None  # smallest known point with f > 0
+    le_lo = hint if fh == 0 else None  # largest known point with f <= 0
+    for _ in range(opts.max_expansions):
+        cand = hint - h
+        fc = yield cand
+        if fc < 0:
+            return cand, hi, True
+        hi = cand
+        if fc > 0:
+            pos_hi = cand
+        elif le_lo is None:
+            le_lo = cand
+        h *= opts.growth_factor
+    if le_lo is None:
+        raise ResponsivenessViolation(
+            "no point with f <= 0 found below the hint"
+        )
+    # f reaches zero but never goes negative: the boundary root.
+    if pos_hi is None:
+        h = opts.initial_halfwidth
         for _ in range(opts.max_expansions):
-            cand = hint - h
+            cand = hint + h
             fc = yield cand
-            if fc < 0:
-                lo = cand
-                break
-            hi = cand
             if fc > 0:
                 pos_hi = cand
-            elif le_lo is None:
-                le_lo = cand
+                break
+            le_lo = cand
             h *= opts.growth_factor
-        negative = lo is not None
-        if not negative:
-            if le_lo is None:
-                raise ResponsivenessViolation(
-                    "no point with f <= 0 found below the hint"
-                )
-            # f reaches zero but never goes negative: the boundary root.
-            if pos_hi is None:
-                h = opts.initial_halfwidth
-                for _ in range(opts.max_expansions):
-                    cand = hint + h
-                    fc = yield cand
-                    if fc > 0:
-                        pos_hi = cand
-                        break
-                    le_lo = cand
-                    h *= opts.growth_factor
-                if pos_hi is None:
-                    raise ResponsivenessViolation(
-                        "f has no sign change on the searched range"
-                    )
-            lo, hi = le_lo, pos_hi
-    # negative: f(lo) < 0 <= f(hi); otherwise f(lo) <= 0 < f(hi)
+        if pos_hi is None:
+            raise ResponsivenessViolation(
+                "f has no sign change on the searched range"
+            )
+    return le_lo, pos_hi, False
+
+
+def _root_steps(opts: BracketOptions, hint: float):
+    """The steps of :func:`smallest_root`: :func:`_bracket_steps`, then
+    bisection on the predicate ``f < 0`` (``f <= 0`` for the boundary root)
+    while the bracket is wider than ``bisection_tol`` and its midpoint
+    lies strictly inside it."""
+    lo, hi, negative = yield from _bracket_steps(opts, hint)
     while hi - lo > opts.bisection_tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -561,7 +570,8 @@ def smallest_root(
     is returned instead. If no zero can be bracketed within the expansion
     budget, raises :class:`ResponsivenessViolation`; a NaN value raises
     :class:`NonFiniteResidual`. Sweeps run the same steps in lockstep over
-    many coordinates.
+    many coordinates, and on small runs probe several bisection levels per
+    round; each root is the same bits either way.
     """
     steps = _root_steps(opts or BracketOptions(), float(hint))
     x = next(steps)
@@ -581,20 +591,101 @@ def _at_coordinate(
     return ResponsivenessViolation(f"coordinate {Q.labels[i]!r}: {exc}")
 
 
+def _tree_steps(opts: BracketOptions, hint: float, depth: int):
+    """:func:`_root_steps` that bisects ``depth`` levels at a time.
+
+    A generator that yields lists of probes and is sent the list of their
+    values, NaN included. Bracket probes go one at a time. Each bisection
+    step yields the midpoints of the next ``depth`` levels of the bisection
+    tree in level order: every node the scalar loop could visit, leaving
+    out nodes past its stop test and their subtrees. It then walks the tree
+    with the values, taking the branches the scalar loop takes, so it
+    returns the same bits. A NaN raises :class:`NonFiniteResidual` only
+    where the scalar loop would have probed it.
+    """
+    steps = _bracket_steps(opts, hint)
+    x = next(steps)
+    while True:
+        (v,) = yield [x]
+        if math.isnan(v):
+            raise _nan_probe(x)
+        try:
+            x = steps.send(v)
+        except StopIteration as stop:
+            lo, hi, negative = stop.value
+            break
+    tol = opts.bisection_tol
+    size = 2**depth - 1
+    while True:
+        # Heap order: node j bisects spans[j]; its children 2j + 1 and
+        # 2j + 2 bisect the lower and upper half. A node past the stop test
+        # is None and hands its children an empty span, so they are too.
+        nodes, spans = [], [(lo, hi)]
+        for j in range(size):
+            a, b = spans[j]
+            mid = 0.5 * (a + b)
+            if b - a > tol and a < mid < b:
+                nodes.append(mid)
+                spans += ((a, mid), (mid, b))
+            else:
+                nodes.append(None)
+                spans += ((a, a), (a, a))
+        if nodes[0] is None:
+            return hi if negative else lo
+        if None in nodes:
+            got = iter((yield [mid for mid in nodes if mid is not None]))
+            values = [None if mid is None else next(got) for mid in nodes]
+        else:
+            values = yield nodes
+        j = 0
+        while j < size and nodes[j] is not None:
+            mid, fm = nodes[j], values[j]
+            if math.isnan(fm):
+                raise _nan_probe(mid)
+            if fm < 0 or (fm == 0 and not negative):
+                lo, j = mid, 2 * j + 2
+            else:
+                hi, j = mid, 2 * j + 1
+
+
+# Probes one lockstep round may carry, summed over its coordinates: the
+# depth of speculative bisection is the largest d with n * (2**d - 1) within
+# it. On small maps a round costs about the same at 4 probes as at 28, so
+# fewer, wider rounds win; from 10 coordinates on (d = 1 here) a hedonic
+# round's cost grows with its probes and wider rounds lose.
+_PROBE_BUDGET = 28
+
+
+def _speculation_depth(Q: EquilibriumMap, count: int) -> int:
+    """Bisection levels per round for a lockstep run of ``count``
+    coordinates: 1 without ``residual_block`` (a batch is then a loop of
+    evaluations), else the largest ``d`` with ``count * (2**d - 1) <=
+    _PROBE_BUDGET``, at least 1."""
+    if Q.residual_block is None:
+        return 1
+    return max(1, (_PROBE_BUDGET // max(count, 1) + 1).bit_length() - 1)
+
+
 def _lockstep_roots(
     Q: EquilibriumMap, idx: Sequence[int], values: Array, opts: SolverOptions
 ) -> tuple[Array, dict[int, Exception]]:
     """:func:`smallest_root` of every coordinate ``i`` in ``idx`` at once.
 
     Coordinate ``i`` solves ``Q_i(pi, values_{-i}) = 0`` hinted at
-    ``values[i]``, with its own bracket, phase and done flag, so it takes
-    exactly the probes of the scalar routine. Each round sends the pending
-    probes of every coordinate through one ``Q.residuals_at`` call. Returns
-    the roots in ``idx`` order (NaN where a coordinate failed) and the
-    error of each failed coordinate, for the caller to raise in its own
-    visit order.
+    ``values[i]``, with its own bracket, phase and done flag. Each round
+    sends the pending probes of every coordinate through one
+    ``Q.residuals_at`` call. At depth ``d`` (:func:`_speculation_depth`)
+    a bisecting coordinate probes the next ``d`` levels of its bisection
+    tree in one round (:func:`_tree_steps`): a superset of the probes of
+    the scalar routine, in about ``d`` times fewer rounds, landing on the
+    same bits. At ``d = 1`` it takes exactly the scalar probes. Returns the
+    roots in ``idx`` order (NaN where a coordinate failed) and the error of
+    each failed coordinate, for the caller to raise in its own visit order.
     """
     idx = np.asarray(idx, dtype=np.intp)
+    depth = _speculation_depth(Q, idx.size)
+    if depth > 1:
+        return _speculative_roots(Q, idx, values, opts.root_finder, depth)
     roots = np.full(idx.size, np.nan)
     errors: dict[int, Exception] = {}
     machines = [_root_steps(opts.root_finder, float(values[i])) for i in idx]
@@ -614,6 +705,38 @@ def _lockstep_roots(
                 roots[k] = stop.value
             except ResponsivenessViolation as exc:
                 errors[int(idx[k])] = _at_coordinate(Q, int(idx[k]), exc)
+        live, probes = next_live, next_probes
+    return roots, errors
+
+
+def _speculative_roots(
+    Q: EquilibriumMap, idx: Array, values: Array, opts: BracketOptions, depth: int
+) -> tuple[Array, dict[int, Exception]]:
+    """:func:`_lockstep_roots` at depth ``depth > 1``: one
+    :func:`_tree_steps` machine per coordinate, the probe lists of every
+    coordinate of a round in one ``Q.residuals_at`` call."""
+    roots = np.full(idx.size, np.nan)
+    errors: dict[int, Exception] = {}
+    machines = [_tree_steps(opts, float(values[i]), depth) for i in idx]
+    live = list(range(idx.size))
+    probes = [next(m) for m in machines]
+    while live:
+        counts = [len(xs) for xs in probes]
+        res = Q.residuals_at(
+            np.repeat(idx[live], counts), np.concatenate(probes), values
+        ).tolist()
+        next_live, next_probes, at = [], [], 0
+        for k, count in zip(live, counts):
+            try:
+                next_probes.append(machines[k].send(res[at:at + count]))
+                next_live.append(k)
+            except StopIteration as stop:
+                roots[k] = stop.value
+            except NonFiniteResidual as exc:
+                errors[int(idx[k])] = exc
+            except ResponsivenessViolation as exc:
+                errors[int(idx[k])] = _at_coordinate(Q, int(idx[k]), exc)
+            at += count
         live, probes = next_live, next_probes
     return roots, errors
 

@@ -510,7 +510,11 @@ class AggregateNTMarket:
 
 @dataclass(frozen=True)
 class AggregateNTOutcome:
-    """Mass matching with outside masses and payoff multipliers."""
+    """Mass matching with outside masses and payoff multipliers.
+
+    ``rounds`` is the number of proposal/disposal rounds :func:`dalm` ran
+    to reach it, and ``None`` for an outcome built any other way.
+    """
 
     x_labels: tuple[str, ...]
     y_labels: tuple[str, ...]
@@ -519,6 +523,7 @@ class AggregateNTOutcome:
     mu_0y: Array
     u: Array
     v: Array
+    rounds: int | None = None
 
     def __post_init__(self):
         x_labels = tuple(str(s) for s in self.x_labels)
@@ -719,8 +724,9 @@ def dalm(
     arithmetic on the same numbers, so the result is bitwise that of full
     rounds.
 
-    With ``return_trace=True`` also returns the availability matrices by
-    round (the start, then one per round); without it no per-round copy is
+    The outcome's ``rounds`` counts the rounds run. With
+    ``return_trace=True`` also returns the availability matrices by round
+    (the start, then one per round); without it no per-round copy is
     kept. Raises :class:`MaxRoundsExceeded` if the budget runs out; its
     ``trace`` is that full list with ``return_trace=True``, and
     ``[last availability]`` without.
@@ -731,7 +737,7 @@ def dalm(
     threshold = 1e-12 * (1.0 + float(available.max()))
     trace = [available.copy()] if return_trace else None
     rows = cols = None
-    for _ in range(max_rounds):
+    for rounds in range(1, max_rounds + 1):
         offers = proposal_phase(market, available, rows=rows)
         if rows is None:
             proposed = offers
@@ -754,7 +760,8 @@ def dalm(
             mu_0y = market.m - mu.sum(axis=0)
             u, v = _recover_multipliers(market, mu, mu_x0, mu_0y)
             outcome = AggregateNTOutcome(
-                market.x_labels, market.y_labels, mu, mu_x0, mu_0y, u, v
+                market.x_labels, market.y_labels, mu, mu_x0, mu_0y, u, v,
+                rounds=rounds,
             )
             return (outcome, trace) if return_trace else outcome
     raise MaxRoundsExceeded(

@@ -361,6 +361,26 @@ class TestCheck:
         assert code == 4
         assert report["violations"] == ["blocking"]
 
+    def test_aggregate_solve_keeps_no_trace(self, tmp_path, monkeypatch, capsys):
+        # The round count comes with the outcome, so the CLI never asks dalm
+        # for its per-round availability snapshots.
+        calls = []
+        real = cli.dalm
+
+        def spy(market, **kwargs):
+            calls.append(kwargs)
+            return real(market, **kwargs)
+
+        monkeypatch.setattr(cli, "dalm", spy)
+        name = str(MARKETS / "nt_aggregate.json")
+        assert cli.main(["solve", name, "--out", str(tmp_path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1 and not calls[0].get("return_trace")
+        market = cli.load_market(name).payload
+        _, trace = real(market, max_rounds=calls[0]["max_rounds"], return_trace=True)
+        solution = json.loads((tmp_path / "solution.json").read_text())
+        assert report["sweeps"] == solution["rounds"] == len(trace) - 1
+
     def test_aggregate_round_trip(self, tmp_path):
         solution = self.solve_out("nt_aggregate.json", tmp_path)
         code, report = run_json(

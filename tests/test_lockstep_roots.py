@@ -3,8 +3,10 @@
 The oracle is the bracket-and-bisect routine as three scalar functions (one
 expansion search and two bisection loops), driven one coordinate at a time
 through ``residual_at``. The engine runs the same steps as generator
-machines and sends each round of probes through one ``residual_block`` call,
-so prices, probe counts and error messages must all be the same.
+machines and sends each round of probes through one ``residual_block`` call.
+On small runs a round also carries speculative probes a few bisection
+levels deep, so the engine's probes of a coordinate contain the oracle's,
+in order, among others; prices and error messages must be the same.
 """
 
 from __future__ import annotations
@@ -12,13 +14,15 @@ from __future__ import annotations
 import collections
 import contextlib
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import marketclear.core as core
 from marketclear import (
     BracketOptions,
     EquilibriumMap,
@@ -54,7 +58,19 @@ def _value(f, x):
     return v
 
 
+# Set while the oracle bisects, so probe counters can tell the phases apart.
+PHASE = {"bisect": False}
+
+
 def _bisect(f, lo, hi, tol, strict):
+    PHASE["bisect"] = True
+    try:
+        return _bisect_loop(f, lo, hi, tol, strict)
+    finally:
+        PHASE["bisect"] = False
+
+
+def _bisect_loop(f, lo, hi, tol, strict):
     # strict: f(lo) < 0 <= f(hi), returns hi; else f(lo) <= 0 < f(hi), lo
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -170,12 +186,13 @@ def outcome(fn):
 
 
 class Probes:
-    """Counts probes through ``residual_at`` and through a map's hook."""
+    """Records probes through ``residual_at`` and through a map's hook."""
 
     def __init__(self):
-        self.count = 0
         self.hook_calls = 0
+        self.seq = collections.defaultdict(list)  # probes per coordinate, in order
         self.per = collections.Counter()  # residual_at probes per coordinate
+        self.bisect = collections.Counter()  # those made while the oracle bisects
 
     def watch(self, q: EquilibriumMap) -> EquilibriumMap:
         if q.residual_block is None:
@@ -183,8 +200,9 @@ class Probes:
         inner = q.residual_block
 
         def hook(idx, probes, values):
-            self.count += len(idx)
             self.hook_calls += 1
+            for i, t in zip(np.asarray(idx).tolist(), np.asarray(probes).tolist()):
+                self.seq[i].append(t)
             return inner(idx, probes, values)
 
         return dataclasses.replace(q, residual_block=hook)
@@ -194,8 +212,9 @@ class Probes:
         inner = EquilibriumMap.residual_at
 
         def counted(q, i, t, values):
-            self.count += 1
+            self.seq[i].append(float(t))
             self.per[i] += 1
+            self.bisect[i] += PHASE["bisect"]
             return inner(q, i, t, values)
 
         EquilibriumMap.residual_at = counted
@@ -203,6 +222,12 @@ class Probes:
             yield
         finally:
             EquilibriumMap.residual_at = inner
+
+
+def contains_in_order(longer: list, shorter: list) -> bool:
+    """True iff ``shorter`` is a subsequence of ``longer``."""
+    rest = iter(longer)
+    return all(any(t == u for u in rest) for t in shorter)
 
 
 # ---------------------------------------------------------------------------
@@ -299,20 +324,29 @@ def test_lockstep_sweeps_equal_scalar_loop(
         with lockstep.residual_at():
             got = outcome(lambda: sweep(watched, p, opts))
         assert got == expected
-        if expected[0] == "ok":
-            assert lockstep.count == scalar.count
+        if expected[0] != "ok":
+            continue
+        for i, probes in scalar.seq.items():
+            assert contains_in_order(lockstep.seq[i], probes)
+        if q.residual_block is None:
+            assert lockstep.seq == scalar.seq
 
 
 @pytest.mark.parametrize("kind", ["taxes-singles", "taxes-pinned", "hedonic"])
-def test_each_hook_call_is_one_round(kind):
+def test_each_hook_call_is_one_round(kind, monkeypatch):
     # Jacobi runs every coordinate in one lockstep run and Gauss-Seidel one
-    # run per block, so a sweep takes as many hook calls as its runs' longest
-    # scalar root searches. A coordinate outside a block is its own run and
-    # probes through residual_at.
+    # run per block. A coordinate of a run at depth d takes one round per
+    # bracket probe, then one per d bisection levels, so a run takes as many
+    # hook calls as its slowest coordinate: fewer than the scalar loop's
+    # rounds when d > 1, and exactly its probes at d = 1 (a budget of 1). A
+    # coordinate outside a block is its own run and probes through
+    # residual_at.
     q = bisection_map(kind, 4, 3, 4, 1, 0.2)
     p = PriceVector(q.labels, np.random.default_rng(4).uniform(-2, 2, len(q.labels)))
     opts = SolverOptions()
-    for sweep, frozen in ((jacobi_sweep, True), (gauss_seidel_sweep, False)):
+    for budget, frozen in itertools.product((core._PROBE_BUDGET, 1), (True, False)):
+        monkeypatch.setattr(core, "_PROBE_BUDGET", budget)
+        sweep = jacobi_sweep if frozen else gauss_seidel_sweep
         scalar = Probes()
         with scalar.residual_at():
             scalar_sweep(q, p, opts, frozen)
@@ -324,10 +358,24 @@ def test_each_hook_call_is_one_round(kind):
         watched = lockstep.watch(q)
         with lockstep.residual_at():
             sweep(watched, p, opts)
-        assert lockstep.count == scalar.count
+        for i, probes in scalar.seq.items():
+            assert contains_in_order(lockstep.seq[i], probes)
         outside = set(range(len(q.labels))).difference(*runs)
         assert sum(lockstep.per.values()) == sum(scalar.per[i] for i in outside)
-        assert lockstep.hook_calls == sum(max(scalar.per[i] for i in r) for r in runs)
+        rounds = scalar_rounds = 0
+        for r in runs:
+            d = core._speculation_depth(q, len(r))
+            assert d == (1 if budget == 1 else 3 if len(r) <= 4 else 2)
+            rounds += max(
+                scalar.per[i] - scalar.bisect[i] + -(-scalar.bisect[i] // d)
+                for i in r
+            )
+            scalar_rounds += max(scalar.per[i] for i in r)
+        assert lockstep.hook_calls == rounds
+        if budget == 1:
+            assert lockstep.seq == scalar.seq
+        elif runs:
+            assert lockstep.hook_calls < scalar_rounds
 
 
 @pytest.mark.parametrize(
@@ -380,6 +428,96 @@ def test_first_coordinate_in_visit_order_is_named():
     assert outcome(lambda: gauss_seidel_sweep(q, p, opts)) == expected
 
 
+def hooked_map(residuals) -> EquilibriumMap:
+    """:func:`scripted_map` with a ``residual_block`` hook, so its lockstep
+    runs speculate."""
+
+    def residual_block(idx, probes, values):
+        pairs = zip(np.asarray(idx).tolist(), np.asarray(probes).tolist())
+        return np.array([residuals[i](t) for i, t in pairs])
+
+    return dataclasses.replace(scripted_map(residuals), residual_block=residual_block)
+
+
+# Plain roots, a root at the hint, and a plateau whose boundary root is
+# bisected on f <= 0.
+SPECULATED = [
+    lambda t: t - 0.3137,
+    lambda t: 2.0 * (t + 1.7),
+    lambda t: t,
+    lambda t: max(t - 0.4, 0.0),
+]
+
+
+def scalar_probes(q: EquilibriumMap, p: PriceVector, opts: SolverOptions):
+    scalar = Probes()
+    with scalar.residual_at():
+        expected = outcome(lambda: scalar_sweep(q, p, opts, True))
+    return expected, scalar.seq
+
+
+def test_nan_off_the_scalar_path_is_never_read():
+    plain = hooked_map(SPECULATED)
+    p = PriceVector(plain.labels, np.zeros(len(SPECULATED)))
+    opts = SolverOptions()
+    expected, path = scalar_probes(plain, p, opts)
+    assert expected[0] == "ok"
+    served = []
+
+    def poisoned(i):
+        def f(t):
+            if t in path[i]:
+                return SPECULATED[i](t)
+            served.append(t)
+            return float("nan")
+        return f
+
+    q = hooked_map([poisoned(i) for i in range(len(SPECULATED))])
+    assert core._speculation_depth(q, len(SPECULATED)) == 3
+    assert outcome(lambda: jacobi_sweep(q, p, opts)) == expected
+    assert served
+
+
+@pytest.mark.parametrize("at", [1, 2, 3, 4, 5, 6, 9, 20])
+def test_nan_on_the_scalar_path_names_its_probe(at):
+    # Probe ``at`` of z1's scalar sequence (0 is the hint, 1 the first
+    # expansion, the rest bisection midpoints) turns NaN: speculation
+    # probes it at some level of some round and must raise it as the
+    # scalar loop does.
+    p = PriceVector(labels("z", len(SPECULATED)), np.zeros(len(SPECULATED)))
+    opts = SolverOptions()
+    _, path = scalar_probes(hooked_map(SPECULATED), p, opts)
+    bad = path[0][at]
+
+    def first(t):
+        return float("nan") if t == bad else SPECULATED[0](t)
+
+    q = hooked_map([first, *SPECULATED[1:]])
+    expected = outcome(lambda: scalar_sweep(q, p, opts, True))
+    assert expected == ("NonFiniteResidual", f"f({bad!r}) is NaN")
+    assert outcome(lambda: jacobi_sweep(q, p, opts)) == expected
+
+
+def test_speculation_depth_rule():
+    rng = np.random.default_rng(8)
+    depth = core._speculation_depth
+    # Large runs, where a wider round costs more than it saves: depth 1.
+    taxes40 = build_transfer_map(random_taxes_market(rng, 40, 40))
+    hedonic20 = build_hedonic_map(random_hedonic_market(rng, 20, 20, 20))
+    assert depth(taxes40, len(taxes40.labels)) == 1  # 80 coordinates, Jacobi
+    assert depth(taxes40, 40) == 1  # one side's block, Gauss-Seidel
+    assert depth(hedonic20, len(hedonic20.labels)) == 1
+    # The sizes of the benchmark's bisection instances: hedonic 4x4x4 and
+    # taxes 4x4 with singles.
+    hedonic4 = build_hedonic_map(random_hedonic_market(rng, 4, 4, 4))
+    taxes4 = build_transfer_map(random_taxes_market(rng, 4, 4))
+    assert depth(hedonic4, len(hedonic4.labels)) == 3
+    assert depth(taxes4, len(taxes4.labels)) == 2
+    # Without the hook a batch is a loop of evaluations: never speculate.
+    assert depth(dataclasses.replace(taxes4, residual_block=None), 8) == 1
+    assert [depth(taxes4, n) for n in (1, 2, 4, 5, 9, 10)] == [4, 3, 3, 2, 2, 1]
+
+
 def test_coordinate_update_runs_one_machine():
     q = bisection_map("taxes-pinned", 21, 3, 4, 2, 0.5)
     p = PriceVector(q.labels, np.random.default_rng(21).uniform(-1, 1, len(q.labels)))
@@ -404,25 +542,37 @@ def piecewise(kind: int, a: float, b: float):
         lambda x: float("nan") if x > b + a else x - b,
         lambda x: -a,
         lambda x: 0.0,
+        lambda x: float("nan") if b + a / 2 < x < b + a else x - b,
     ][kind]
 
 
 @given(
-    kind=st.integers(0, 7),
+    kind=st.integers(0, 8),
     a=st.floats(0.001, 50.0),
     b=st.floats(-100.0, 100.0),
     hint=st.floats(-100.0, 100.0),
     halfwidth=st.sampled_from([1.0, 0.01, 8.0]),
     growth=st.sampled_from([2.0, 1.5, 7.0]),
     expansions=st.sampled_from([60, 1, 3, 8]),
+    depth=st.integers(2, 5),
 )
+# A NaN band (0.3167, 0.3197) that the scalar path steps over but depth-3
+# and depth-5 trees probe; and a band (0.3187, 0.3237) the scalar path hits.
+@example(kind=8, a=0.006, b=0.3137, hint=0.0, halfwidth=1.0, growth=2.0,
+         expansions=60, depth=3)
+@example(kind=8, a=0.006, b=0.3137, hint=0.0, halfwidth=1.0, growth=2.0,
+         expansions=60, depth=5)
+@example(kind=8, a=0.01, b=0.3137, hint=0.0, halfwidth=1.0, growth=2.0,
+         expansions=60, depth=4)
 @settings(max_examples=300, deadline=None)
 def test_smallest_root_takes_the_scalar_probes(
-    kind, a, b, hint, halfwidth, growth, expansions
+    kind, a, b, hint, halfwidth, growth, expansions, depth
 ):
+    # The speculative machine of a lockstep coordinate, at any depth, lands
+    # on the same root or error from a superset of the scalar probes.
     f = piecewise(kind, a, b)
     opts = BracketOptions(halfwidth, growth, expansions)
-    seen = {"oracle": [], "engine": []}
+    seen = {"oracle": [], "engine": [], "tree": []}
 
     def probe(name):
         def g(x):
@@ -430,9 +580,20 @@ def test_smallest_root_takes_the_scalar_probes(
             return f(x)
         return g
 
+    def speculate():
+        steps = core._tree_steps(opts, float(hint), depth)
+        xs = next(steps)
+        while True:
+            try:
+                xs = steps.send([float(probe("tree")(x)) for x in xs])
+            except StopIteration as stop:
+                return stop.value
+
     expected = outcome(lambda: scalar_root(probe("oracle"), opts, hint))
     assert outcome(lambda: smallest_root(probe("engine"), opts, hint)) == expected
     assert seen["engine"] == seen["oracle"]
+    assert outcome(speculate) == expected
+    assert contains_in_order(seen["tree"], seen["oracle"])
 
 
 

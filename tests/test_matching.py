@@ -795,6 +795,7 @@ def test_dalm_equals_full_rounds(seed, nx, ny, coarse, unit):
     plain = dalm(market)
     for name in ("mu", "mu_x0", "mu_0y", "u", "v"):
         assert getattr(plain, name).tobytes() == getattr(out, name).tobytes()
+    assert plain.rounds == out.rounds == len(want) - 1
 
 
 def test_dalm_calls_each_phase_once_per_round(monkeypatch):
