@@ -12,6 +12,7 @@ structure checks.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -70,6 +71,12 @@ def _positive_vector(name: str, value, count: int) -> Array:
         raise ValueError(f"{name} must be finite and strictly positive")
     out.setflags(write=False)
     return out
+
+
+def _require_count(name: str, value) -> None:
+    """Refuse anything but a positive integer (a float or bool included)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer")
 
 
 def _finite_matrix(name: str, value, shape: tuple[int, int] | None = None) -> Array:
@@ -226,10 +233,11 @@ class EquilibriumMap:
         equal ``residual_at`` bit for bit on every entry. Lockstep runs (a
         Jacobi sweep, a whole block of a Gauss-Seidel sweep) send each round
         of probes through it; without it they loop ``residual_at``. On runs
-        of up to 9 coordinates a round also carries speculative probes
-        deeper in each bisection, some off the path ``smallest_root``
-        takes, so the hook sees a superset of the scalar probes in fewer
-        calls; roots are the same bits (see ``_speculation_depth``).
+        of up to 9 coordinates a round also fetches the next few levels of
+        each bisection ahead, some off the path ``smallest_root`` takes, so
+        the hook sees a superset of the scalar probes in fewer calls; each
+        coordinate's machine reads only the values on its own path, so
+        roots are the same bits (see ``_lockstep_roots``).
     z_function, diagonal_isotone, m_function, m0_function:
         Declared structure flags. They are caller declarations, verified
         only by the sampling checks in this module.
@@ -356,12 +364,11 @@ class BracketOptions:
     bisection_tol: float = 1e-12
 
     def __post_init__(self):
-        if not self.initial_halfwidth > 0:
-            raise ValueError("initial_halfwidth must be > 0")
-        if not self.growth_factor > 1:
-            raise ValueError("growth_factor must be > 1")
-        if self.max_expansions < 1:
-            raise ValueError("max_expansions must be a positive integer")
+        if not 0 < self.initial_halfwidth < math.inf:
+            raise ValueError("initial_halfwidth must be finite and > 0")
+        if not 1 < self.growth_factor < math.inf:
+            raise ValueError("growth_factor must be finite and > 1")
+        _require_count("max_expansions", self.max_expansions)
         if not self.bisection_tol > 0:
             raise ValueError("bisection_tol must be > 0")
 
@@ -381,10 +388,9 @@ class SolverOptions:
     def __post_init__(self):
         if not self.residual_tol > 0:
             raise ValueError("residual_tol must be > 0")
-        if self.step_tol < 0:
+        if not self.step_tol >= 0:
             raise ValueError("step_tol must be >= 0")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be a positive integer")
+        _require_count("max_sweeps", self.max_sweeps)
         if self.mode not in ("jacobi", "gauss_seidel"):
             raise ValueError("mode must be 'jacobi' or 'gauss_seidel'")
         if not 0 < self.damping <= 1:
@@ -534,21 +540,25 @@ def _bracket_steps(opts: BracketOptions, hint: float):
     return le_lo, pos_hi, False
 
 
-def _root_steps(opts: BracketOptions, hint: float):
+def _root_steps(opts: BracketOptions, hint: float, span: list):
     """The steps of :func:`smallest_root`: :func:`_bracket_steps`, then
     bisection on the predicate ``f < 0`` (``f <= 0`` for the boundary root)
     while the bracket is wider than ``bisection_tol`` and its midpoint
-    lies strictly inside it."""
+    lies strictly inside it. Once the bracket is found, the two-slot list
+    ``span`` holds it as ``[lo, hi]``, so at each bisection probe it is the
+    bracket that probe halves; it is left as given during the search."""
     lo, hi, negative = yield from _bracket_steps(opts, hint)
-    while hi - lo > opts.bisection_tol:
+    span[:] = lo, hi
+    tol = opts.bisection_tol
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
         fm = yield mid
         if fm < 0 or (fm == 0 and not negative):
-            lo = mid
+            lo = span[0] = mid
         else:
-            hi = mid
+            hi = span[1] = mid
     return hi if negative else lo
 
 
@@ -569,11 +579,12 @@ def smallest_root(
     without ever going negative, the boundary root ``sup{pi : f(pi) <= 0}``
     is returned instead. If no zero can be bracketed within the expansion
     budget, raises :class:`ResponsivenessViolation`; a NaN value raises
-    :class:`NonFiniteResidual`. Sweeps run the same steps in lockstep over
-    many coordinates, and on small runs probe several bisection levels per
-    round; each root is the same bits either way.
+    :class:`NonFiniteResidual`. Sweeps run the same machine
+    (:func:`_root_steps`) in lockstep over many coordinates, and on small
+    runs fetch several bisection levels ahead per round; each root is the
+    same bits either way.
     """
-    steps = _root_steps(opts or BracketOptions(), float(hint))
+    steps = _root_steps(opts or BracketOptions(), float(hint), [None, None])
     x = next(steps)
     while True:
         v = float(f(x))
@@ -591,61 +602,19 @@ def _at_coordinate(
     return ResponsivenessViolation(f"coordinate {Q.labels[i]!r}: {exc}")
 
 
-def _tree_steps(opts: BracketOptions, hint: float, depth: int):
-    """:func:`_root_steps` that bisects ``depth`` levels at a time.
-
-    A generator that yields lists of probes and is sent the list of their
-    values, NaN included. Bracket probes go one at a time. Each bisection
-    step yields the midpoints of the next ``depth`` levels of the bisection
-    tree in level order: every node the scalar loop could visit, leaving
-    out nodes past its stop test and their subtrees. It then walks the tree
-    with the values, taking the branches the scalar loop takes, so it
-    returns the same bits. A NaN raises :class:`NonFiniteResidual` only
-    where the scalar loop would have probed it.
-    """
-    steps = _bracket_steps(opts, hint)
-    x = next(steps)
-    while True:
-        (v,) = yield [x]
-        if math.isnan(v):
-            raise _nan_probe(x)
-        try:
-            x = steps.send(v)
-        except StopIteration as stop:
-            lo, hi, negative = stop.value
-            break
-    tol = opts.bisection_tol
-    size = 2**depth - 1
-    while True:
-        # Heap order: node j bisects spans[j]; its children 2j + 1 and
-        # 2j + 2 bisect the lower and upper half. A node past the stop test
-        # is None and hands its children an empty span, so they are too.
-        nodes, spans = [], [(lo, hi)]
-        for j in range(size):
-            a, b = spans[j]
-            mid = 0.5 * (a + b)
-            if b - a > tol and a < mid < b:
-                nodes.append(mid)
-                spans += ((a, mid), (mid, b))
-            else:
-                nodes.append(None)
-                spans += ((a, a), (a, a))
-        if nodes[0] is None:
-            return hi if negative else lo
-        if None in nodes:
-            got = iter((yield [mid for mid in nodes if mid is not None]))
-            values = [None if mid is None else next(got) for mid in nodes]
-        else:
-            values = yield nodes
-        j = 0
-        while j < size and nodes[j] is not None:
-            mid, fm = nodes[j], values[j]
-            if math.isnan(fm):
-                raise _nan_probe(mid)
-            if fm < 0 or (fm == 0 and not negative):
-                lo, j = mid, 2 * j + 2
-            else:
-                hi, j = mid, 2 * j + 1
+def _subtree(lo: float, hi: float, tol: float, depth: int) -> list[float]:
+    """The midpoints the bisection of ``[lo, hi]`` could probe in its next
+    ``depth`` levels, in level order, the midpoint of ``[lo, hi]`` first.
+    A span that fails the stop test of :func:`_root_steps` is not split."""
+    # Breadth first: the loop visits the spans it appends, level by level.
+    points, spans = [], [(lo, hi, depth)]
+    for a, b, levels in spans:
+        mid = 0.5 * (a + b)
+        if b - a > tol and a < mid < b:
+            points.append(mid)
+            if levels > 1:
+                spans += ((a, mid, levels - 1), (mid, b, levels - 1))
+    return points
 
 
 # Probes one lockstep round may carry, summed over its coordinates: the
@@ -657,8 +626,8 @@ _PROBE_BUDGET = 28
 
 
 def _speculation_depth(Q: EquilibriumMap, count: int) -> int:
-    """Bisection levels per round for a lockstep run of ``count``
-    coordinates: 1 without ``residual_block`` (a batch is then a loop of
+    """Bisection levels a lockstep run of ``count`` coordinates fetches per
+    round: 1 without ``residual_block`` (a batch is then a loop of
     evaluations), else the largest ``d`` with ``count * (2**d - 1) <=
     _PROBE_BUDGET``, at least 1."""
     if Q.residual_block is None:
@@ -671,72 +640,74 @@ def _lockstep_roots(
 ) -> tuple[Array, dict[int, Exception]]:
     """:func:`smallest_root` of every coordinate ``i`` in ``idx`` at once.
 
-    Coordinate ``i`` solves ``Q_i(pi, values_{-i}) = 0`` hinted at
-    ``values[i]``, with its own bracket, phase and done flag. Each round
-    sends the pending probes of every coordinate through one
-    ``Q.residuals_at`` call. At depth ``d`` (:func:`_speculation_depth`)
-    a bisecting coordinate probes the next ``d`` levels of its bisection
-    tree in one round (:func:`_tree_steps`): a superset of the probes of
-    the scalar routine, in about ``d`` times fewer rounds, landing on the
-    same bits. At ``d = 1`` it takes exactly the scalar probes. Returns the
-    roots in ``idx`` order (NaN where a coordinate failed) and the error of
-    each failed coordinate, for the caller to raise in its own visit order.
+    Coordinate ``i`` runs its own :func:`_root_steps` machine on
+    ``Q_i(pi, values_{-i}) = 0``, hinted at ``values[i]``. Each round sends
+    the pending probe of every live machine through one ``Q.residuals_at``
+    call. At depth ``d > 1`` (:func:`_speculation_depth`) a bisecting
+    machine's pending probe is the first of the next ``d`` levels below its
+    bracket (:func:`_subtree`), and the round fetches all of them; the
+    machine is then sent the fetched values as it asks for them, and a
+    probe that was not fetched waits for the next round. So a round takes
+    up to ``d`` bisection steps, while each machine reads exactly the values
+    :func:`smallest_root` reads: speculation changes round counts, never a
+    root, an error or which NaN is read. Returns the roots in ``idx`` order
+    (NaN where a coordinate failed) and the error of each failed
+    coordinate, for the caller to raise in its own visit order.
     """
     idx = np.asarray(idx, dtype=np.intp)
     depth = _speculation_depth(Q, idx.size)
-    if depth > 1:
-        return _speculative_roots(Q, idx, values, opts.root_finder, depth)
+    tol = opts.root_finder.bisection_tol
     roots = np.full(idx.size, np.nan)
     errors: dict[int, Exception] = {}
-    machines = [_root_steps(opts.root_finder, float(values[i])) for i in idx]
+    coords = idx.tolist()
+    spans = [[None, None] for _ in coords]
+    machines = [
+        _root_steps(opts.root_finder, float(values[i]), span)
+        for i, span in zip(coords, spans)
+    ]
     live = list(range(idx.size))
     probes = [next(m) for m in machines]
     while live:
-        res = Q.residuals_at(idx[live], np.array(probes), values).tolist()
+        if depth == 1:
+            res = Q.residuals_at(idx.take(live), np.array(probes), values).tolist()
+        else:
+            rows, batch_idx, batch = [], [], []
+            for k, x in zip(live, probes):
+                lo, hi = spans[k]
+                row = [x] if lo is None else _subtree(lo, hi, tol, depth)
+                # The pending probe always goes, so every round moves on.
+                if x not in row:
+                    row = [x, *row]
+                rows.append(row)
+                batch_idx += [coords[k]] * len(row)
+                batch += row
+            got = iter(Q.residuals_at(
+                np.array(batch_idx, dtype=np.intp), np.array(batch), values
+            ).tolist())
+            # zip stops at the end of a row, so each row takes its values.
+            ahead = {k: dict(zip(row, got)) for k, row in zip(live, rows)}
+            res = [ahead[k][x] for k, x in zip(live, probes)]
         next_live, next_probes = [], []
         for k, x, v in zip(live, probes, res):
             if math.isnan(v):
-                errors[int(idx[k])] = _nan_probe(x)
+                errors[coords[k]] = _nan_probe(x)
                 continue
             try:
-                next_probes.append(machines[k].send(v))
-                next_live.append(k)
-            except StopIteration as stop:
-                roots[k] = stop.value
-            except ResponsivenessViolation as exc:
-                errors[int(idx[k])] = _at_coordinate(Q, int(idx[k]), exc)
-        live, probes = next_live, next_probes
-    return roots, errors
-
-
-def _speculative_roots(
-    Q: EquilibriumMap, idx: Array, values: Array, opts: BracketOptions, depth: int
-) -> tuple[Array, dict[int, Exception]]:
-    """:func:`_lockstep_roots` at depth ``depth > 1``: one
-    :func:`_tree_steps` machine per coordinate, the probe lists of every
-    coordinate of a round in one ``Q.residuals_at`` call."""
-    roots = np.full(idx.size, np.nan)
-    errors: dict[int, Exception] = {}
-    machines = [_tree_steps(opts, float(values[i]), depth) for i in idx]
-    live = list(range(idx.size))
-    probes = [next(m) for m in machines]
-    while live:
-        counts = [len(xs) for xs in probes]
-        res = Q.residuals_at(
-            np.repeat(idx[live], counts), np.concatenate(probes), values
-        ).tolist()
-        next_live, next_probes, at = [], [], 0
-        for k, count in zip(live, counts):
-            try:
-                next_probes.append(machines[k].send(res[at:at + count]))
+                x = machines[k].send(v)
+                if depth > 1:
+                    fetched = ahead[k]
+                    while (v := fetched.get(x)) is not None:
+                        if math.isnan(v):
+                            raise _nan_probe(x)
+                        x = machines[k].send(v)
+                next_probes.append(x)
                 next_live.append(k)
             except StopIteration as stop:
                 roots[k] = stop.value
             except NonFiniteResidual as exc:
-                errors[int(idx[k])] = exc
+                errors[coords[k]] = exc
             except ResponsivenessViolation as exc:
-                errors[int(idx[k])] = _at_coordinate(Q, int(idx[k]), exc)
-            at += count
+                errors[coords[k]] = _at_coordinate(Q, coords[k], exc)
         live, probes = next_live, next_probes
     return roots, errors
 
@@ -771,9 +742,10 @@ def _double_until(passes, start, upward: bool) -> Array:
 def _update_at(
     Q: EquilibriumMap, i: int, values: Array, opts: SolverOptions
 ) -> float:
+    # Callers hold np.errstate(over="ignore", invalid="ignore"), as for
+    # _damp and _run_updates.
     if Q.update_value is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = float(Q.update_value(i, values))
+        val = float(Q.update_value(i, values))
     else:
         # One machine: the module-level routine, probing through residual_at.
         try:
@@ -803,7 +775,8 @@ def coordinate_update(
     opts = opts or _DEFAULT_OPTIONS
     if p.labels != Q.labels:
         raise ValueError("price vector labels do not match the map")
-    return _update_at(Q, Q.index(z), p.values, opts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _update_at(Q, Q.index(z), p.values, opts)
 
 
 def _damp(old, new, damping: float):
@@ -811,8 +784,7 @@ def _damp(old, new, damping: float):
     # An overflow here is reported as NonFiniteResidual by the caller.
     if damping == 1.0:
         return new
-    with np.errstate(over="ignore", invalid="ignore"):
-        return old + damping * (new - old)
+    return old + damping * (new - old)
 
 
 def _run_updates(
@@ -822,8 +794,7 @@ def _run_updates(
     reads another's price: the block formula, or lockstep bisection."""
     if Q.update_value is None:
         return _lockstep_roots(Q, range(lo, hi), values, opts)
-    with np.errstate(over="ignore", invalid="ignore"):
-        new = np.asarray(Q.update_block(int(Q._block_of[lo]), values), dtype=float)
+    new = np.asarray(Q.update_block(int(Q._block_of[lo]), values), dtype=float)
     if new.shape != (hi - lo,):
         raise InternalError("block update returned a wrong-shaped array")
     return new, {}
@@ -900,24 +871,27 @@ def _sweep(
     damping = opts.damping
     values = p.values.copy()
     read = p.values if frozen else values
-    for lo, hi, visit in runs:
-        if isinstance(visit, int):
-            new = _update_at(Q, lo, read, opts)
-            if not frozen:
-                new = _damp(values[lo], new, damping)
-                if not math.isfinite(new):
-                    raise _damped_nonfinite(Q, lo)
-            values[lo] = new
-        else:
-            new, errors = _run_updates(Q, lo, hi, read, opts)
-            step = new if frozen else _damp(values[lo:hi], new, damping)
-            if not np.all(np.isfinite(step)):
-                _raise_first(Q, visit, lo, new, errors, None if frozen else step)
-            values[lo:hi] = step
-    if frozen and damping != 1.0:
-        values = _damp(p.values, values, damping)
-        if not np.all(np.isfinite(values)):
-            raise _damped_nonfinite(Q, int(np.flatnonzero(~np.isfinite(values))[0]))
+    # One errstate for the whole sweep: overflow and NaN in the updates and
+    # damped steps are checked below and raised as NonFiniteResidual.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi, visit in runs:
+            if isinstance(visit, int):
+                new = _update_at(Q, lo, read, opts)
+                if not frozen:
+                    new = _damp(values[lo], new, damping)
+                    if not math.isfinite(new):
+                        raise _damped_nonfinite(Q, lo)
+                values[lo] = new
+            else:
+                new, errors = _run_updates(Q, lo, hi, read, opts)
+                step = new if frozen else _damp(values[lo:hi], new, damping)
+                if not np.all(np.isfinite(step)):
+                    _raise_first(Q, visit, lo, new, errors, None if frozen else step)
+                values[lo:hi] = step
+        if frozen and damping != 1.0:
+            values = _damp(p.values, values, damping)
+            if not np.all(np.isfinite(values)):
+                raise _damped_nonfinite(Q, int(np.flatnonzero(~np.isfinite(values))[0]))
     # Every value was checked above.
     return PriceVector._trusted(p.labels, p._pos, values, finite=True)
 

@@ -26,6 +26,7 @@ from .core import (
     PriceVector,
     _finite_matrix,
     _positive_vector,
+    _require_count,
     gauss_seidel_sweep,
     jacobi_sweep,
 )
@@ -731,8 +732,7 @@ def dalm(
     ``trace`` is that full list with ``return_trace=True``, and
     ``[last availability]`` without.
     """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be a positive integer")
+    _require_count("max_rounds", max_rounds)
     available = np.minimum.outer(market.n, market.m)
     threshold = 1e-12 * (1.0 + float(available.max()))
     trace = [available.copy()] if return_trace else None

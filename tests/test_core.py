@@ -164,6 +164,21 @@ class TestSmallestRoot:
         with pytest.raises(ValueError):
             BracketOptions(max_expansions=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("initial_halfwidth", math.inf),
+        ("initial_halfwidth", math.nan),
+        ("growth_factor", math.inf),
+        ("growth_factor", math.nan),
+        ("max_expansions", 2.5),
+        ("max_expansions", 3.0),
+        ("max_expansions", True),
+    ])
+    def test_options_refuse_what_would_fail_later(self, field, value):
+        # Each was accepted once, then probed at +-inf or raised a bare
+        # TypeError from range() inside smallest_root.
+        with pytest.raises(ValueError, match=field):
+            BracketOptions(**{field: value})
+
 
 class TestLinearMap:
     def test_flags(self):
@@ -255,6 +270,30 @@ class TestSolveEngine:
             SolverOptions(damping=1.5)
         with pytest.raises(ValueError):
             SolverOptions(mode="newton")
+
+    @pytest.mark.parametrize("field, value", [
+        ("step_tol", math.nan),
+        ("step_tol", -1e-9),
+        ("max_sweeps", 2.5),
+        ("max_sweeps", 10.0),
+        ("max_sweeps", False),
+        ("max_sweeps", 0),
+    ])
+    def test_solver_options_validation(self, field, value):
+        # A NaN step_tol once switched the step criterion off silently, and a
+        # float max_sweeps raised a bare TypeError from range() inside solve.
+        with pytest.raises(ValueError, match=field):
+            SolverOptions(**{field: value})
+
+    def test_integral_counts_of_any_integer_type(self):
+        opts = SolverOptions(
+            max_sweeps=np.int64(3), root_finder=BracketOptions(max_expansions=np.int32(5))
+        )
+        q = linear_map([[2.0, -1.0], [-1.0, 2.0]])
+        p0 = PriceVector(q.labels, np.array([1.0, 1.0]))
+        with pytest.raises(MaxSweepsExceeded):
+            solve(q, p0, dataclasses.replace(opts, residual_tol=1e-30))
+        assert smallest_root(lambda x: x - 0.5, opts.root_finder) == pytest.approx(0.5)
 
     def test_gauss_seidel_uses_fresh_values(self):
         A = np.array([[2.0, -1.0], [-1.0, 2.0]])

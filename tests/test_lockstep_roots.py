@@ -2,11 +2,13 @@
 
 The oracle is the bracket-and-bisect routine as three scalar functions (one
 expansion search and two bisection loops), driven one coordinate at a time
-through ``residual_at``. The engine runs the same steps as generator
-machines and sends each round of probes through one ``residual_block`` call.
-On small runs a round also carries speculative probes a few bisection
-levels deep, so the engine's probes of a coordinate contain the oracle's,
-in order, among others; prices and error messages must be the same.
+through ``residual_at``. The engine runs the same steps as one generator
+machine per coordinate and sends each round of probes through one
+``residual_block`` call. On small runs a round also fetches the next few
+bisection levels of each machine ahead and feeds them to the machine as it
+asks for them, so the engine's probes of a coordinate contain the oracle's,
+in order, among others; prices and error messages must be the same,
+whatever is fetched ahead.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import contextlib
 import dataclasses
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -568,11 +571,11 @@ def piecewise(kind: int, a: float, b: float):
 def test_smallest_root_takes_the_scalar_probes(
     kind, a, b, hint, halfwidth, growth, expansions, depth
 ):
-    # The speculative machine of a lockstep coordinate, at any depth, lands
-    # on the same root or error from a superset of the scalar probes.
+    # One lockstep coordinate that fetches ``depth`` levels ahead lands on
+    # the same root or error from a superset of the scalar probes.
     f = piecewise(kind, a, b)
     opts = BracketOptions(halfwidth, growth, expansions)
-    seen = {"oracle": [], "engine": [], "tree": []}
+    seen = {"oracle": [], "engine": [], "lockstep": []}
 
     def probe(name):
         def g(x):
@@ -580,21 +583,56 @@ def test_smallest_root_takes_the_scalar_probes(
             return f(x)
         return g
 
-    def speculate():
-        steps = core._tree_steps(opts, float(hint), depth)
-        xs = next(steps)
-        while True:
-            try:
-                xs = steps.send([float(probe("tree")(x)) for x in xs])
-            except StopIteration as stop:
-                return stop.value
+    def lockstep():
+        q = hooked_map([probe("lockstep")])
+        with mock.patch.object(core, "_PROBE_BUDGET", 2**depth - 1):
+            assert core._speculation_depth(q, 1) == depth
+            roots, errors = core._lockstep_roots(
+                q, [0], np.array([float(hint)]), SolverOptions(root_finder=opts)
+            )
+        if errors:
+            raise errors[0]
+        return roots[0]
 
     expected = outcome(lambda: scalar_root(probe("oracle"), opts, hint))
     assert outcome(lambda: smallest_root(probe("engine"), opts, hint)) == expected
     assert seen["engine"] == seen["oracle"]
-    assert outcome(speculate) == expected
-    assert contains_in_order(seen["tree"], seen["oracle"])
+    if expected[0] == "ResponsivenessViolation":
+        expected = (expected[0], f"coordinate 'z1': {expected[1]}")
+    assert outcome(lockstep) == expected
+    assert contains_in_order(seen["lockstep"], seen["oracle"])
 
+
+# Wrong points for core._subtree to fetch ahead, from the right ones.
+WRONG_AHEAD = {
+    "root-only": lambda points, lo, hi: points[:1],
+    "shifted": lambda points, lo, hi: [t + 0.25 * (hi - lo) for t in points],
+    "outside": lambda points, lo, hi: [*points, lo - (hi - lo), hi + 1.0],
+    "nothing": lambda points, lo, hi: [],
+}
+
+
+@pytest.mark.parametrize("wrong", sorted(WRONG_AHEAD))
+@pytest.mark.parametrize("kind", KINDS)
+def test_roots_hold_whatever_is_fetched_ahead(kind, wrong, monkeypatch):
+    # The prefetch only picks which probes a round evaluates: each machine
+    # is sent the values it asks for, and its pending probe always goes. So
+    # wrong points can change the hook calls, never a price or an error.
+    right, asked = core._subtree, []
+
+    def subtree(lo, hi, tol, depth):
+        asked.append(depth)
+        return WRONG_AHEAD[wrong](right(lo, hi, tol, depth), lo, hi)
+
+    monkeypatch.setattr(core, "_subtree", subtree)
+    opts = SolverOptions()
+    for seed in range(3):
+        q = bisection_map(kind, seed, 3, 2, 1, 0.2)
+        p = PriceVector(q.labels, np.random.default_rng([seed, 1]).uniform(-3, 3, len(q.labels)))
+        for sweep, frozen in ((jacobi_sweep, True), (gauss_seidel_sweep, False)):
+            expected = outcome(lambda: scalar_sweep(q, p, opts, frozen))
+            assert outcome(lambda: sweep(q, p, opts)) == expected
+    assert bool(asked) == (q.residual_block is not None)
 
 
 def test_hedonic_hook_in_batches(monkeypatch):

@@ -631,6 +631,12 @@ class TestDalm:
         market = random_aggregate_nt_market(rng)
         with pytest.raises(ValueError):
             dalm(market, max_rounds=0)
+        # Floats and bools once passed the check and then raised a bare
+        # TypeError from range().
+        for bad in (2.5, 10.0, True):
+            with pytest.raises(ValueError, match="max_rounds"):
+                dalm(market, max_rounds=bad)
+        assert dalm(market, max_rounds=np.int64(10_000)).rounds >= 1
 
 
 # ---------------------------------------------------------------------------
