@@ -325,11 +325,15 @@ class EquilibriumMap:
 
     def residuals_at(self, idx: Array, probes: Array, values: Array) -> Array:
         """``residual_at`` of each coordinate ``idx[r]`` at ``probes[r]``."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._residuals(idx, probes, values)
+
+    def _residuals(self, idx: Array, probes: Array, values: Array) -> Array:
+        # residuals_at for callers that already hold its np.errstate.
         if self.residual_block is None:
             pairs = zip(np.asarray(idx).tolist(), np.asarray(probes).tolist())
             return np.array([self.residual_at(i, t, values) for i, t in pairs])
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.asarray(self.residual_block(idx, probes, values), dtype=float)
+        out = np.asarray(self.residual_block(idx, probes, values), dtype=float)
         if out.shape != (len(idx),):
             raise InternalError("residual block returned a wrong-shaped array")
         return out
@@ -456,9 +460,13 @@ class SolveTrace:
 def _finite_excess(Q: EquilibriumMap, p: PriceVector) -> Array:
     out = Q.evaluate(p).values
     if not np.all(np.isfinite(out)):
-        bad = Q.labels[int(np.flatnonzero(~np.isfinite(out))[0])]
-        raise NonFiniteResidual(f"residual at coordinate {bad!r} is non-finite")
+        raise _nonfinite_excess(Q, out)
     return out
+
+
+def _nonfinite_excess(Q: EquilibriumMap, out: Array) -> NonFiniteResidual:
+    bad = Q.labels[int(np.flatnonzero(~np.isfinite(out))[0])]
+    return NonFiniteResidual(f"residual at coordinate {bad!r} is non-finite")
 
 
 def is_subsolution(Q: EquilibriumMap, p: PriceVector, tol: float = 0.0) -> bool:
@@ -643,7 +651,8 @@ def _lockstep_roots(
     Coordinate ``i`` runs its own :func:`_root_steps` machine on
     ``Q_i(pi, values_{-i}) = 0``, hinted at ``values[i]``. Each round sends
     the pending probe of every live machine through one ``Q.residuals_at``
-    call. At depth ``d > 1`` (:func:`_speculation_depth`) a bisecting
+    call, less its ``np.errstate``: callers hold one, as :func:`_sweep`
+    does. At depth ``d > 1`` (:func:`_speculation_depth`) a bisecting
     machine's pending probe is the first of the next ``d`` levels below its
     bracket (:func:`_subtree`), and the round fetches all of them; the
     machine is then sent the fetched values as it asks for them, and a
@@ -669,7 +678,7 @@ def _lockstep_roots(
     probes = [next(m) for m in machines]
     while live:
         if depth == 1:
-            res = Q.residuals_at(idx.take(live), np.array(probes), values).tolist()
+            res = Q._residuals(idx.take(live), np.array(probes), values).tolist()
         else:
             rows, batch_idx, batch = [], [], []
             for k, x in zip(live, probes):
@@ -681,7 +690,7 @@ def _lockstep_roots(
                 rows.append(row)
                 batch_idx += [coords[k]] * len(row)
                 batch += row
-            got = iter(Q.residuals_at(
+            got = iter(Q._residuals(
                 np.array(batch_idx, dtype=np.intp), np.array(batch), values
             ).tolist())
             # zip stops at the end of a row, so each row takes its values.
@@ -934,20 +943,28 @@ def gauss_seidel_sweep(
 def _record(
     Q: EquilibriumMap, sweep: int, p: PriceVector, prev: PriceVector | None
 ) -> TraceRecord:
-    excess = _finite_excess(Q, p)
-    if prev is None:
-        nondec = noninc = True
-    else:
-        nondec = bool(np.all(p.values >= prev.values))
-        noninc = bool(np.all(p.values <= prev.values))
+    # Q.evaluate and _finite_excess without the ExcessVector or the label
+    # check (solve checks p0's labels; every sweep keeps them). Over finite
+    # values, min and max decide every all-coordinates test at once; NaN
+    # propagates through both. Prices are finite, so a >= b exactly when
+    # a - b >= 0, even when the difference overflows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        excess = np.array(Q.eval_values(p.values), dtype=float)
+        step = None if prev is None else p.values - prev.values
+    if excess.shape != p.values.shape:
+        raise InternalError("evaluator returned a wrong-shaped excess")
+    lo, hi = float(excess.min()), float(excess.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise _nonfinite_excess(Q, excess)
     return TraceRecord(
         sweep=sweep,
         prices=p,
-        residual_sup=float(np.max(np.abs(excess))),
-        nondecreasing=nondec,
-        nonincreasing=noninc,
-        is_sub=bool(np.all(excess <= 0.0)),
-        is_super=bool(np.all(excess >= 0.0)),
+        # Not max(hi, -lo), which can be -0.0.
+        residual_sup=float(np.abs(excess).max()),
+        nondecreasing=step is None or bool(step.min() >= 0.0),
+        nonincreasing=step is None or bool(step.max() <= 0.0),
+        is_sub=hi <= 0.0,
+        is_super=lo >= 0.0,
     )
 
 
@@ -963,6 +980,8 @@ def solve(
     budget runs out.
     """
     opts = opts or _DEFAULT_OPTIONS
+    if p0.labels != Q.labels:
+        raise ValueError("price vector labels do not match the map")
     sweep_fn = jacobi_sweep if opts.mode == "jacobi" else gauss_seidel_sweep
     trace = SolveTrace()
     p = p0

@@ -612,6 +612,11 @@ def is_equilibrium_matching(
     return (not violations, tuple(violations))
 
 
+def _walk_order(pay: Array) -> Array:
+    """Each row's cells by decreasing ``pay``, ties by index order."""
+    return np.argsort(-pay, axis=1, kind="stable")
+
+
 def _greedy_fill(order: Array, pay: Array, caps: Array, budget: Array) -> Array:
     """Greedy fill of every row at once, in each row's ``order``.
 
@@ -623,23 +628,35 @@ def _greedy_fill(order: Array, pay: Array, caps: Array, budget: Array) -> Array:
     at or below zero, or on negative pays, take nothing and leave the budget
     as it was (``b - 0.0 == b``).
     """
-    caps = np.take_along_axis(
-        np.where((caps > 0.0) & (pay >= 0.0), caps, 0.0), order, axis=1
-    )
-    before = np.subtract.accumulate(
-        np.column_stack([budget, caps]), axis=1
-    )[:, :-1]
+    rows, cells = caps.shape
+    r = np.arange(rows)[:, None]
+    fold = np.empty((rows, cells + 1))
+    fold[:, 0] = budget
+    fold[:, 1:] = np.where((caps > 0.0) & (pay >= 0.0), caps, 0.0)[r, order]
+    caps = fold[:, 1:]
+    before = np.subtract.accumulate(fold, axis=1)[:, :-1]
     hit = caps >= before
-    first = np.where(hit.any(axis=1), hit.argmax(axis=1), caps.shape[1])[:, None]
-    rank = np.arange(caps.shape[1])
+    first = np.where(hit.any(axis=1), hit.argmax(axis=1), cells)[:, None]
+    rank = np.arange(cells)
     take = np.where(rank < first, caps, np.where(rank == first, before, 0.0))
-    out = np.zeros(caps.shape)
-    np.put_along_axis(out, order, np.where(take > 0.0, take, 0.0), axis=1)
+    out = np.zeros((rows, cells))
+    out[r, order] = np.where(take > 0.0, take, 0.0)
     return out
 
 
+def _rows_order(order, shape: tuple[int, int], picked: Array, pay: Array) -> Array:
+    """The walk order of the ``picked`` rows: sorted from ``pay`` when
+    ``order`` (the whole side's order) is omitted, else sliced from it."""
+    if order is None:
+        return _walk_order(pay)
+    order = np.asarray(order)
+    if order.shape != shape:
+        raise ValueError(f"walk order must have shape {shape}")
+    return order[picked]
+
+
 def proposal_phase(
-    market: AggregateNTMarket, available: Array, *, rows=None
+    market: AggregateNTMarket, available: Array, *, rows=None, order=None
 ) -> Array:
     """Greedy row proposals under per-cell availability caps.
 
@@ -647,7 +664,10 @@ def proposal_phase(
     order), skipping negative-``alpha`` cells, and proposes
     ``min(cap, remaining budget)`` until its mass is exhausted. With
     ``rows`` (row indices) only those x-types propose, and the result is
-    their ``(len(rows), Y)`` block.
+    their ``(len(rows), Y)`` block. ``order`` is every x-type's walk,
+    ``np.argsort(-market.alpha, axis=1, kind="stable")``, for a caller
+    that proposes many times; without it the walks of ``rows`` are sorted
+    here. The result is the same bits either way.
     """
     available = np.asarray(available, dtype=float)
     if available.shape != market.alpha.shape:
@@ -656,12 +676,12 @@ def proposal_phase(
         rows = np.arange(available.shape[0])
     rows = np.asarray(rows, dtype=int)
     pay = market.alpha[rows]
-    order = np.argsort(-pay, axis=1, kind="stable")
+    order = _rows_order(order, market.alpha.shape, rows, pay)
     return _greedy_fill(order, pay, available[rows], market.n[rows])
 
 
 def disposal_phase(
-    market: AggregateNTMarket, proposals: Array, *, cols=None
+    market: AggregateNTMarket, proposals: Array, *, cols=None, order=None
 ) -> Array:
     """Greedy column retention of proposed mass.
 
@@ -669,7 +689,10 @@ def disposal_phase(
     order), skipping negative-``gamma`` cells, and keeps
     ``min(proposal, remaining capacity)`` until ``m_y`` is filled. With
     ``cols`` (column indices) only those y-types retain, and the result is
-    their ``(X, len(cols))`` block.
+    their ``(X, len(cols))`` block. ``order`` is every y-type's walk,
+    ``np.argsort(-market.gamma.T, axis=1, kind="stable")`` of shape
+    ``(Y, X)``, for a caller that retains many times; without it the walks
+    of ``cols`` are sorted here. The result is the same bits either way.
     """
     proposals = np.asarray(proposals, dtype=float)
     if proposals.shape != market.gamma.shape:
@@ -678,7 +701,7 @@ def disposal_phase(
         cols = np.arange(proposals.shape[1])
     cols = np.asarray(cols, dtype=int)
     pay = market.gamma[:, cols].T
-    order = np.argsort(-pay, axis=1, kind="stable")
+    order = _rows_order(order, market.gamma.shape[::-1], cols, pay)
     kept = _greedy_fill(order, pay, proposals[:, cols].T, market.m[cols])
     return np.ascontiguousarray(kept.T)
 
@@ -736,15 +759,18 @@ def dalm(
     available = np.minimum.outer(market.n, market.m)
     threshold = 1e-12 * (1.0 + float(available.max()))
     trace = [available.copy()] if return_trace else None
+    # The walks never change within a call: sort each side once.
+    x_order = _walk_order(market.alpha)
+    y_order = _walk_order(market.gamma.T)
     rows = cols = None
     for rounds in range(1, max_rounds + 1):
-        offers = proposal_phase(market, available, rows=rows)
+        offers = proposal_phase(market, available, rows=rows, order=x_order)
         if rows is None:
             proposed = offers
         else:
             cols = np.flatnonzero((offers != proposed[rows]).any(axis=0))
             proposed[rows] = offers
-        retained = disposal_phase(market, proposed, cols=cols)
+        retained = disposal_phase(market, proposed, cols=cols, order=y_order)
         if cols is None:
             kept = retained
         else:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
+import marketclear.core as core
 from marketclear import (
     BracketOptions,
     EquilibriumMap,
@@ -397,6 +398,67 @@ class TestTrace:
         trace.write_csv(target)
         data = target.read_bytes()
         assert b"\r" not in data and data.endswith(b"\n")
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at_sweep", [0, 2])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_nonfinite_excess_names_the_first_bad_coordinate(self, bad, at_sweep, k):
+        # The record's evaluation of sweep ``at_sweep`` turns coordinates k
+        # and 2 non-finite; closed-form sweeps never evaluate the map, so
+        # the n-th evaluation is the n-th record.
+        A = [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]
+        base = affine_map(A, np.ones(3))
+        calls = []
+
+        def eval_values(v):
+            out = base.eval_values(v)
+            if len(calls) == at_sweep:
+                out[[k, 2]] = bad
+            calls.append(v)
+            return out
+
+        q = dataclasses.replace(base, eval_values=eval_values)
+        p0 = PriceVector(q.labels, np.ones(3))
+        with pytest.raises(NonFiniteResidual, match=f"coordinate 'z{k + 1}'"):
+            solve(q, p0, SolverOptions(residual_tol=1e-300, max_sweeps=5))
+        assert len(calls) == at_sweep + 1
+
+    @given(
+        excess=st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324])
+            | st.floats(allow_nan=False, allow_infinity=False),
+            min_size=1, max_size=6,
+        ),
+        moves=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, -0.0, 1.0, -1.0])
+                | st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from([0.0, -0.0, 1.0, -1.0])
+                | st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=6, max_size=6,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_record_equals_the_elementwise_formulas(self, excess, moves):
+        e = np.array(excess)
+        n = e.size
+        labels = tuple(f"z{k + 1}" for k in range(n))
+        q = EquilibriumMap(labels=labels, eval_values=lambda v: e.copy())
+        prev = PriceVector(labels, [a for a, _ in moves[:n]])
+        p = PriceVector(labels, [b for _, b in moves[:n]])
+        for before in (None, prev):
+            rec = core._record(q, 1, p, before)
+            want_sup = float(np.max(np.abs(e)))
+            assert np.float64(rec.residual_sup).tobytes() == np.float64(want_sup).tobytes()
+            assert rec.is_sub is bool(np.all(e <= 0.0))
+            assert rec.is_super is bool(np.all(e >= 0.0))
+            if before is None:
+                assert rec.nondecreasing is rec.nonincreasing is True
+            else:
+                assert rec.nondecreasing is bool(np.all(p.values >= prev.values))
+                assert rec.nonincreasing is bool(np.all(p.values <= prev.values))
 
 
 class TestConstantAggregateMap:
