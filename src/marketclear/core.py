@@ -303,11 +303,15 @@ class EquilibriumMap:
         """Full evaluation ``Q(p)`` as an ExcessVector."""
         if p.labels != self.labels:
             raise ValueError("price vector labels do not match the map")
+        return ExcessVector._trusted(self.labels, self._pos, self._excess(p.values))
+
+    def _excess(self, values: Array) -> Array:
+        # evaluate's checked array, for callers that hold matching labels.
         with np.errstate(over="ignore", invalid="ignore"):
-            out = np.array(self.eval_values(p.values), dtype=float)
-        if out.shape != p.values.shape:
+            out = np.array(self.eval_values(values), dtype=float)
+        if out.shape != values.shape:
             raise InternalError("evaluator returned a wrong-shaped excess")
-        return ExcessVector._trusted(self.labels, self._pos, out)
+        return out
 
     def residual(self, z: str, pi: float, p: PriceVector) -> float:
         """Single-coordinate residual ``Q_z(pi, p_{-z})``."""
@@ -325,15 +329,11 @@ class EquilibriumMap:
 
     def residuals_at(self, idx: Array, probes: Array, values: Array) -> Array:
         """``residual_at`` of each coordinate ``idx[r]`` at ``probes[r]``."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._residuals(idx, probes, values)
-
-    def _residuals(self, idx: Array, probes: Array, values: Array) -> Array:
-        # residuals_at for callers that already hold its np.errstate.
         if self.residual_block is None:
             pairs = zip(np.asarray(idx).tolist(), np.asarray(probes).tolist())
             return np.array([self.residual_at(i, t, values) for i, t in pairs])
-        out = np.asarray(self.residual_block(idx, probes, values), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.asarray(self.residual_block(idx, probes, values), dtype=float)
         if out.shape != (len(idx),):
             raise InternalError("residual block returned a wrong-shaped array")
         return out
@@ -651,8 +651,7 @@ def _lockstep_roots(
     Coordinate ``i`` runs its own :func:`_root_steps` machine on
     ``Q_i(pi, values_{-i}) = 0``, hinted at ``values[i]``. Each round sends
     the pending probe of every live machine through one ``Q.residuals_at``
-    call, less its ``np.errstate``: callers hold one, as :func:`_sweep`
-    does. At depth ``d > 1`` (:func:`_speculation_depth`) a bisecting
+    call. At depth ``d > 1`` (:func:`_speculation_depth`) a bisecting
     machine's pending probe is the first of the next ``d`` levels below its
     bracket (:func:`_subtree`), and the round fetches all of them; the
     machine is then sent the fetched values as it asks for them, and a
@@ -678,7 +677,7 @@ def _lockstep_roots(
     probes = [next(m) for m in machines]
     while live:
         if depth == 1:
-            res = Q._residuals(idx.take(live), np.array(probes), values).tolist()
+            res = Q.residuals_at(idx.take(live), np.array(probes), values).tolist()
         else:
             rows, batch_idx, batch = [], [], []
             for k, x in zip(live, probes):
@@ -690,7 +689,7 @@ def _lockstep_roots(
                 rows.append(row)
                 batch_idx += [coords[k]] * len(row)
                 batch += row
-            got = iter(Q._residuals(
+            got = iter(Q.residuals_at(
                 np.array(batch_idx, dtype=np.intp), np.array(batch), values
             ).tolist())
             # zip stops at the end of a row, so each row takes its values.
@@ -943,16 +942,14 @@ def gauss_seidel_sweep(
 def _record(
     Q: EquilibriumMap, sweep: int, p: PriceVector, prev: PriceVector | None
 ) -> TraceRecord:
-    # Q.evaluate and _finite_excess without the ExcessVector or the label
-    # check (solve checks p0's labels; every sweep keeps them). Over finite
-    # values, min and max decide every all-coordinates test at once; NaN
-    # propagates through both. Prices are finite, so a >= b exactly when
-    # a - b >= 0, even when the difference overflows.
-    with np.errstate(over="ignore", invalid="ignore"):
-        excess = np.array(Q.eval_values(p.values), dtype=float)
+    # _finite_excess without the ExcessVector or the label check (solve
+    # checks p0's labels; every sweep keeps them). Over finite values, min
+    # and max decide every all-coordinates test at once; NaN propagates
+    # through both. Prices are finite, so a >= b exactly when a - b >= 0,
+    # even when the difference overflows.
+    excess = Q._excess(p.values)
+    with np.errstate(over="ignore"):
         step = None if prev is None else p.values - prev.values
-    if excess.shape != p.values.shape:
-        raise InternalError("evaluator returned a wrong-shaped excess")
     lo, hi = float(excess.min()), float(excess.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise _nonfinite_excess(Q, excess)

@@ -612,11 +612,6 @@ def is_equilibrium_matching(
     return (not violations, tuple(violations))
 
 
-def _walk_order(pay: Array) -> Array:
-    """Each row's cells by decreasing ``pay``, ties by index order."""
-    return np.argsort(-pay, axis=1, kind="stable")
-
-
 def _greedy_fill(order: Array, pay: Array, caps: Array, budget: Array) -> Array:
     """Greedy fill of every row at once, in each row's ``order``.
 
@@ -644,19 +639,8 @@ def _greedy_fill(order: Array, pay: Array, caps: Array, budget: Array) -> Array:
     return out
 
 
-def _rows_order(order, shape: tuple[int, int], picked: Array, pay: Array) -> Array:
-    """The walk order of the ``picked`` rows: sorted from ``pay`` when
-    ``order`` (the whole side's order) is omitted, else sliced from it."""
-    if order is None:
-        return _walk_order(pay)
-    order = np.asarray(order)
-    if order.shape != shape:
-        raise ValueError(f"walk order must have shape {shape}")
-    return order[picked]
-
-
 def proposal_phase(
-    market: AggregateNTMarket, available: Array, *, rows=None, order=None
+    market: AggregateNTMarket, available: Array, *, rows=None
 ) -> Array:
     """Greedy row proposals under per-cell availability caps.
 
@@ -664,10 +648,7 @@ def proposal_phase(
     order), skipping negative-``alpha`` cells, and proposes
     ``min(cap, remaining budget)`` until its mass is exhausted. With
     ``rows`` (row indices) only those x-types propose, and the result is
-    their ``(len(rows), Y)`` block. ``order`` is every x-type's walk,
-    ``np.argsort(-market.alpha, axis=1, kind="stable")``, for a caller
-    that proposes many times; without it the walks of ``rows`` are sorted
-    here. The result is the same bits either way.
+    their ``(len(rows), Y)`` block.
     """
     available = np.asarray(available, dtype=float)
     if available.shape != market.alpha.shape:
@@ -676,12 +657,12 @@ def proposal_phase(
         rows = np.arange(available.shape[0])
     rows = np.asarray(rows, dtype=int)
     pay = market.alpha[rows]
-    order = _rows_order(order, market.alpha.shape, rows, pay)
+    order = np.argsort(-pay, axis=1, kind="stable")
     return _greedy_fill(order, pay, available[rows], market.n[rows])
 
 
 def disposal_phase(
-    market: AggregateNTMarket, proposals: Array, *, cols=None, order=None
+    market: AggregateNTMarket, proposals: Array, *, cols=None
 ) -> Array:
     """Greedy column retention of proposed mass.
 
@@ -689,10 +670,7 @@ def disposal_phase(
     order), skipping negative-``gamma`` cells, and keeps
     ``min(proposal, remaining capacity)`` until ``m_y`` is filled. With
     ``cols`` (column indices) only those y-types retain, and the result is
-    their ``(X, len(cols))`` block. ``order`` is every y-type's walk,
-    ``np.argsort(-market.gamma.T, axis=1, kind="stable")`` of shape
-    ``(Y, X)``, for a caller that retains many times; without it the walks
-    of ``cols`` are sorted here. The result is the same bits either way.
+    their ``(X, len(cols))`` block.
     """
     proposals = np.asarray(proposals, dtype=float)
     if proposals.shape != market.gamma.shape:
@@ -701,7 +679,7 @@ def disposal_phase(
         cols = np.arange(proposals.shape[1])
     cols = np.asarray(cols, dtype=int)
     pay = market.gamma[:, cols].T
-    order = _rows_order(order, market.gamma.shape[::-1], cols, pay)
+    order = np.argsort(-pay, axis=1, kind="stable")
     kept = _greedy_fill(order, pay, proposals[:, cols].T, market.m[cols])
     return np.ascontiguousarray(kept.T)
 
@@ -759,18 +737,15 @@ def dalm(
     available = np.minimum.outer(market.n, market.m)
     threshold = 1e-12 * (1.0 + float(available.max()))
     trace = [available.copy()] if return_trace else None
-    # The walks never change within a call: sort each side once.
-    x_order = _walk_order(market.alpha)
-    y_order = _walk_order(market.gamma.T)
     rows = cols = None
     for rounds in range(1, max_rounds + 1):
-        offers = proposal_phase(market, available, rows=rows, order=x_order)
+        offers = proposal_phase(market, available, rows=rows)
         if rows is None:
             proposed = offers
         else:
             cols = np.flatnonzero((offers != proposed[rows]).any(axis=0))
             proposed[rows] = offers
-        retained = disposal_phase(market, proposed, cols=cols, order=y_order)
+        retained = disposal_phase(market, proposed, cols=cols)
         if cols is None:
             kept = retained
         else:

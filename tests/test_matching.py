@@ -546,19 +546,11 @@ class TestGreedyPhases:
 
     def test_shape_guards(self):
         rng = np.random.default_rng(42)
-        market = random_aggregate_nt_market(rng, nx=3, ny=4)
+        market = random_aggregate_nt_market(rng)
         with pytest.raises(ValueError):
             proposal_phase(market, np.zeros((2, 2)))
         with pytest.raises(ValueError):
             disposal_phase(market, np.zeros((2, 2)))
-        caps = np.ones((3, 4))
-        # Each side's order is (own types, other side's types).
-        for bad in (np.zeros((4, 3), int), np.zeros((3, 3), int), np.zeros(12, int)):
-            with pytest.raises(ValueError, match="walk order"):
-                proposal_phase(market, caps, order=bad)
-        for bad in (np.zeros((3, 4), int), np.zeros((4, 4), int), np.zeros(12, int)):
-            with pytest.raises(ValueError, match="walk order"):
-                disposal_phase(market, caps, cols=[1], order=bad)
 
 
 class TestDalm:
@@ -744,37 +736,30 @@ market_args = dict(
 @given(**market_args, rows_frac=st.floats(0.0, 1.0))
 @settings(max_examples=300, deadline=None)
 def test_phases_equal_the_loops(seed, nx, ny, coarse, unit, rows_frac):
-    # Each phase, with and without the whole side's walk order, on every
-    # type and on a random subset (empty at rows_frac < 1 / size).
     market = oracle_market(seed, nx, ny, coarse, unit)
     caps = oracle_caps(seed, (nx, ny), coarse)
-    for phase, loop, size, key, pay in (
-        (proposal_phase, loop_proposal_phase, nx, "rows", market.alpha),
-        (disposal_phase, loop_disposal_phase, ny, "cols", market.gamma.T),
+    for phase, loop, size, key in (
+        (proposal_phase, loop_proposal_phase, nx, "rows"),
+        (disposal_phase, loop_disposal_phase, ny, "cols"),
     ):
-        order = np.argsort(-pay, axis=1, kind="stable")
         want = loop(market, caps)
+        got = phase(market, caps)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
         pick = np.random.default_rng([seed, 2]).permutation(size)
         pick = pick[: int(rows_frac * size)]
+        block = phase(market, caps, **{key: pick})
+        assert block.flags.c_contiguous
         expect = want[pick] if key == "rows" else want[:, pick]
-        for walk in ({}, {"order": order}):
-            got = phase(market, caps, **walk)
-            assert got.flags.c_contiguous
-            assert got.tobytes() == want.tobytes()
-            block = phase(market, caps, **{key: pick}, **walk)
-            assert block.flags.c_contiguous
-            assert block.shape == expect.shape
-            assert block.tobytes() == expect.tobytes()
+        assert block.shape == expect.shape
+        assert block.tobytes() == expect.tobytes()
 
 
 def test_phases_on_empty_subsets():
     market = oracle_market(4, 3, 5, True, False)
     caps = oracle_caps(4, (3, 5), True)
-    x_order = np.argsort(-market.alpha, axis=1, kind="stable")
-    y_order = np.argsort(-market.gamma.T, axis=1, kind="stable")
-    for x_walk, y_walk in (({}, {}), ({"order": x_order}, {"order": y_order})):
-        assert proposal_phase(market, caps, rows=[], **x_walk).shape == (0, 5)
-        assert disposal_phase(market, caps, cols=[], **y_walk).shape == (3, 0)
+    assert proposal_phase(market, caps, rows=[]).shape == (0, 5)
+    assert disposal_phase(market, caps, cols=[]).shape == (3, 0)
 
 
 def test_greedy_fill_edge_cases_equal_the_loop():
