@@ -621,19 +621,16 @@ def _greedy_fill(order: Array, pay: Array, caps: Array, budget: Array) -> Array:
     left fold ``((b - c0) - c1) - ...`` (``np.subtract.accumulate``, not a
     cumsum), so every take is bitwise the one-cell-at-a-time loop's. Caps
     at or below zero, or on negative pays, take nothing and leave the budget
-    as it was (``b - 0.0 == b``).
+    as it was (``b - 0.0 == b``). Once a cap reaches the budget left, the
+    fold is at or below zero for every later rank, so those take nothing.
     """
     rows, cells = caps.shape
     r = np.arange(rows)[:, None]
     fold = np.empty((rows, cells + 1))
     fold[:, 0] = budget
     fold[:, 1:] = np.where((caps > 0.0) & (pay >= 0.0), caps, 0.0)[r, order]
-    caps = fold[:, 1:]
     before = np.subtract.accumulate(fold, axis=1)[:, :-1]
-    hit = caps >= before
-    first = np.where(hit.any(axis=1), hit.argmax(axis=1), cells)[:, None]
-    rank = np.arange(cells)
-    take = np.where(rank < first, caps, np.where(rank == first, before, 0.0))
+    take = np.minimum(fold[:, 1:], before)
     out = np.zeros((rows, cells))
     out[r, order] = np.where(take > 0.0, take, 0.0)
     return out

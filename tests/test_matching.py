@@ -781,6 +781,12 @@ def test_greedy_fill_edge_cases_equal_the_loop():
                             [0.0, 0.0, 0.0, 0.5]]
     kept = disposal_phase(market, caps)
     assert kept.tobytes() == loop_disposal_phase(market, caps).tobytes()
+    # An infinite cap takes the whole budget left; a NaN cap takes nothing.
+    caps = np.array([[np.inf, 1.0, np.nan, 1.0], [np.nan, np.inf, 0.5, np.inf],
+                     [1.0, np.nan, np.inf, np.inf]])
+    for phase, loop in ((proposal_phase, loop_proposal_phase),
+                        (disposal_phase, loop_disposal_phase)):
+        assert phase(market, caps).tobytes() == loop(market, caps).tobytes()
 
 
 @given(**market_args)
