@@ -399,7 +399,6 @@ class TestTrace:
         data = target.read_bytes()
         assert b"\r" not in data and data.endswith(b"\n")
 
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("at_sweep", [0, 2])
     @pytest.mark.parametrize("k", [0, 1, 2])
