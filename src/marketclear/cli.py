@@ -68,6 +68,7 @@ from .io import (
 )
 from .matching import (
     AggregateNTOutcome,
+    _stability_violations,
     adachi_solve,
     dalm,
     deferred_acceptance,
@@ -514,13 +515,12 @@ def cmd_solve(args) -> int:
 # check
 
 
-def _check_engine(loaded: LoadedMarket, raw: dict, tol: float | None, report: dict):
-    q, _ = _build_map(loaded)
+def _check_engine(q, raw: dict, tol: float | None, report: dict) -> list[str]:
     labels = raw.get("labels")
     prices = raw.get("prices")
     if labels is None or prices is None:
         raise MarketFileError("outcome file needs 'labels' and 'prices'")
-    p = PriceVector(tuple(str(s) for s in labels), np.array(prices, dtype=float))
+    p = PriceVector(labels, prices)
     if p.labels != q.labels:
         raise MarketFileError("outcome labels do not match the market")
     residual = float(np.max(np.abs(q.evaluate(p).values)))
@@ -534,23 +534,7 @@ def _check_engine(loaded: LoadedMarket, raw: dict, tol: float | None, report: di
 def _check_individual(market, raw: dict) -> list[str]:
     if "mu" not in raw:
         raise MarketFileError("outcome file needs 'mu'")
-    mu = np.array(raw["mu"])
-    if mu.shape != market.alpha.shape or not np.isin(mu, (0, 1)).all():
-        raise MarketFileError("'mu' must be a 0/1 matrix of the market's shape")
-    mu = mu.astype(int)
-    if np.any(mu.sum(axis=1) > 1) or np.any(mu.sum(axis=0) > 1):
-        raise MarketFileError("'mu' matches an agent more than once")
-    violations = []
-    matched = mu == 1
-    if np.any(matched & ((market.alpha <= 0.0) | (market.gamma <= 0.0))):
-        violations.append("individual_rationality")
-    u = np.where(matched.any(axis=1), (market.alpha * mu).sum(axis=1), 0.0)
-    v = np.where(matched.any(axis=0), (market.gamma * mu).sum(axis=0), 0.0)
-    blocking = (
-        (market.alpha > u[:, None]) & (market.gamma > v[None, :]) & ~matched
-    )
-    if bool(blocking.any()):
-        violations.append("blocking")
+    violations, u, v = _stability_violations(market, raw["mu"])
     stated_u = raw.get("u")
     stated_v = raw.get("v")
     if (
@@ -568,13 +552,10 @@ def _check_aggregate_nt(market, raw: dict, tol: float | None) -> list[str]:
     for key in ("mu", "mu_x0", "mu_0y", "u", "v"):
         if key not in raw:
             raise MarketFileError(f"outcome file needs {key!r}")
-    try:
-        outcome = AggregateNTOutcome(
-            market.x_labels, market.y_labels,
-            raw["mu"], raw["mu_x0"], raw["mu_0y"], raw["u"], raw["v"],
-        )
-    except ValueError as exc:
-        raise MarketFileError(f"outcome file: {exc}") from exc
+    outcome = AggregateNTOutcome(
+        market.x_labels, market.y_labels,
+        raw["mu"], raw["mu_x0"], raw["mu_0y"], raw["u"], raw["v"],
+    )
     _, names = is_equilibrium_matching(
         market, outcome, tol=1e-9 if tol is None else tol
     )
@@ -583,18 +564,23 @@ def _check_aggregate_nt(market, raw: dict, tol: float | None) -> list[str]:
 
 def cmd_check(args) -> int:
     loaded = load_market(args.market, seed=args.seed)
+    q = _build_map(loaded)[0] if loaded.model in _ENGINE_MODELS else None
     raw = load_json(args.outcome)
-    if not isinstance(raw, dict):
-        raise MarketFileError(f"{args.outcome}: top level must be an object")
     report: dict = {"model": loaded.model}
-    if loaded.model in _ENGINE_MODELS:
-        violations = _check_engine(loaded, raw, args.tol, report)
-    elif loaded.model == "nt":
-        violations = _check_individual(loaded.payload, raw)
-    elif loaded.model == "nt_aggregate":
-        violations = _check_aggregate_nt(loaded.payload, raw, args.tol)
-    else:
-        raise MarketFileError(f"no checker for model {loaded.model!r}")
+    # Each checker reads the outcome file; what it refuses is the file's fault.
+    try:
+        if not isinstance(raw, dict):
+            raise MarketFileError("top level must be an object")
+        if q is not None:
+            violations = _check_engine(q, raw, args.tol, report)
+        elif loaded.model == "nt":
+            violations = _check_individual(loaded.payload, raw)
+        elif loaded.model == "nt_aggregate":
+            violations = _check_aggregate_nt(loaded.payload, raw, args.tol)
+        else:
+            raise MarketFileError(f"no checker for model {loaded.model!r}")
+    except (TypeError, ValueError) as exc:
+        raise MarketFileError(f"{args.outcome}: {exc}") from exc
     report["violations"] = violations
     report["status"] = "ok" if not violations else "violations"
     print(json.dumps(report, sort_keys=True))

@@ -62,13 +62,29 @@ __all__ = [
 # Input validators shared by the market classes
 
 
-def _positive_vector(name: str, value, count: int) -> Array:
-    """Read-only copy of a length-``count`` vector of finite positive entries."""
+def _labels(name: str, labels, count: int | None = None) -> tuple[str, ...]:
+    """``labels`` as a tuple of strings, ``count`` of them when given, all
+    distinct."""
+    out = tuple(str(z) for z in labels)
+    if count is not None and len(out) != count:
+        raise ValueError(f"{name}: expected {count} labels, got {len(out)}")
+    if len(set(out)) != len(out):
+        raise ValueError(f"{name} must be unique")
+    return out
+
+
+def _finite_vector(
+    name: str, value, count: int | None = None, positive: bool = False
+) -> Array:
+    """Read-only 1-D copy of ``value`` with finite entries: ``count`` of
+    them when given, and strictly positive with ``positive``."""
     out = np.array(value, dtype=float).reshape(-1)
-    if out.size != count:
+    if count is not None and out.size != count:
         raise ValueError(f"{name} must have length {count}")
-    if not np.all(np.isfinite(out)) or not np.all(out > 0):
-        raise ValueError(f"{name} must be finite and strictly positive")
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{name} must be finite")
+    if positive and not np.all(out > 0):
+        raise ValueError(f"{name} must be strictly positive")
     out.setflags(write=False)
     return out
 
@@ -105,17 +121,12 @@ class _LabeledVector:
     _require_finite = False
 
     def __post_init__(self):
-        labels = tuple(str(label) for label in self.labels)
-        values = np.array(self.values, dtype=float).reshape(-1)
-        if len(labels) != values.size:
-            raise ValueError(
-                f"{len(labels)} labels but {values.size} values"
-            )
-        if len(set(labels)) != len(labels):
-            raise ValueError("labels must be unique")
-        if self._require_finite and not np.all(np.isfinite(values)):
-            raise ValueError("all values must be finite")
-        values.setflags(write=False)
+        if self._require_finite:
+            values = _finite_vector("values", self.values)
+        else:
+            values = np.array(self.values, dtype=float).reshape(-1)
+            values.setflags(write=False)
+        labels = _labels("labels", self.labels, values.size)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_pos", {z: i for i, z in enumerate(labels)})
@@ -141,12 +152,6 @@ class _LabeledVector:
         values = self.values.copy()
         values[self._pos[label]] = value
         return type(self)(self.labels, values)
-
-    def with_label(self, label: str, value: float):
-        """Return a copy extended by a new trailing coordinate."""
-        return type(self)(
-            self.labels + (str(label),), np.append(self.values, value)
-        )
 
     @classmethod
     def _trusted(
@@ -265,9 +270,7 @@ class EquilibriumMap:
     residual_block: Callable[[Array, Array, Array], Array] | None = None
 
     def __post_init__(self):
-        labels = tuple(str(z) for z in self.labels)
-        if len(set(labels)) != len(labels):
-            raise ValueError("labels must be unique")
+        labels = _labels("labels", self.labels)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_pos", {z: i for i, z in enumerate(labels)})
         if self.update_block is not None and self.blocks is None:
@@ -1008,8 +1011,16 @@ def solve(
 # Linear maps
 
 
-def _default_labels(n: int) -> tuple[str, ...]:
-    return tuple(f"z{i + 1}" for i in range(n))
+def _default_labels(count: int, prefix: str = "z") -> tuple[str, ...]:
+    return tuple(f"{prefix}{i + 1}" for i in range(count))
+
+
+def _square_matrix(A) -> Array:
+    """Read-only copy of a finite square matrix ``A``."""
+    A = _finite_matrix("A", A)
+    if A.shape[0] != A.shape[1]:
+        raise ValueError("A must be a square matrix")
+    return A
 
 
 def linear_map(A, labels: Sequence[str] | None = None) -> EquilibriumMap:
@@ -1020,15 +1031,9 @@ def linear_map(A, labels: Sequence[str] | None = None) -> EquilibriumMap:
     sums additionally declare an M-function (weak variant). A closed-form
     coordinate update is registered when every diagonal entry is positive.
     """
-    A = np.array(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("A must be a square matrix")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("A must be finite")
+    A = _square_matrix(A)
     n = A.shape[0]
-    labels = tuple(labels) if labels is not None else _default_labels(n)
-    if len(labels) != n:
-        raise ValueError("label count must match the matrix size")
+    labels = _labels("labels", _default_labels(n) if labels is None else labels, n)
 
     diag = np.diag(A)
     offdiag = A - np.diag(diag)
@@ -1054,15 +1059,8 @@ def linear_map(A, labels: Sequence[str] | None = None) -> EquilibriumMap:
 
 
 def _validate_constant_aggregate(delta, A) -> tuple[Array, Array]:
-    delta = np.array(delta, dtype=float).reshape(-1)
-    A = np.array(A, dtype=float)
-    n = delta.size
-    if A.shape != (n, n):
-        raise ValueError("A must be square and match delta's length")
-    if not (np.all(np.isfinite(delta)) and np.all(np.isfinite(A))):
-        raise ValueError("inputs must be finite")
-    if not np.all(delta > 0):
-        raise ValueError("delta must be strictly positive")
+    delta = _finite_vector("delta", delta, positive=True)
+    A = _finite_matrix("A", A, (delta.size, delta.size))
     if not np.all(A >= 0) or np.any(np.diag(A) != 0):
         raise ValueError("A must be nonnegative with a zero diagonal")
     colsums = A.sum(axis=0)
@@ -1081,9 +1079,7 @@ def constant_aggregate_map(delta, A, labels: Sequence[str] | None = None) -> Equ
     """
     delta, A = _validate_constant_aggregate(delta, A)
     n = delta.size
-    labels = tuple(labels) if labels is not None else _default_labels(n)
-    if len(labels) != n:
-        raise ValueError("label count must match the matrix size")
+    labels = _labels("labels", _default_labels(n) if labels is None else labels, n)
     M = np.diag(delta) - A
 
     def update(i: int, values: Array) -> float:

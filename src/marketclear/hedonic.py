@@ -19,7 +19,8 @@ from .core import (
     PriceVector,
     _double_until,
     _finite_matrix,
-    _positive_vector,
+    _finite_vector,
+    _labels,
 )
 
 __all__ = [
@@ -51,19 +52,18 @@ class HedonicMarket:
     a: Array
 
     def __post_init__(self):
-        x_labels = tuple(str(s) for s in self.x_labels)
-        y_labels = tuple(str(s) for s in self.y_labels)
-        z_labels = tuple(str(s) for s in self.z_labels)
-        for name, labels in (("x", x_labels), ("y", y_labels), ("z", z_labels)):
-            if not labels:
-                raise ValueError(f"at least one {name}-type is required")
-            if len(set(labels)) != len(labels):
-                raise ValueError(f"{name} labels must be unique")
+        x_labels = _labels("x_labels", self.x_labels)
+        y_labels = _labels("y_labels", self.y_labels)
+        z_labels = _labels("z_labels", self.z_labels)
+        if not (x_labels and y_labels and z_labels):
+            raise ValueError("every side needs at least one type")
         object.__setattr__(self, "x_labels", x_labels)
         object.__setattr__(self, "y_labels", y_labels)
         object.__setattr__(self, "z_labels", z_labels)
-        object.__setattr__(self, "n", _positive_vector("n", self.n, len(x_labels)))
-        object.__setattr__(self, "m", _positive_vector("m", self.m, len(y_labels)))
+        n = _finite_vector("n", self.n, len(x_labels), positive=True)
+        m = _finite_vector("m", self.m, len(y_labels), positive=True)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
         shape_c = (len(x_labels), len(z_labels))
         shape_a = (len(y_labels), len(z_labels))
         object.__setattr__(self, "c", _finite_matrix("c", self.c, shape_c))

@@ -40,9 +40,23 @@ from typing import Any
 
 import numpy as np
 
+from .core import (
+    _default_labels,
+    _finite_vector,
+    _labels,
+    _require_count,
+    _square_matrix,
+    _validate_constant_aggregate,
+)
 from .hedonic import HedonicMarket
 from .matching import AggregateNTMarket, IndividualMarket
-from .transfers import AggregateMarket, FrontierGrid, TaxSchedule
+from .transfers import (
+    AggregateMarket,
+    FrontierGrid,
+    TaxSchedule,
+    _require_housing,
+    _require_kind,
+)
 
 __all__ = [
     "MarketFileError",
@@ -97,72 +111,51 @@ def _require(condition: bool, message: str) -> None:
         raise MarketFileError(message)
 
 
-def _uniform_bounds(bounds, name: str) -> tuple[float, float]:
-    _require(
-        isinstance(bounds, (list, tuple)) and len(bounds) == 2,
-        f"{name}: 'uniform' must be a [lo, hi] pair",
-    )
-    lo, hi = float(bounds[0]), float(bounds[1])
-    _require(lo < hi, f"{name}: 'uniform' bounds must satisfy lo < hi")
-    return lo, hi
+def _generated(obj, name: str, shape, resolver: _Resolver) -> np.ndarray:
+    """Resolve a ``uniform`` or ``const`` generator to an array of ``shape``."""
+    if "uniform" in obj:
+        lo, hi = _finite_vector(f"{name}: 'uniform'", obj["uniform"], 2)
+        _require(lo < hi, f"{name}: 'uniform' bounds must satisfy lo < hi")
+        return resolver.rng().uniform(lo, hi, shape)
+    if "const" in obj:
+        return np.full(shape, obj["const"], dtype=float)
+    raise MarketFileError(f"{name}: generator needs 'uniform' or 'const'")
 
 
 def _masses(obj, name: str, default_prefix: str, resolver: _Resolver):
-    """Resolve a mass table to ``(labels, values)``."""
+    """Resolve a mass table to ``(labels, values)``; the market checks both."""
     _require(isinstance(obj, dict) and obj, f"'{name}' must be a non-empty object")
-    if "count" in obj:
-        count = obj["count"]
-        _require(
-            isinstance(count, int) and count >= 1,
-            f"{name}: 'count' must be a positive integer",
-        )
-        prefix = str(obj.get("prefix", default_prefix))
-        labels = tuple(f"{prefix}{k + 1}" for k in range(count))
-        if "uniform" in obj:
-            lo, hi = _uniform_bounds(obj["uniform"], name)
-            values = resolver.rng().uniform(lo, hi, count)
-        elif "const" in obj:
-            values = np.full(count, float(obj["const"]))
-        else:
-            raise MarketFileError(
-                f"{name}: generator needs 'uniform' or 'const'"
-            )
-        return labels, values
-    try:
-        values = np.array([float(v) for v in obj.values()])
-    except (TypeError, ValueError) as exc:
-        raise MarketFileError(f"{name}: masses must be numbers ({exc})") from exc
-    return tuple(str(k) for k in obj), values
+    if "count" not in obj:
+        return tuple(obj), tuple(obj.values())
+    count = obj["count"]
+    _require_count(f"{name}: 'count'", count)
+    prefix = str(obj.get("prefix", default_prefix))
+    return _default_labels(count, prefix), _generated(obj, name, count, resolver)
 
 
 def _matrix(obj, name: str, shape: tuple[int, int], resolver: _Resolver):
-    """Resolve a matrix field (explicit rows or generator) to ``shape``."""
-    if isinstance(obj, dict):
-        if "uniform" in obj:
-            lo, hi = _uniform_bounds(obj["uniform"], name)
-            return resolver.rng().uniform(lo, hi, shape)
-        if "const" in obj:
-            return np.full(shape, float(obj["const"]))
-        raise MarketFileError(f"{name}: generator needs 'uniform' or 'const'")
-    try:
-        out = np.array(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise MarketFileError(f"{name}: not a numeric matrix ({exc})") from exc
-    _require(
-        out.ndim == 2 and out.shape == shape,
-        f"{name}: expected a {shape[0]}x{shape[1]} matrix",
-    )
-    return out
+    """Resolve a matrix field: a generator to ``shape``, explicit rows as
+    given (the market checks their shape and values)."""
+    return _generated(obj, name, shape, resolver) if isinstance(obj, dict) else obj
 
 
-def _labels(obj, name: str, count: int, prefix: str) -> tuple[str, ...]:
+def _label_list(raw: dict, key: str, count: int | None, prefix: str):
+    """The labels listed under ``key``, or ``count`` generated ones."""
+    obj = raw.get(key)
     if obj is None:
-        return tuple(f"{prefix}{k + 1}" for k in range(count))
+        return _default_labels(count, prefix)
+    _require(isinstance(obj, list), f"'{key}' must be a list of labels")
+    return obj
+
+
+def _rows(raw: dict, key: str) -> list:
+    """A matrix field that must be given as explicit, non-empty rows."""
+    rows = raw[key]
     _require(
-        isinstance(obj, (list, tuple)) and len(obj) == count,
-        f"'{name}' must list {count} labels",
+        isinstance(rows, list) and rows and isinstance(rows[0], list),
+        f"'{key}' must be a non-empty matrix",
     )
-    return tuple(str(s) for s in obj)
+    return rows
 
 
 def _frontier(obj, shape, resolver: _Resolver) -> FrontierGrid:
@@ -202,26 +195,26 @@ def _load_transfer_family(raw: dict, model: str, resolver: _Resolver) -> LoadedM
     )
     x_labels, n = _masses(raw["n"], "n", "x", resolver)
     y_labels, m = _masses(raw["m"], "m", "y", resolver)
-    grid = _frontier(raw["frontier"], (len(x_labels), len(y_labels)), resolver)
-    if model == "ot":
-        _require(grid.kind == "tu", "the transport model needs a tu frontier")
-    if model == "housing":
-        _require(grid.kind == "ntu", "the housing model needs an ntu frontier")
     market = AggregateMarket(
         x_labels=x_labels,
         y_labels=y_labels,
         n=n,
         m=m,
-        frontiers=grid,
-        sigma=float(raw.get("sigma", 1.0)),
+        frontiers=_frontier(raw["frontier"], (len(x_labels), len(y_labels)), resolver),
+        sigma=raw.get("sigma", 1.0),
         singles=singles,
     )
+    # The checks the model's map builder makes, at load time.
+    if model == "ot":
+        _require_kind(market, "tu")
+    if model == "housing":
+        _require_housing(market)
     extras: dict[str, Any] = {}
     if not singles and model != "ot":
         if raw.get("y0") is not None:
             _require(str(raw["y0"]) in y_labels, "'y0' must be a y-side label")
             extras["y0"] = str(raw["y0"])
-        extras["pi"] = float(raw.get("pi", 0.0))
+        extras["pi"] = float(_finite_vector("pi", raw.get("pi", 0.0), 1)[0])
     return LoadedMarket(model, market, extras)
 
 
@@ -230,17 +223,14 @@ def _load_hedonic(raw: dict, resolver: _Resolver) -> LoadedMarket:
         _require(key in raw, f"'hedonic' files need '{key}'")
     x_labels, n = _masses(raw["n"], "n", "x", resolver)
     y_labels, m = _masses(raw["m"], "m", "y", resolver)
-    locations = raw.get("locations")
-    if locations is None:
+    width = None
+    if raw.get("locations") is None:
         _require(
-            isinstance(raw["c"], (list, tuple))
-            and raw["c"]
-            and isinstance(raw["c"][0], (list, tuple)),
+            not isinstance(raw["c"], dict),
             "'locations' is required when 'c' is generated",
         )
-        z_labels = _labels(None, "locations", len(raw["c"][0]), "z")
-    else:
-        z_labels = _labels(locations, "locations", len(locations), "z")
+        width = len(_rows(raw, "c")[0])
+    z_labels = _label_list(raw, "locations", width, "z")
     c = _matrix(raw["c"], "c", (len(x_labels), len(z_labels)), resolver)
     a = _matrix(raw["a"], "a", (len(y_labels), len(z_labels)), resolver)
     market = HedonicMarket(
@@ -271,16 +261,10 @@ def _load_nt(raw: dict, resolver: _Resolver) -> LoadedMarket:
             gamma=_matrix(raw["gamma"], "gamma", shape, resolver),
         )
         return LoadedMarket("nt_aggregate", market)
-    alpha_rows = raw["alpha"]
-    _require(
-        isinstance(alpha_rows, (list, tuple)) and alpha_rows,
-        "'alpha' must be a non-empty matrix",
-    )
-    rows = len(alpha_rows)
-    cols = len(alpha_rows[0]) if isinstance(alpha_rows[0], (list, tuple)) else 0
-    i_labels = _labels(raw.get("workers"), "workers", rows, "w")
-    j_labels = _labels(raw.get("firms"), "firms", cols, "f")
-    shape = (rows, cols)
+    rows = _rows(raw, "alpha")
+    shape = (len(rows), len(rows[0]))
+    i_labels = _label_list(raw, "workers", shape[0], "w")
+    j_labels = _label_list(raw, "firms", shape[1], "f")
     market = IndividualMarket(
         i_labels=i_labels,
         j_labels=j_labels,
@@ -290,27 +274,20 @@ def _load_nt(raw: dict, resolver: _Resolver) -> LoadedMarket:
     return LoadedMarket("nt", market)
 
 
-def _load_linear(raw: dict, model: str, resolver: _Resolver) -> LoadedMarket:
+def _load_linear(raw: dict, model: str) -> LoadedMarket:
+    """The linear family's payload, checked as its map builder checks it."""
     _require("A" in raw, f"'{model}' files need 'A'")
-    rows = raw["A"]
-    _require(
-        isinstance(rows, (list, tuple)) and rows,
-        "'A' must be a non-empty matrix",
-    )
-    size = len(rows)
-    a = _matrix(rows, "A", (size, size), resolver)
-    labels = _labels(raw.get("labels"), "labels", size, "z")
-    payload: dict[str, Any] = {"A": a, "labels": labels}
-    extras: dict[str, Any] = {}
-    if model == "constant_aggregate":
+    if model == "linear":
+        payload: dict[str, Any] = {"A": _square_matrix(_rows(raw, "A"))}
+    else:
         _require("delta" in raw, "'constant_aggregate' files need 'delta'")
-        delta = np.array(raw["delta"], dtype=float).reshape(-1)
-        _require(delta.size == size, "'delta' must match the size of 'A'")
-        payload["delta"] = delta
+        delta, a = _validate_constant_aggregate(raw["delta"], _rows(raw, "A"))
+        payload = {"A": a, "delta": delta}
+    size = len(payload["A"])
+    payload["labels"] = _labels("labels", _label_list(raw, "labels", size, "z"), size)
+    extras: dict[str, Any] = {}
     if raw.get("p0") is not None:
-        p0 = np.array(raw["p0"], dtype=float).reshape(-1)
-        _require(p0.size == size, "'p0' must match the size of 'A'")
-        extras["p0"] = p0
+        extras["p0"] = _finite_vector("p0", raw["p0"], size)
     return LoadedMarket(model, payload, extras)
 
 
@@ -342,16 +319,14 @@ def load_market(path, *, seed=None) -> LoadedMarket:
     resolver = _Resolver(seed if seed is not None else raw.get("seed"))
     try:
         if model in ("linear", "constant_aggregate"):
-            return _load_linear(raw, model, resolver)
+            return _load_linear(raw, model)
         if model in ("transfer", "ot", "housing"):
             return _load_transfer_family(raw, model, resolver)
         if model == "hedonic":
             return _load_hedonic(raw, resolver)
         if model == "nt":
             return _load_nt(raw, resolver)
-    except MarketFileError as exc:
-        raise MarketFileError(f"{path}: {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise MarketFileError(f"{path}: {exc}") from exc
     raise MarketFileError(
         f"{path}: unknown model {model!r}; expected one of linear, "

@@ -25,7 +25,8 @@ from .core import (
     EquilibriumMap,
     PriceVector,
     _finite_matrix,
-    _positive_vector,
+    _finite_vector,
+    _labels,
     _require_count,
     gauss_seidel_sweep,
     jacobi_sweep,
@@ -75,12 +76,10 @@ class IndividualMarket:
     gamma: Array
 
     def __post_init__(self):
-        i_labels = tuple(str(s) for s in self.i_labels)
-        j_labels = tuple(str(s) for s in self.j_labels)
+        i_labels = _labels("i_labels", self.i_labels)
+        j_labels = _labels("j_labels", self.j_labels)
         if not i_labels or not j_labels:
             raise ValueError("both sides need at least one agent")
-        if len(set(i_labels)) != len(i_labels) or len(set(j_labels)) != len(j_labels):
-            raise ValueError("labels must be unique on each side")
         shape = (len(i_labels), len(j_labels))
         alpha = _finite_matrix("alpha", self.alpha, shape)
         gamma = _finite_matrix("gamma", self.gamma, shape)
@@ -124,22 +123,14 @@ class IndividualOutcome:
     v: Array
 
     def __post_init__(self):
-        i_labels = tuple(str(s) for s in self.i_labels)
-        j_labels = tuple(str(s) for s in self.j_labels)
+        i_labels = _labels("i_labels", self.i_labels)
+        j_labels = _labels("j_labels", self.j_labels)
         mu = _validate_unit_matching(self.mu, (len(i_labels), len(j_labels)))
-        u = np.array(self.u, dtype=float).reshape(-1)
-        v = np.array(self.v, dtype=float).reshape(-1)
-        if u.size != len(i_labels) or v.size != len(j_labels):
-            raise ValueError("payoff vectors must match the label counts")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise ValueError("payoffs must be finite")
-        u.setflags(write=False)
-        v.setflags(write=False)
         object.__setattr__(self, "i_labels", i_labels)
         object.__setattr__(self, "j_labels", j_labels)
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "u", _finite_vector("u", self.u, len(i_labels)))
+        object.__setattr__(self, "v", _finite_vector("v", self.v, len(j_labels)))
 
     def worker_partner(self) -> Array:
         """Index of each worker's firm, -1 when unmatched."""
@@ -160,23 +151,31 @@ def _make_outcome(market: IndividualMarket, mu: Array) -> IndividualOutcome:
     return IndividualOutcome(market.i_labels, market.j_labels, mu, u, v)
 
 
+def _stability_violations(
+    market: IndividualMarket, mu
+) -> tuple[list[str], Array, Array]:
+    """The stability rules the 0/1 matching ``mu`` breaks, by name
+    (``individual_rationality``, ``blocking``), and the payoffs ``(u, v)``
+    it gives. A pair blocks when both strictly prefer each other to their
+    current assignments (strictness makes ties impossible)."""
+    mu = _validate_unit_matching(mu, market.alpha.shape)
+    matched = mu == 1
+    broken = []
+    if np.any(matched & ((market.alpha <= 0.0) | (market.gamma <= 0.0))):
+        broken.append("individual_rationality")
+    u, v = _matched_payoffs(market, mu)
+    if np.any((market.alpha > u[:, None]) & (market.gamma > v[None, :]) & ~matched):
+        broken.append("blocking")
+    return broken, u, v
+
+
 def is_stable(market: IndividualMarket, matching) -> bool:
     """Exact stability check: individual rationality plus no blocking pair.
 
-    ``matching`` may be an :class:`IndividualOutcome` or a 0/1 matrix. A
-    pair blocks when both strictly prefer each other to their current
-    assignments (strictness makes ties impossible).
+    ``matching`` may be an :class:`IndividualOutcome` or a 0/1 matrix.
     """
     mu = matching.mu if isinstance(matching, IndividualOutcome) else matching
-    mu = _validate_unit_matching(mu, market.alpha.shape)
-    matched = mu == 1
-    if np.any(matched & ((market.alpha <= 0.0) | (market.gamma <= 0.0))):
-        return False
-    u, v = _matched_payoffs(market, mu)
-    blocking = (
-        (market.alpha > u[:, None]) & (market.gamma > v[None, :]) & ~matched
-    )
-    return not bool(blocking.any())
+    return not _stability_violations(market, mu)[0]
 
 
 def deferred_acceptance(market: IndividualMarket) -> IndividualOutcome:
@@ -494,17 +493,17 @@ class AggregateNTMarket:
     gamma: Array
 
     def __post_init__(self):
-        x_labels = tuple(str(s) for s in self.x_labels)
-        y_labels = tuple(str(s) for s in self.y_labels)
+        x_labels = _labels("x_labels", self.x_labels)
+        y_labels = _labels("y_labels", self.y_labels)
         if not x_labels or not y_labels:
             raise ValueError("both sides need at least one type")
-        if len(set(x_labels)) != len(x_labels) or len(set(y_labels)) != len(y_labels):
-            raise ValueError("labels must be unique on each side")
         shape = (len(x_labels), len(y_labels))
         object.__setattr__(self, "x_labels", x_labels)
         object.__setattr__(self, "y_labels", y_labels)
-        object.__setattr__(self, "n", _positive_vector("n", self.n, shape[0]))
-        object.__setattr__(self, "m", _positive_vector("m", self.m, shape[1]))
+        n = _finite_vector("n", self.n, shape[0], positive=True)
+        m = _finite_vector("m", self.m, shape[1], positive=True)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "alpha", _finite_matrix("alpha", self.alpha, shape))
         object.__setattr__(self, "gamma", _finite_matrix("gamma", self.gamma, shape))
 
@@ -527,31 +526,16 @@ class AggregateNTOutcome:
     rounds: int | None = None
 
     def __post_init__(self):
-        x_labels = tuple(str(s) for s in self.x_labels)
-        y_labels = tuple(str(s) for s in self.y_labels)
-        shape = (len(x_labels), len(y_labels))
-        mu = np.array(self.mu, dtype=float)
-        if mu.shape != shape:
-            raise ValueError(f"mu must have shape {shape}")
-        arrays = {"mu_x0": (self.mu_x0, shape[0]), "mu_0y": (self.mu_0y, shape[1]),
-                  "u": (self.u, shape[0]), "v": (self.v, shape[1])}
-        done = {}
-        for name, (value, count) in arrays.items():
-            arr = np.array(value, dtype=float).reshape(-1)
-            if arr.size != count:
-                raise ValueError(f"{name} must have length {count}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
-            arr.setflags(write=False)
-            done[name] = arr
-        if not np.all(np.isfinite(mu)):
-            raise ValueError("mu must be finite")
-        mu.setflags(write=False)
+        x_labels = _labels("x_labels", self.x_labels)
+        y_labels = _labels("y_labels", self.y_labels)
+        nx, ny = len(x_labels), len(y_labels)
         object.__setattr__(self, "x_labels", x_labels)
         object.__setattr__(self, "y_labels", y_labels)
-        object.__setattr__(self, "mu", mu)
-        for name, arr in done.items():
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "mu", _finite_matrix("mu", self.mu, (nx, ny)))
+        for name, count in (("mu_x0", nx), ("mu_0y", ny), ("u", nx), ("v", ny)):
+            object.__setattr__(
+                self, name, _finite_vector(name, getattr(self, name), count)
+            )
 
 
 def is_equilibrium_matching(

@@ -27,7 +27,8 @@ from .core import (
     PriceVector,
     _double_until,
     _finite_matrix,
-    _positive_vector,
+    _finite_vector,
+    _labels,
     gauss_seidel_sweep,
 )
 from .errors import UnsupportedFrontier, InternalError
@@ -85,20 +86,18 @@ class TaxSchedule:
     thresholds: tuple[float, ...]
 
     def __post_init__(self):
-        rates = tuple(float(r) for r in self.rates)
-        thresholds = tuple(float(w) for w in self.thresholds)
-        if len(rates) != len(thresholds) or not rates:
-            raise ValueError("rates and thresholds must have equal, positive length")
-        if not all(np.isfinite(rates)) or not all(np.isfinite(thresholds)):
-            raise ValueError("schedule entries must be finite")
+        rates = _finite_vector("rates", self.rates)
+        thresholds = _finite_vector("thresholds", self.thresholds, rates.size)
+        if not rates.size:
+            raise ValueError("a schedule needs at least one bracket")
         if thresholds[0] != 0.0:
             raise ValueError("the first threshold must be 0")
         if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
             raise ValueError("thresholds must be strictly increasing")
         if any(not 0.0 <= r < 1.0 for r in rates):
             raise ValueError("rates must lie in [0, 1)")
-        object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "thresholds", thresholds)
+        object.__setattr__(self, "rates", tuple(rates.tolist()))
+        object.__setattr__(self, "thresholds", tuple(thresholds.tolist()))
 
     @classmethod
     def no_tax(cls) -> "TaxSchedule":
@@ -295,9 +294,7 @@ class FrontierGrid:
             if self.alpha is None or self.gamma is None or self.phi is not None:
                 raise ValueError(f"'{self.kind}' grids take alpha and gamma")
             alpha = _finite_matrix("alpha", self.alpha)
-            gamma = _finite_matrix("gamma", self.gamma)
-            if alpha.shape != gamma.shape:
-                raise ValueError("alpha and gamma must have equal shapes")
+            gamma = _finite_matrix("gamma", self.gamma, alpha.shape)
             object.__setattr__(self, "alpha", alpha)
             object.__setattr__(self, "gamma", gamma)
             if self.kind == "taxes":
@@ -370,20 +367,16 @@ class AggregateMarket:
     singles: bool = True
 
     def __post_init__(self):
-        x_labels = tuple(str(z) for z in self.x_labels)
-        y_labels = tuple(str(z) for z in self.y_labels)
+        x_labels = _labels("x_labels", self.x_labels)
+        y_labels = _labels("y_labels", self.y_labels)
         if not x_labels:
             raise ValueError("at least one x-type is required")
-        every = x_labels + y_labels
-        if len(set(every)) != len(every):
-            raise ValueError("labels must be unique across both sides")
-        n = _positive_vector("n", self.n, len(x_labels))
-        m = _positive_vector("m", self.m, len(y_labels))
+        _labels("x_labels and y_labels together", x_labels + y_labels)
+        n = _finite_vector("n", self.n, len(x_labels), positive=True)
+        m = _finite_vector("m", self.m, len(y_labels), positive=True)
         if self.frontiers.shape != (len(x_labels), len(y_labels)):
             raise ValueError("frontier grid shape must match the label counts")
-        sigma = float(self.sigma)
-        if not (np.isfinite(sigma) and sigma > 0):
-            raise ValueError("sigma must be a positive finite number")
+        sigma = float(_finite_vector("sigma", self.sigma, 1, positive=True)[0])
         if not self.singles:
             if not y_labels:
                 raise ValueError("a market without singles needs y-types")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -408,6 +409,99 @@ class TestCheck:
             "check", str(MARKETS / "transfer_tu.json"), str(empty)
         )
         assert proc.returncode == 1
+
+
+def _edited(name: str, edit) -> dict:
+    doc = json.loads((MARKETS / name).read_text())
+    edit(doc)
+    return doc
+
+
+# Market files that once crashed with a TypeError traceback, or whose value
+# errors surfaced later as a bare ValueError without the file's path, with
+# the field each report must name.
+LINEAR_FAMILY = {"model": "constant_aggregate", "A": [[0.0, 1.0], [1.0, 0.0]]}
+MALFORMED = {
+    "sigma_null": (
+        _edited("transfer_tu.json", lambda d: d.update(sigma=None)), "sigma"
+    ),
+    "sigma_object": (
+        _edited("transfer_tu.json", lambda d: d.update(sigma={})), "float"
+    ),
+    "const_null": (
+        _edited("transfer_tu.json", lambda d: d.update(n={"count": 2, "const": None})),
+        "n must be finite",
+    ),
+    "uniform_null": (
+        _edited(
+            "transfer_tu.json",
+            lambda d: d.update(seed=1, n={"count": 2, "uniform": [None, 1]}),
+        ),
+        "uniform",
+    ),
+    "pi_null": (
+        _edited("transfer_full.json", lambda d: d.update(pi=None)), "pi must be finite"
+    ),
+    "housing_sigma": (
+        _edited("housing.json", lambda d: d.update(sigma=2.0)), "sigma = 1"
+    ),
+    "scalar_rates": (
+        _edited(
+            "transfer_taxes.json",
+            lambda d: d["frontier"]["schedule"].update(rates=0.3),
+        ),
+        "thresholds",
+    ),
+    "count_true": (
+        _edited("transfer_tu.json", lambda d: d.update(n={"count": True, "const": 1})),
+        "'count' must be a positive integer",
+    ),
+    "linear_nonfinite_A": (
+        _edited("linear_mmatrix.json", lambda d: d["A"][1].__setitem__(0, math.inf)),
+        "A must be finite",
+    ),
+    "nonpositive_delta": ({**LINEAR_FAMILY, "delta": [1.0, 0.0]}, "delta"),
+    "column_sums": ({**LINEAR_FAMILY, "delta": [2.0, 1.0]}, "column sums"),
+}
+
+# Outcome files ``check`` refuses, against the market file they are read with.
+MALFORMED_OUTCOMES = {
+    "engine_prices_length": (
+        "linear_mmatrix.json", {"labels": ["z1", "z2", "z3"], "prices": [1.0, 2.0]}
+    ),
+    "engine_not_an_object": ("linear_mmatrix.json", [1.0, 2.0, 3.0]),
+    "individual_mu_shape": ("nt_small.json", {"mu": [[1, 0]]}),
+    "aggregate_u_length": (
+        "nt_aggregate.json",
+        {"mu": [[0.0, 0.0], [0.0, 0.0]], "mu_x0": [2.0, 1.0],
+         "mu_0y": [1.0, 3.0], "u": [0.0], "v": [0.0, 0.0]},
+    ),
+}
+
+
+class TestMalformedFiles:
+    def file_error(self, capsys, code, path) -> str:
+        assert code == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"] == "MarketFileError"
+        assert report["message"].startswith(f"{path}: ")
+        return report["message"]
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_market_file_exits_1_naming_the_file(self, case, tmp_path, capsys):
+        doc, names = MALFORMED[case]
+        market = tmp_path / f"{case}.json"
+        market.write_text(json.dumps(doc))
+        code = cli.main(["solve", str(market)])
+        assert names in self.file_error(capsys, code, market)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_OUTCOMES))
+    def test_outcome_file_exits_1_naming_the_file(self, case, tmp_path, capsys):
+        name, doc = MALFORMED_OUTCOMES[case]
+        outcome = tmp_path / f"{case}.json"
+        outcome.write_text(json.dumps(doc))
+        code = cli.main(["check", str(MARKETS / name), str(outcome)])
+        self.file_error(capsys, code, outcome)
 
 
 class TestEnumerate:

@@ -1,0 +1,168 @@
+"""Every class and builder that takes labels, masses or matrices refuses the
+same bad inputs: duplicate labels, a wrong length or shape, a non-finite
+entry and, where masses apply, a non-positive one."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from marketclear import (
+    AggregateMarket,
+    AggregateNTMarket,
+    AggregateNTOutcome,
+    EquilibriumMap,
+    ExcessVector,
+    FrontierGrid,
+    HedonicMarket,
+    IndividualMarket,
+    IndividualOutcome,
+    PriceVector,
+    TaxSchedule,
+    constant_aggregate_map,
+    linear_map,
+)
+
+INF, NAN = math.inf, math.nan
+
+# Builder name -> (builder, keyword arguments it accepts).
+VALID = {
+    "PriceVector": (PriceVector, dict(labels=("a", "b"), values=[1.0, 2.0])),
+    "ExcessVector": (ExcessVector, dict(labels=("a", "b"), values=[1.0, INF])),
+    "EquilibriumMap": (
+        EquilibriumMap, dict(labels=("a", "b"), eval_values=lambda v: v)
+    ),
+    "linear_map": (
+        linear_map, dict(A=[[2.0, -1.0], [-1.0, 2.0]], labels=("a", "b"))
+    ),
+    "constant_aggregate_map": (
+        constant_aggregate_map,
+        dict(delta=[1.0, 1.0], A=[[0.0, 1.0], [1.0, 0.0]], labels=("a", "b")),
+    ),
+    "TaxSchedule": (TaxSchedule, dict(rates=(0.0, 0.3), thresholds=(0.0, 1.0))),
+    "AggregateMarket": (
+        AggregateMarket,
+        dict(
+            x_labels=("x1", "x2"), y_labels=("y1",), n=[1.0, 2.0], m=[1.0],
+            frontiers=FrontierGrid.tu([[0.5], [0.0]]), sigma=1.0,
+        ),
+    ),
+    "HedonicMarket": (
+        HedonicMarket,
+        dict(
+            x_labels=("x1", "x2"), y_labels=("y1",), z_labels=("z1", "z2"),
+            n=[1.0, 2.0], m=[1.0], c=[[0.0, 0.1], [0.2, 0.3]], a=[[0.4, 0.5]],
+        ),
+    ),
+    "IndividualMarket": (
+        IndividualMarket,
+        dict(
+            i_labels=("w1", "w2"), j_labels=("f1",),
+            alpha=[[1.0], [2.0]], gamma=[[1.0], [2.0]],
+        ),
+    ),
+    "IndividualOutcome": (
+        IndividualOutcome,
+        dict(
+            i_labels=("w1", "w2"), j_labels=("f1",),
+            mu=[[0], [1]], u=[0.0, 2.0], v=[2.0],
+        ),
+    ),
+    "AggregateNTMarket": (
+        AggregateNTMarket,
+        dict(
+            x_labels=("x1", "x2"), y_labels=("y1",), n=[1.0, 2.0], m=[1.0],
+            alpha=[[1.0], [2.0]], gamma=[[1.0], [2.0]],
+        ),
+    ),
+    "AggregateNTOutcome": (
+        AggregateNTOutcome,
+        dict(
+            x_labels=("x1", "x2"), y_labels=("y1",), mu=[[0.0], [1.0]],
+            mu_x0=[1.0, 1.0], mu_0y=[0.0], u=[0.0, 2.0], v=[2.0],
+        ),
+    ),
+}
+
+# (builder, rule, replaced arguments, text the error names).
+INVALID = [
+    ("PriceVector", "duplicate", dict(labels=("a", "a")), "must be unique"),
+    ("PriceVector", "length", dict(values=[1.0]), "labels"),
+    ("PriceVector", "nonfinite", dict(values=[1.0, NAN]), "values"),
+    ("ExcessVector", "duplicate", dict(labels=("a", "a")), "must be unique"),
+    ("ExcessVector", "length", dict(values=[1.0, 2.0, 3.0]), "labels"),
+    ("EquilibriumMap", "duplicate", dict(labels=("a", "a")), "must be unique"),
+    ("linear_map", "duplicate", dict(labels=("a", "a")), "must be unique"),
+    ("linear_map", "length", dict(labels=("a",)), "labels"),
+    ("linear_map", "shape", dict(A=[[1.0, 0.0]]), "square"),
+    ("linear_map", "nonfinite", dict(A=[[2.0, INF], [-1.0, 2.0]]), "A"),
+    ("constant_aggregate_map", "duplicate", dict(labels=("a", "a")),
+     "must be unique"),
+    ("constant_aggregate_map", "length", dict(delta=[1.0]), "A"),
+    ("constant_aggregate_map", "nonfinite", dict(delta=[1.0, NAN]), "delta"),
+    ("constant_aggregate_map", "nonpositive", dict(delta=[0.0, 1.0]), "delta"),
+    ("TaxSchedule", "length", dict(thresholds=(0.0,)), "thresholds"),
+    ("TaxSchedule", "nonfinite", dict(rates=(0.0, INF)), "rates"),
+    ("AggregateMarket", "duplicate", dict(x_labels=("x1", "x1")),
+     "must be unique"),
+    ("AggregateMarket", "duplicate_across", dict(y_labels=("x1",)),
+     "must be unique"),
+    ("AggregateMarket", "length", dict(n=[1.0]), "n"),
+    ("AggregateMarket", "nonfinite", dict(m=[INF]), "m"),
+    ("AggregateMarket", "nonpositive", dict(n=[1.0, 0.0]), "n"),
+    ("AggregateMarket", "nonpositive_sigma", dict(sigma=-1.0), "sigma"),
+    ("AggregateMarket", "nonfinite_sigma", dict(sigma=None), "sigma"),
+    ("HedonicMarket", "duplicate", dict(z_labels=("z1", "z1")),
+     "must be unique"),
+    ("HedonicMarket", "length", dict(m=[1.0, 1.0]), "m"),
+    ("HedonicMarket", "shape", dict(a=[[0.4]]), "a"),
+    ("HedonicMarket", "nonfinite", dict(c=[[0.0, NAN], [0.2, 0.3]]), "c"),
+    ("HedonicMarket", "nonpositive", dict(n=[-1.0, 2.0]), "n"),
+    ("IndividualMarket", "duplicate", dict(i_labels=("w1", "w1")),
+     "must be unique"),
+    ("IndividualMarket", "shape", dict(alpha=[[1.0, 2.0]]), "alpha"),
+    ("IndividualMarket", "nonfinite", dict(gamma=[[1.0], [INF]]), "gamma"),
+    ("IndividualOutcome", "duplicate", dict(i_labels=("w1", "w1")),
+     "must be unique"),
+    ("IndividualOutcome", "length", dict(u=[0.0]), "u"),
+    ("IndividualOutcome", "nonfinite", dict(v=[NAN]), "v"),
+    ("AggregateNTMarket", "duplicate", dict(x_labels=("x1", "x1")),
+     "must be unique"),
+    ("AggregateNTMarket", "length", dict(m=[1.0, 1.0]), "m"),
+    ("AggregateNTMarket", "nonfinite", dict(alpha=[[1.0], [NAN]]), "alpha"),
+    ("AggregateNTMarket", "nonpositive", dict(n=[1.0, -2.0]), "n"),
+    ("AggregateNTOutcome", "duplicate", dict(x_labels=("x1", "x1")),
+     "must be unique"),
+    ("AggregateNTOutcome", "length", dict(mu_0y=[0.0, 0.0]), "mu_0y"),
+    ("AggregateNTOutcome", "shape", dict(mu=[[0.0, 1.0]]), "mu"),
+    ("AggregateNTOutcome", "nonfinite", dict(u=[0.0, INF]), "u"),
+]
+
+
+@pytest.mark.parametrize("name", sorted(VALID))
+def test_valid_arguments_build(name):
+    build, kwargs = VALID[name]
+    build(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "name, replaced, names",
+    [pytest.param(name, replaced, names, id=f"{name}-{rule}")
+     for name, rule, replaced, names in INVALID],
+)
+def test_bad_arguments_raise_value_error(name, replaced, names):
+    build, kwargs = VALID[name]
+    with pytest.raises(ValueError, match=names):
+        build(**{**kwargs, **replaced})
+
+
+def test_outcomes_copy_and_freeze_their_arrays():
+    mu = np.array([[0.0], [1.0]])
+    kwargs = {**VALID["AggregateNTOutcome"][1], "mu": mu}
+    outcome = AggregateNTOutcome(**kwargs)
+    mu[0, 0] = 5.0
+    assert outcome.mu[0, 0] == 0.0
+    for name in ("mu", "mu_x0", "mu_0y", "u", "v"):
+        assert not getattr(outcome, name).flags.writeable
