@@ -345,6 +345,9 @@ def _solve_engine(loaded: LoadedMarket, args, report: dict, files: list[str]) ->
         mode=mode,
         damping=args.damping,
     )
+    # Before the solve, so that a bad sample count is refused at once.
+    if args.samples:
+        report["structure_checks"] = _structure_checks(q, args.samples, args.seed)
     p, trace = solve(q, p0, opts)
     last = trace.records[-1]
     report.update(
@@ -353,8 +356,6 @@ def _solve_engine(loaded: LoadedMarket, args, report: dict, files: list[str]) ->
         residual_sup=last.residual_sup,
         structure=_structure_flags(q),
     )
-    if args.samples > 0:
-        report["structure_checks"] = _structure_checks(q, args.samples, args.seed)
     outdir = _outdir(args)
     if outdir is None:
         return

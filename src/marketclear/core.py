@@ -89,10 +89,13 @@ def _finite_vector(
     return out
 
 
-def _require_count(name: str, value) -> None:
-    """Refuse anything but a positive integer (a float or bool included)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be a positive integer")
+def _require_count(name: str, value, minimum: int = 1) -> None:
+    """Refuse anything but an integer ``>= minimum`` (1 or 0), a float or
+    bool included."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integral or value < minimum:
+        kind = "positive" if minimum else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer")
 
 
 def _finite_matrix(name: str, value, shape: tuple[int, int] | None = None) -> Array:
@@ -224,20 +227,27 @@ class EquilibriumMap:
     eval_values:
         Vectorized evaluator: values array -> excess array (pure function).
     update_value:
-        Optional closed-form coordinate update ``(index, values) -> price``
-        solving ``Q_z(pi, p_{-z}) = 0`` for the smallest root.
+        Optional closed-form update ``(lo, hi, values) -> array`` of the
+        ``hi - lo`` coordinates ``lo..hi-1``, each the smallest root of
+        ``Q_z(pi, p_{-z}) = 0`` with the other prices read from ``values``.
+        The range is one coordinate or one of ``blocks``; on a block the
+        result must equal the one-wide calls bit for bit. Without it every
+        update is bisected.
     residual_value:
-        Optional fast per-coordinate residual ``(index, pi, values) -> float``.
-        Must reproduce ``eval_values`` bit-for-bit on its coordinate; when
-        omitted, the residual substitutes into a copy and calls
-        ``eval_values`` so consistency is automatic.
+        Optional fast per-coordinate residual ``(index, pi, values) -> float``,
+        read only when ``residual_block`` is not set. Must reproduce
+        ``eval_values`` bit-for-bit on its coordinate; when neither hook is
+        set, the residual substitutes into a copy and calls ``eval_values``
+        so consistency is automatic.
     residual_block:
         Optional batch of one-coordinate residuals ``(idx, probes, values)
         -> array``: entry ``r`` is the residual of coordinate ``idx[r]`` at
         price ``probes[r]``, every other price read from ``values``. Must
-        equal ``residual_at`` bit for bit on every entry. Lockstep runs (a
-        Jacobi sweep, a whole block of a Gauss-Seidel sweep) send each round
-        of probes through it; without it they loop ``residual_at``. On runs
+        equal ``eval_values`` with that one price substituted, bit for bit
+        on every entry; ``residual_at`` is its one-entry call. Every
+        bisection is a lockstep run (a Jacobi sweep, a whole block of a
+        Gauss-Seidel sweep, or one lone coordinate) that sends each round of
+        probes through it; without it a round loops ``residual_at``. On runs
         of up to 9 coordinates a round also fetches the next few levels of
         each bisection ahead, some off the path ``smallest_root`` takes, so
         the hook sees a superset of the scalar probes in fewer calls; each
@@ -246,35 +256,29 @@ class EquilibriumMap:
     z_function, diagonal_isotone, m_function, m0_function:
         Declared structure flags. They are caller declarations, verified
         only by the sampling checks in this module.
-    blocks, update_block:
-        Optional block form of ``update_value``. ``blocks`` splits the
-        coordinates into consecutive ``(start, stop)`` ranges whose
-        coordinates never read each other's prices; ``update_block(b,
-        values)`` returns the updates of block ``b`` as an array equal bit
-        for bit to ``update_value`` on each of its coordinates. A sweep
-        updates a block through it whenever its visit order covers the whole
-        block in one stretch, and only while ``update_value`` is set too.
-        Without ``update_value`` such a stretch is bisected in lockstep.
+    blocks:
+        Optional split of the coordinates into consecutive ``(start, stop)``
+        ranges whose coordinates never read each other's prices. A sweep
+        updates a block in one ``update_value`` call, or bisects it in
+        lockstep, whenever its visit order covers the whole block in one
+        stretch.
     """
 
     labels: tuple[str, ...]
     eval_values: Callable[[Array], Array]
-    update_value: Callable[[int, Array], float] | None = None
+    update_value: Callable[[int, int, Array], Sequence[float]] | None = None
     residual_value: Callable[[int, float, Array], float] | None = None
     z_function: bool = False
     diagonal_isotone: bool = False
     m_function: bool = False
     m0_function: bool = False
     blocks: tuple[tuple[int, int], ...] | None = None
-    update_block: Callable[[int, Array], Array] | None = None
     residual_block: Callable[[Array, Array, Array], Array] | None = None
 
     def __post_init__(self):
         labels = _labels("labels", self.labels)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_pos", {z: i for i, z in enumerate(labels)})
-        if self.update_block is not None and self.blocks is None:
-            raise ValueError("update_block needs blocks")
         if self.blocks is not None:
             blocks = tuple((int(lo), int(hi)) for lo, hi in self.blocks)
             edges = [0] + [hi for _, hi in blocks]
@@ -323,6 +327,9 @@ class EquilibriumMap:
         return self.residual_at(self._pos[z], pi, p.values)
 
     def residual_at(self, i: int, pi: float, values: Array) -> float:
+        if self.residual_block is not None:
+            idx, probe = np.array([i], dtype=np.intp), np.array([pi], dtype=float)
+            return float(self.residuals_at(idx, probe, values)[0])
         with np.errstate(over="ignore", invalid="ignore"):
             if self.residual_value is not None:
                 return float(self.residual_value(i, pi, values))
@@ -590,10 +597,10 @@ def smallest_root(
     without ever going negative, the boundary root ``sup{pi : f(pi) <= 0}``
     is returned instead. If no zero can be bracketed within the expansion
     budget, raises :class:`ResponsivenessViolation`; a NaN value raises
-    :class:`NonFiniteResidual`. Sweeps run the same machine
-    (:func:`_root_steps`) in lockstep over many coordinates, and on small
-    runs fetch several bisection levels ahead per round; each root is the
-    same bits either way.
+    :class:`NonFiniteResidual`. The engine does not call it: every bisected
+    coordinate runs the same machine (:func:`_root_steps`) in a lockstep
+    run, which on small runs fetches several bisection levels ahead per
+    round; each root is the same bits either way.
     """
     steps = _root_steps(opts or BracketOptions(), float(hint), [None, None])
     x = next(steps)
@@ -605,12 +612,6 @@ def smallest_root(
             x = steps.send(v)
         except StopIteration as stop:
             return stop.value
-
-
-def _at_coordinate(
-    Q: EquilibriumMap, i: int, exc: ResponsivenessViolation
-) -> ResponsivenessViolation:
-    return ResponsivenessViolation(f"coordinate {Q.labels[i]!r}: {exc}")
 
 
 def _subtree(lo: float, hi: float, tol: float, depth: int) -> list[float]:
@@ -718,7 +719,8 @@ def _lockstep_roots(
             except NonFiniteResidual as exc:
                 errors[coords[k]] = exc
             except ResponsivenessViolation as exc:
-                errors[coords[k]] = _at_coordinate(Q, coords[k], exc)
+                where = f"coordinate {Q.labels[coords[k]]!r}"
+                errors[coords[k]] = ResponsivenessViolation(f"{where}: {exc}")
         live, probes = next_live, next_probes
     return roots, errors
 
@@ -756,17 +758,12 @@ def _update_at(
     # Callers hold np.errstate(over="ignore", invalid="ignore"), as for
     # _damp and _run_updates.
     if Q.update_value is not None:
-        val = float(Q.update_value(i, values))
+        val = float(Q.update_value(i, i + 1, values)[0])
     else:
-        # One machine: the module-level routine, probing through residual_at.
-        try:
-            val = smallest_root(
-                lambda pi: Q.residual_at(i, pi, values),
-                opts.root_finder,
-                float(values[i]),
-            )
-        except ResponsivenessViolation as exc:
-            raise _at_coordinate(Q, i, exc) from None
+        roots, errors = _lockstep_roots(Q, (i,), values, opts)
+        if errors:
+            raise errors[i]
+        val = float(roots[0])
     if not math.isfinite(val):
         raise NonFiniteResidual(f"coordinate {Q.labels[i]!r}: update is non-finite")
     return val
@@ -781,7 +778,8 @@ def coordinate_update(
     """Price solving ``Q_z(pi, p_{-z}) = 0`` (smallest root).
 
     Uses the map's closed-form update when one is registered, otherwise
-    bracketed bisection hinted at the current ``p_z``.
+    bracketed bisection hinted at the current ``p_z`` (a one-coordinate
+    lockstep run).
     """
     opts = opts or _DEFAULT_OPTIONS
     if p.labels != Q.labels:
@@ -802,12 +800,12 @@ def _run_updates(
     Q: EquilibriumMap, lo: int, hi: int, values: Array, opts: SolverOptions
 ) -> tuple[Array, dict[int, Exception]]:
     """Updates of coordinates ``lo..hi-1`` from ``values``, none of which
-    reads another's price: the block formula, or lockstep bisection."""
+    reads another's price: one ``update_value`` call, or lockstep bisection."""
     if Q.update_value is None:
         return _lockstep_roots(Q, range(lo, hi), values, opts)
-    new = np.asarray(Q.update_block(int(Q._block_of[lo]), values), dtype=float)
+    new = np.asarray(Q.update_value(lo, hi, values), dtype=float)
     if new.shape != (hi - lo,):
-        raise InternalError("block update returned a wrong-shaped array")
+        raise InternalError("update_value returned a wrong-shaped array")
     return new, {}
 
 
@@ -833,19 +831,15 @@ def _visit_runs(Q: EquilibriumMap, order: Sequence[int]) -> tuple:
 
     A stretch that visits a whole block ``lo..hi-1``, in any order inside
     it, is one run with ``visit`` the tuple of its coordinates in visit
-    order: one ``update_block`` call, or without ``update_value`` one
-    lockstep bisection. Closed-form blocks count only while ``update_block``
-    is set. Every other coordinate ``i`` is a run ``(i, i + 1, i)`` of its
-    own. A block can only be visited whole from its first coordinate in
+    order: one ``update_value`` call, or without it one lockstep
+    bisection. Every other coordinate ``i`` is a run ``(i, i + 1, i)`` of
+    its own. A block can only be visited whole from its first coordinate in
     ``order``, so each block is tested once.
     """
-    use_blocks = Q.blocks is not None and (
-        Q.update_block is not None or Q.update_value is None
-    )
     runs, tested, k = [], set(), 0
     while k < len(order):
         i = order[k]
-        b = int(Q._block_of[i]) if use_blocks else None
+        b = None if Q.blocks is None else int(Q._block_of[i])
         if b is not None and b not in tested:
             tested.add(b)
             lo, hi = Q.blocks[b]
@@ -872,7 +866,8 @@ def _sweep(
     once all updates are in (Jacobi); otherwise each run reads the values
     already updated and is damped at once (Gauss-Seidel). A frozen sweep of
     a map without ``update_value`` is one lockstep bisection over every
-    coordinate. Failures raise at the coordinate the per-coordinate loop
+    coordinate, and a lone coordinate of such a map one lockstep run of its
+    own. Failures raise at the coordinate the per-coordinate loop
     would name: Gauss-Seidel checks each update, then its damped step, in
     visit order; Jacobi checks every update before any damped step.
     """
@@ -930,8 +925,8 @@ def gauss_seidel_sweep(
     Each update sees the values already updated earlier in the sweep. The
     order is ``opts.sweep_order`` when given, else the map's label order.
     A stretch of the order that visits a whole block (the label order
-    visits every block so) is updated through the block hook, or bisected
-    in lockstep; since a block's coordinates never read each other, the
+    visits every block so) is updated in one ``update_value`` call, or
+    bisected in lockstep; since a block's coordinates never read each other, the
     result is the same.
     """
     opts = opts or _DEFAULT_OPTIONS
@@ -1042,10 +1037,15 @@ def linear_map(A, labels: Sequence[str] | None = None) -> EquilibriumMap:
 
     update = None
     if np.all(diag > 0):
+        # Row i's arithmetic, on rows and pivots read out of A once.
+        rows, pivots = list(A), diag.tolist()
 
-        def update(i: int, values: Array) -> float:
-            others = float(A[i] @ values) - float(A[i, i] * values[i])
-            return -others / float(A[i, i])
+        def update(lo: int, hi: int, values: Array) -> list[float]:
+            out = []
+            for i in range(lo, hi):
+                others = float(rows[i] @ values) - pivots[i] * float(values[i])
+                out.append(-others / pivots[i])
+            return out
 
     return EquilibriumMap(
         labels=labels,
@@ -1082,8 +1082,13 @@ def constant_aggregate_map(delta, A, labels: Sequence[str] | None = None) -> Equ
     labels = _labels("labels", _default_labels(n) if labels is None else labels, n)
     M = np.diag(delta) - A
 
-    def update(i: int, values: Array) -> float:
-        return float(A[i] @ values) / float(delta[i])
+    rows, scales = list(A), delta.tolist()
+
+    def update(lo: int, hi: int, values: Array) -> list[float]:
+        out = []
+        for i in range(lo, hi):
+            out.append(float(rows[i] @ values) / scales[i])
+        return out
 
     return EquilibriumMap(
         labels=labels,
@@ -1172,6 +1177,7 @@ def _ordered_pairs(Q: EquilibriumMap, sample_count: int, rng_seed: int, box: flo
     box]`` per coordinate and yield ``(a, b, lo, hi, q_lo, q_hi)`` for each
     pair whose images are componentwise ordered: ``(lo, hi)`` is the pair
     sorted so that ``q_lo = Q(lo) <= Q(hi) = q_hi``."""
+    _require_count("sample_count", sample_count, 0)
     rng = np.random.default_rng(rng_seed)
     n = len(Q.labels)
     for _ in range(sample_count):

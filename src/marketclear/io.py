@@ -93,6 +93,8 @@ class _Resolver:
     """Lazy RNG shared by every generator field of one file."""
 
     def __init__(self, seed):
+        if seed is not None:
+            _require_count("'seed'", seed, 0)
         self._seed = seed
         self._rng = None
 
@@ -102,7 +104,7 @@ class _Resolver:
                 raise MarketFileError(
                     "a seed is required when the file uses generators"
                 )
-            self._rng = np.random.default_rng(int(self._seed))
+            self._rng = np.random.default_rng(self._seed)
         return self._rng
 
 
@@ -316,8 +318,8 @@ def load_market(path, *, seed=None) -> LoadedMarket:
     raw = load_json(path)
     _require(isinstance(raw, dict), f"{path}: top level must be an object")
     model = raw.get("model")
-    resolver = _Resolver(seed if seed is not None else raw.get("seed"))
     try:
+        resolver = _Resolver(seed if seed is not None else raw.get("seed"))
         if model in ("linear", "constant_aggregate"):
             return _load_linear(raw, model)
         if model in ("transfer", "ot", "housing"):

@@ -297,8 +297,8 @@ def build_matching_map(market: IndividualMarket) -> EquilibriumMap:
     firm coordinates mirror it with the opposite sign. The registered
     coordinate updates are the exact operator components, so sweeps move
     along the finite payoff grid rather than bisecting the step function.
-    Workers and firms are the two blocks; a single coordinate's update is
-    its block formula on one row (worker) or one column (firm).
+    Workers and firms are the two blocks; one update formula serves a block
+    and a single coordinate, on a slice of rows (workers) or columns (firms).
     """
     alpha, gamma = market.alpha, market.gamma
     count_i = len(market.i_labels)
@@ -312,17 +312,11 @@ def build_matching_map(market: IndividualMarket) -> EquilibriumMap:
         qj = 1.0 - both.sum(axis=0) - (0.0 >= p_firms)
         return np.concatenate([qi, qj])
 
-    def update_block(b: int, values: Array) -> Array:
-        if b == 0:
-            return _worker_block(alpha, gamma, values[count_i:])
-        return _firm_block(alpha, gamma, values[:count_i])
-
-    def update(i: int, values: Array) -> float:
-        if i < count_i:
-            rows = slice(i, i + 1)
-            return float(_worker_block(alpha[rows], gamma[rows], values[count_i:])[0])
-        cols = slice(i - count_i, i - count_i + 1)
-        return float(_firm_block(alpha[:, cols], gamma[:, cols], values[:count_i])[0])
+    def update(lo: int, hi: int, values: Array) -> Array:
+        if lo < count_i:
+            return _worker_block(alpha[lo:hi], gamma[lo:hi], values[count_i:])
+        cols = slice(lo - count_i, hi - count_i)
+        return _firm_block(alpha[:, cols], gamma[:, cols], values[:count_i])
 
     return EquilibriumMap(
         labels=market.labels,
@@ -333,7 +327,6 @@ def build_matching_map(market: IndividualMarket) -> EquilibriumMap:
         m_function=False,
         m0_function=True,
         blocks=((0, count_i), (count_i, count)),
-        update_block=update_block,
     )
 
 

@@ -499,8 +499,8 @@ def _bipartite_map(
     mass ``exp(-p_y / sigma)``). The x and the y coordinates form two
     blocks, and ``residual_block`` evaluates a batch of one-coordinate
     residuals. A ``scale`` ``s`` states that the kernel is
-    ``exp((phi + p_x - p_y) / s)`` and registers closed-form updates: per
-    block, and per coordinate the same formula on a one-row slice.
+    ``exp((phi + p_x - p_y) / s)`` and registers closed-form updates, one
+    formula on a slice of rows or columns for a block and for a coordinate.
     """
     sigma, n, m = market.sigma, market.n, market.m
     singles, nx, keep = layout.singles, layout.nx, layout.keep
@@ -516,8 +516,7 @@ def _bipartite_map(
 
     # One kernel row per x probe and one column per y probe; each is summed
     # along a contiguous axis, so every entry equals the row or column sum
-    # of eval_values bit for bit. Rows and columns are index arrays, or a
-    # one-wide slice for a single probe.
+    # of eval_values bit for bit. Rows and columns are index arrays.
     def x_residuals(rows, t: Array, values: Array) -> Array:
         K = np.exp(log_kernel(t[:, None], layout.py(values), rows, _ALL))
         mass = K.sum(axis=1)
@@ -542,13 +541,7 @@ def _bipartite_map(
         out[~on_x] = y_residuals(layout.column(idx[~on_x] - nx), t[~on_x], values)
         return out
 
-    def residual_value(i: int, t: float, values: Array) -> float:
-        if i < nx:
-            return float(x_residuals(slice(i, i + 1), np.array([t]), values)[0])
-        j = layout.column(i - nx)
-        return float(y_residuals(slice(j, j + 1), np.array([t]), values)[0])
-
-    update = update_block = None
+    update = None
     if scale is not None:
         phi = market.frontiers.phi
         # C-ordered copies, so that both blocks reduce along axis 0 (a fold
@@ -557,35 +550,25 @@ def _bipartite_map(
         phi_x = np.ascontiguousarray(phi.T)
         phi_y, m_y = np.ascontiguousarray(phi[:, keep]), m[keep]
 
-        def x_prices(values: Array, rows) -> Array:
-            z = (phi_x[:, rows] - layout.py(values)[:, None]) / scale
-            return _share_price(_log_mass(z, 0), n[rows], scale, singles, 1)
-
-        def y_prices(values: Array, cols) -> Array:
+        def update(lo: int, hi: int, values: Array) -> Array:
+            if lo < nx:
+                rows = slice(lo, hi)
+                z = (phi_x[:, rows] - layout.py(values)[:, None]) / scale
+                return _share_price(_log_mass(z, 0), n[rows], scale, singles, 1)
+            cols = slice(lo - nx, hi - nx)
             z = (values[:nx, None] + phi_y[:, cols]) / scale
             return _share_price(_log_mass(z, 0), m_y[cols], scale, singles, -1)
-
-        def update_block(b: int, values: Array) -> Array:
-            return x_prices(values, _ALL) if b == 0 else y_prices(values, _ALL)
-
-        def update(i: int, values: Array) -> float:
-            if i < nx:
-                return float(x_prices(values, slice(i, i + 1))[0])
-            r = i - nx
-            return float(y_prices(values, slice(r, r + 1))[0])
 
     return EquilibriumMap(
         labels=layout.labels,
         eval_values=eval_values,
         update_value=update,
-        residual_value=residual_value,
         residual_block=residual_block,
         z_function=True,
         diagonal_isotone=True,
         m_function=singles,
         m0_function=True,
         blocks=((0, nx), (nx, len(layout.labels))),
-        update_block=update_block,
     )
 
 
@@ -963,8 +946,10 @@ def check_nonintegrability(
     ``d Q_x / d p_y - d Q_y / d p_x`` (each coordinate's excess depends
     only on its own price and the other side's, so all asymmetry lives in
     this block). A large entry certifies that no potential function
-    generates the map.
+    generates the map. ``fd_step`` must be finite and ``> 0``.
     """
+    if not 0 < fd_step < np.inf:
+        raise ValueError("fd_step must be finite and > 0")
     Q = build_transfer_map(market)
     if p.labels != Q.labels:
         raise ValueError("price vector labels do not match the market")

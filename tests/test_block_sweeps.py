@@ -1,7 +1,7 @@
 """Block sweeps against the per-coordinate loop they replace, bit for bit.
 
-The reference is always the same map with ``update_block=None``, which makes
-the engine fall back to one ``update_value`` call per coordinate.
+The reference is always the same map with ``blocks=None``, which makes the
+engine call ``update_value`` on one coordinate at a time.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ SWEEPS = (jacobi_sweep, gauss_seidel_sweep)
 
 
 def loop_map(q: EquilibriumMap) -> EquilibriumMap:
-    return dataclasses.replace(q, update_block=None)
+    return dataclasses.replace(q, blocks=None)
 
 
 def tu_map(kind: str, seed: int, nx: int, ny: int, sigma: float, y0=0, pi=0.0):
@@ -82,8 +82,20 @@ def test_block_sweeps_equal_coordinate_loop(
     kind, seed, nx, ny, sigma, damping, scale, y0, pi
 ):
     q = tu_map(kind, seed, nx, ny, sigma, y0, pi)
-    assert q.update_block is not None
+    assert q.blocks is not None and q.update_value is not None
     assert_sweeps_match(q, random_prices(q, seed, scale), SolverOptions(damping=damping))
+
+
+@pytest.mark.parametrize("kind", ["singles", "full", "ot", "match"])
+@pytest.mark.parametrize("seed, nx, ny", [(0, 1, 1), (1, 3, 4), (2, 9, 17), (3, 26, 11)])
+def test_block_update_equals_one_wide_calls(kind, seed, nx, ny):
+    # Sums of 9 and more terms too, where a pairwise fold would differ.
+    q = tu_map(kind, seed, nx, ny, 0.3, y0=seed)
+    values = random_prices(q, seed, 3.0).values
+    for lo, hi in q.blocks:
+        whole = np.asarray(q.update_value(lo, hi, values), dtype=float)
+        ones = [np.asarray(q.update_value(i, i + 1, values)) for i in range(lo, hi)]
+        assert whole.tobytes() == np.concatenate([np.zeros(0), *ones]).tobytes()
 
 
 def test_log_guard_branch_on_both_sides():
@@ -121,21 +133,22 @@ def test_full_assignment_non_default_numeraire():
 
 
 class CountingBlocks:
-    """``update_block`` wrapper that counts its calls."""
+    """``update_value`` wrapper that counts its calls on whole blocks."""
 
     def __init__(self, q: EquilibriumMap):
-        self.inner = q.update_block
+        self.inner = q.update_value
+        self.blocks = set(q.blocks)
         self.calls = 0
 
-    def __call__(self, b, values):
-        self.calls += 1
-        return self.inner(b, values)
+    def __call__(self, lo, hi, values):
+        self.calls += (lo, hi) in self.blocks
+        return self.inner(lo, hi, values)
 
 
 def test_interleaved_order_falls_back_to_the_loop():
     q = tu_map("singles", 5, 3, 3, 1.0)
     spy = CountingBlocks(q)
-    q = dataclasses.replace(q, update_block=spy)
+    q = dataclasses.replace(q, update_value=spy)
     p = random_prices(q, 5, 2.0)
     order = ("x1", "y1", "x2", "y2", "x3", "y3")
     opts = SolverOptions(sweep_order=order)
@@ -147,7 +160,7 @@ def test_interleaved_order_falls_back_to_the_loop():
 def test_whole_block_stretch_uses_the_hook_in_a_mixed_order():
     q = tu_map("singles", 5, 3, 3, 1.0)
     spy = CountingBlocks(q)
-    q = dataclasses.replace(q, update_block=spy)
+    q = dataclasses.replace(q, update_value=spy)
     p = random_prices(q, 5, 2.0)
     # y2 breaks the y block; the x block is still visited whole
     order = ("y2", "x3", "x1", "x2", "y1", "y3")
@@ -163,7 +176,7 @@ def test_whole_block_stretch_uses_the_hook_in_a_mixed_order():
 def test_block_runs_in_any_order_use_the_hook():
     q = tu_map("full", 6, 3, 4, 1.0)
     spy = CountingBlocks(q)
-    q = dataclasses.replace(q, update_block=spy)
+    q = dataclasses.replace(q, update_value=spy)
     p = random_prices(q, 6, 2.0)
     # y block first, each block's coordinates permuted within its run
     order = ("y4", "y2", "y3", "x2", "x3", "x1")
@@ -176,18 +189,14 @@ def test_block_runs_in_any_order_use_the_hook():
 def inject(q: EquilibriumMap, bad: dict[int, float]) -> EquilibriumMap:
     """``q`` with the updates of the coordinates in ``bad`` replaced."""
 
-    def update_value(i, values):
-        return bad.get(i, q.update_value(i, values))
-
-    def update_block(b, values):
-        lo, hi = q.blocks[b]
-        out = q.update_block(b, values).copy()
+    def update_value(lo, hi, values):
+        out = np.array(q.update_value(lo, hi, values), dtype=float)
         for i, v in bad.items():
             if lo <= i < hi:
                 out[i - lo] = v
         return out
 
-    return dataclasses.replace(q, update_value=update_value, update_block=update_block)
+    return dataclasses.replace(q, update_value=update_value)
 
 
 @pytest.mark.parametrize(
@@ -221,18 +230,6 @@ def test_nonfinite_update_names_the_loop_coordinate(sweep, bad, start, damping):
     assert str(block_err.value) == str(loop_err.value)
 
 
-def test_bisection_oracle_never_calls_the_block_hook():
-    market = random_tu_market(np.random.default_rng(9), 3, 3)
-    q = build_transfer_map(market)
-    spy = CountingBlocks(q)
-    oracle = dataclasses.replace(q, update_value=None, update_block=spy)
-    p = random_prices(q, 9, 1.0)
-    for sweep in SWEEPS:
-        sweep(oracle, p)
-    solve(oracle, p, SolverOptions(residual_tol=1e-8, max_sweeps=500))
-    assert spy.calls == 0
-
-
 @pytest.mark.parametrize(
     "blocks",
     [((0, 2),), ((0, 2), (3, 4)), ((1, 4),), ((0, 3), (3, 2), (2, 4)), ((0, 5),)],
@@ -242,19 +239,8 @@ def test_blocks_must_split_the_coordinates(blocks):
         EquilibriumMap(
             labels=labels("z", 4),
             eval_values=lambda v: v,
-            update_value=lambda i, v: 0.0,
+            update_value=lambda lo, hi, v: np.zeros(hi - lo),
             blocks=blocks,
-            update_block=lambda b, v: np.zeros(0),
-        )
-
-
-def test_block_hook_needs_blocks():
-    with pytest.raises(ValueError):
-        EquilibriumMap(
-            labels=("a",),
-            eval_values=lambda v: v,
-            update_value=lambda i, v: 0.0,
-            update_block=lambda b, v: np.zeros(1),
         )
 
 
@@ -262,7 +248,7 @@ def test_block_hook_needs_blocks():
 def test_explicit_order_is_split_once_per_solve(monkeypatch, update):
     q = tu_map("singles", 12, 3, 4, 1.0)
     if not update:
-        q = dataclasses.replace(q, update_value=None, update_block=None)
+        q = dataclasses.replace(q, update_value=None)
     calls = []
     split = core._visit_runs
     monkeypatch.setattr(core, "_visit_runs", lambda *a: calls.append(a) or split(*a))

@@ -138,6 +138,77 @@ PINNED_ARTIFACTS = {
 }
 
 
+# sha256 of each file ``solve --mode gauss-seidel --out`` writes, for every
+# market the sweep engine solves (``linear_divergent`` aside, which writes
+# nothing). They were recorded while a closed-form map still had one hook per
+# coordinate and one per block, and while a lone bisected coordinate (every
+# hedonic coordinate here) still ran the scalar root finder. ``ot_small``
+# solves by Gauss-Seidel by default, so its pin is the one above.
+GAUSS_SEIDEL_ARTIFACTS = {
+    "hedonic.json": {
+        "prices.csv":
+            "03883fe59ceb1743c1e8fb7f2a146b7ac8f2015a6bcfe8eeeefe40ee3bb008df",
+        "solution.json":
+            "ac43f4add852b4e7d766e24abad43a7dd89c53b293488bf94b46516c30ed57c4",
+        "trace.csv":
+            "0aa6a685ff3cca6a561ec8c5299fa9292a2a403938d967d8be043b8d97223fd6",
+    },
+    "housing.json": {
+        "mu.csv":
+            "2bc381ceee1ffbbd037cb0573ab29c4979f787f2d75c8cc43169a75748bcbafc",
+        "payoffs.csv":
+            "0c1880f03ba4d9b859feaafe8237e074ad8d4427987c74086774e716b47e846c",
+        "solution.json":
+            "2e8a01f699a67bffa25c3439398730460270cff5f4ddab670beeda6ae7e7fcfe",
+        "trace.csv":
+            "b91ea3135b32c07e2cdd018cb1bb08c16305e7a6c2c153620fdc39bd8f98bb55",
+    },
+    "linear_mmatrix.json": {
+        "solution.json":
+            "3c5848cc5eb342753092b01a98ca8deaa79a3203b540584d39342b54fd4f5d5d",
+        "trace.csv":
+            "b93cb6c5e84790781427bbee1edc8392cbc9c0fcb2c0ad11a5c5032730c2dabc",
+    },
+    "ot_small.json": PINNED_ARTIFACTS["ot_small.json"],
+    "transfer_full.json": {
+        "mu.csv":
+            "c842f1860c5805bffe0f7878f70ac817624decac496a55fef61e894b88cdc901",
+        "payoffs.csv":
+            "35d32588316dd2d71bfe5a98e9037e15b305514b51d26edf061013db9897f856",
+        "solution.json":
+            "be3828ccd24663015a1d8c84414f2c16308eb29281f1e6d7d008f18ba83ff621",
+        "trace.csv":
+            "15f87f9e4df69c3780d906182c077637e5500af4bd43355c5ddf5a60583a2896",
+        "wages.csv":
+            "a5cf7900f1c2cfbde9fb173a24c4113388bb7428c4035d3d887d3d621445cca0",
+    },
+    "transfer_taxes.json": {
+        "mu.csv":
+            "301f73c1e6888442f8d07026e738dcd392a67f10a410cb87ce4746b7da453bbf",
+        "payoffs.csv":
+            "5452ed62192e03fc60225e99770672298092400f08745076155de00930bb6629",
+        "solution.json":
+            "993715f814f7a4e7680ec4ab831adb9a279b4e4f7aa25ac2df2f86554a4d0eff",
+        "trace.csv":
+            "f9d9900e99d0ff536f8d94153deb35a7722b99a8a2458ceee418934a3e0d161b",
+        "wages.csv":
+            "b31374210597a0a72955fabadff721adb5d2d6ebaf0dd730c0dcb1c8a1d709c0",
+    },
+    "transfer_tu.json": {
+        "mu.csv":
+            "39b4e324a60d560fbed8b2d3e462d92370c64eb2d6e73bf9aa03f028e810188a",
+        "payoffs.csv":
+            "ed301ae338f5817cff6e205d85e02847566129653def29321fe70f398a7ef58f",
+        "solution.json":
+            "2f53e5b96b4e8497026e978bbf151a3d78a99dfcb678fa038c1a94ed1027f136",
+        "trace.csv":
+            "1468d4c657fb2ee7ab04637ee1e52389751343a4eab0b6fa6d70b9e16b5543a9",
+        "wages.csv":
+            "317c9c89716bb599b3b9b055a3fa49f1a3189779436e7837176fe42d541b787b",
+    },
+}
+
+
 def run_cli(*argv: str):
     proc = subprocess.run(
         [sys.executable, "-m", "marketclear", *argv],
@@ -296,6 +367,16 @@ class TestPinnedArtifacts:
         }
         assert written == PINNED_ARTIFACTS[name]
 
+    @pytest.mark.parametrize("name", sorted(GAUSS_SEIDEL_ARTIFACTS))
+    def test_gauss_seidel_artifacts_match_recorded_hashes(self, name, tmp_path, capsys):
+        argv = ["solve", str(MARKETS / name), "--mode", "gauss-seidel"]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+        written = {
+            f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in tmp_path.iterdir()
+        }
+        assert written == GAUSS_SEIDEL_ARTIFACTS[name]
+
     def test_divergent_market_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "out"
         name = str(MARKETS / "linear_divergent.json")
@@ -421,6 +502,8 @@ def _edited(name: str, edit) -> dict:
 # errors surfaced later as a bare ValueError without the file's path, with
 # the field each report must name.
 LINEAR_FAMILY = {"model": "constant_aggregate", "A": [[0.0, 1.0], [1.0, 0.0]]}
+GENERATED = {"count": 2, "uniform": [0.5, 2.0]}
+
 MALFORMED = {
     "sigma_null": (
         _edited("transfer_tu.json", lambda d: d.update(sigma=None)), "sigma"
@@ -456,6 +539,14 @@ MALFORMED = {
         _edited("transfer_tu.json", lambda d: d.update(n={"count": True, "const": 1})),
         "'count' must be a positive integer",
     ),
+    # A seed that is not a non-negative integer, once truncated by int().
+    **{
+        f"seed_{case}": (
+            _edited("transfer_tu.json", lambda d, s=seed: d.update(seed=s, n=GENERATED)),
+            "'seed' must be a non-negative integer",
+        )
+        for case, seed in [("float", 2.7), ("true", True), ("negative", -1), ("text", "3")]
+    },
     "linear_nonfinite_A": (
         _edited("linear_mmatrix.json", lambda d: d["A"][1].__setitem__(0, math.inf)),
         "A must be finite",
@@ -494,6 +585,16 @@ class TestMalformedFiles:
         market.write_text(json.dumps(doc))
         code = cli.main(["solve", str(market)])
         assert names in self.file_error(capsys, code, market)
+
+    @pytest.mark.parametrize("samples", ["-3", "-1"])
+    def test_negative_samples_exit_1(self, samples, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["solve", str(MARKETS / "linear_mmatrix.json"), "--out", str(out)]
+        assert cli.main([*argv, "--samples", samples]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"] == "ValueError"
+        assert "sample_count must be a non-negative integer" in report["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_OUTCOMES))
     def test_outcome_file_exits_1_naming_the_file(self, case, tmp_path, capsys):

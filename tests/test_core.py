@@ -46,8 +46,11 @@ def affine_map(A, b):
     b = np.asarray(b, dtype=float)
     lbls = tuple(f"z{k + 1}" for k in range(A.shape[0]))
 
-    def update(i, values):
-        return (b[i] - A[i] @ values + A[i, i] * values[i]) / A[i, i]
+    def update(lo, hi, values):
+        return [
+            (b[i] - A[i] @ values + A[i, i] * values[i]) / A[i, i]
+            for i in range(lo, hi)
+        ]
 
     return EquilibriumMap(
         labels=lbls,

@@ -227,6 +227,14 @@ class Probes:
             EquilibriumMap.residual_at = inner
 
 
+def substituted(q: EquilibriumMap, i: int, t: float, values) -> float:
+    """Residual of coordinate ``i`` at ``t``: ``eval_values`` on a copy of
+    ``values`` with ``t`` substituted."""
+    probe = np.array(values, dtype=float)
+    probe[i] = t
+    return float(q.eval_values(probe)[i])
+
+
 def contains_in_order(longer: list, shorter: list) -> bool:
     """True iff ``shorter`` is a subsequence of ``longer``."""
     rest = iter(longer)
@@ -268,7 +276,7 @@ def bisection_map(kind: str, seed: int, nx: int, ny: int, y0: int, pi: float):
         market = make(rng, nx, max(ny, 1), singles=False)
         y_label = market.y_labels[y0 % len(market.y_labels)]
         q = build_full_assignment_map(market, y0=y_label, pi=pi)
-    return dataclasses.replace(q, update_value=None, update_block=None)
+    return dataclasses.replace(q, update_value=None)
 
 
 def visit_order(q: EquilibriumMap, seed: int, keep_blocks: bool) -> tuple[str, ...]:
@@ -342,8 +350,8 @@ def test_each_hook_call_is_one_round(kind, monkeypatch):
     # bracket probe, then one per d bisection levels, so a run takes as many
     # hook calls as its slowest coordinate: fewer than the scalar loop's
     # rounds when d > 1, and exactly its probes at d = 1 (a budget of 1). A
-    # coordinate outside a block is its own run and probes through
-    # residual_at.
+    # coordinate outside a block is a one-coordinate run of its own, at
+    # depth 4, so the engine never probes through residual_at.
     q = bisection_map(kind, 4, 3, 4, 1, 0.2)
     p = PriceVector(q.labels, np.random.default_rng(4).uniform(-2, 2, len(q.labels)))
     opts = SolverOptions()
@@ -357,18 +365,19 @@ def test_each_hook_call_is_one_round(kind, monkeypatch):
             runs = [range(len(q.labels))]
         else:
             runs = [range(*b) for b in q.blocks or ()]
+            outside = set(range(len(q.labels))).difference(*runs)
+            runs += [range(i, i + 1) for i in sorted(outside)]
         lockstep = Probes()
         watched = lockstep.watch(q)
         with lockstep.residual_at():
             sweep(watched, p, opts)
         for i, probes in scalar.seq.items():
             assert contains_in_order(lockstep.seq[i], probes)
-        outside = set(range(len(q.labels))).difference(*runs)
-        assert sum(lockstep.per.values()) == sum(scalar.per[i] for i in outside)
+        assert sum(lockstep.per.values()) == 0
         rounds = scalar_rounds = 0
         for r in runs:
             d = core._speculation_depth(q, len(r))
-            assert d == (1 if budget == 1 else 3 if len(r) <= 4 else 2)
+            assert d == (1 if budget == 1 else 4 if len(r) == 1 else 3 if len(r) <= 4 else 2)
             rounds += max(
                 scalar.per[i] - scalar.bisect[i] + -(-scalar.bisect[i] // d)
                 for i in r
@@ -388,12 +397,14 @@ def test_each_hook_call_is_one_round(kind, monkeypatch):
 def test_hooks_equal_residual_at(kind, nx, ny):
     # Sums of 9 and more terms, where numpy's pairwise order differs from a
     # plain fold, so each batch must reduce along the same axis as the map.
+    # residual_at is the hook's one-entry call, so the oracle substitutes
+    # each probe into eval_values.
     rng = np.random.default_rng([nx, ny])
     q = bisection_map(kind, nx * ny, nx, ny, 4, 0.3)
     values = rng.uniform(-3.0, 3.0, len(q.labels))
     idx = rng.integers(0, len(q.labels), 40)
     probes = rng.uniform(-8.0, 8.0, 40)
-    want = [q.residual_at(int(i), t, values) for i, t in zip(idx, probes)]
+    want = [substituted(q, int(i), t, values) for i, t in zip(idx, probes)]
     assert q.residual_block(idx, probes, values).tobytes() == np.asarray(want).tobytes()
 
 
@@ -642,5 +653,5 @@ def test_hedonic_hook_in_batches(monkeypatch):
     q = build_hedonic_map(random_hedonic_market(np.random.default_rng(5), 2, 3, 6))
     values = np.random.default_rng(6).uniform(-2.0, 2.0, 6)
     idx, probes = np.array([5, 0, 3, 3, 1, 2, 4]), np.linspace(-3.0, 3.0, 7)
-    want = [q.residual_at(int(i), t, values) for i, t in zip(idx, probes)]
+    want = [substituted(q, int(i), t, values) for i, t in zip(idx, probes)]
     assert q.residual_block(idx, probes, values).tobytes() == np.asarray(want).tobytes()

@@ -268,7 +268,7 @@ class TestMatchingMap:
             p = PriceVector(q.labels, values)
             expected = op(p).values
             got = np.array(
-                [q.update_value(i, values) for i in range(len(q.labels))]
+                [q.update_value(i, i + 1, values)[0] for i in range(len(q.labels))]
             )
             assert np.array_equal(got, expected)
 

@@ -1,6 +1,8 @@
 """Every class and builder that takes labels, masses or matrices refuses the
 same bad inputs: duplicate labels, a wrong length or shape, a non-finite
-entry and, where masses apply, a non-positive one."""
+entry and, where masses apply, a non-positive one. The sampling checks
+refuse a sample count that is not a non-negative integer, and the Jacobian
+probe a step that is not finite and positive."""
 
 from __future__ import annotations
 
@@ -21,6 +23,9 @@ from marketclear import (
     IndividualOutcome,
     PriceVector,
     TaxSchedule,
+    check_inverse_isotone,
+    check_m0_strong_set_order,
+    check_nonintegrability,
     constant_aggregate_map,
     linear_map,
 )
@@ -166,3 +171,20 @@ def test_outcomes_copy_and_freeze_their_arrays():
     assert outcome.mu[0, 0] == 0.0
     for name in ("mu", "mu_x0", "mu_0y", "u", "v"):
         assert not getattr(outcome, name).flags.writeable
+
+
+@pytest.mark.parametrize("count", [-3, -1, 2.5, True, None])
+@pytest.mark.parametrize("check", [check_inverse_isotone, check_m0_strong_set_order])
+def test_sample_counts_must_be_non_negative_integers(check, count):
+    q = linear_map([[2.0, -1.0], [-1.0, 2.0]])
+    with pytest.raises(ValueError, match="sample_count must be a non-negative integer"):
+        check(q, count, 0)
+    assert check(q, 0, 0).samples == 0
+
+
+@pytest.mark.parametrize("fd_step", [0.0, -1e-4, NAN, INF, -INF])
+def test_fd_step_must_be_finite_and_positive(fd_step):
+    market = AggregateMarket(**VALID["AggregateMarket"][1])
+    p = PriceVector(market.labels, np.zeros(len(market.labels)))
+    with pytest.raises(ValueError, match="fd_step must be finite and > 0"):
+        check_nonintegrability(market, p, fd_step=fd_step)
