@@ -209,6 +209,27 @@ GAUSS_SEIDEL_ARTIFACTS = {
 }
 
 
+# Every ``--start`` value tried on every shipped market: the default (None),
+# each start some model offers, and one that no model offers.
+STARTS = (
+    None, "supersolution", "subsolution", "zeros", "file", "firm_optimal",
+    "bogus",
+)
+ROUTE_LINES = [
+    ["solve", f"markets/{name}", *([] if start is None else ["--start", start])]
+    for name in sorted(f.name for f in MARKETS.glob("*.json"))
+    for start in STARTS
+] + [
+    ["compare", f"markets/{name}"]
+    for name in sorted(f.name for f in MARKETS.glob("*.json"))
+]
+
+# Exit code and JSON report (less ``wall_time_s``) of each line above, keyed
+# by the command line; recorded while the CLI still chose each model's map,
+# starts and recovery in separate ladders.
+ROUTE_REPORTS = json.loads((Path(__file__).parent / "cli_reports.json").read_text())
+
+
 def run_cli(*argv: str):
     proc = subprocess.run(
         [sys.executable, "-m", "marketclear", *argv],
@@ -383,6 +404,19 @@ class TestPinnedArtifacts:
         assert cli.main(["solve", name, "--out", str(out)]) == 2
         assert json.loads(capsys.readouterr().out)["error"] == "NonFiniteResidual"
         assert not out.exists()
+
+
+class TestRouteTable:
+    @pytest.mark.parametrize(
+        "argv", ROUTE_LINES,
+        ids=lambda argv: "-".join(a.removeprefix("markets/") for a in argv),
+    )
+    def test_report_matches_recorded(self, argv, monkeypatch, capsys):
+        monkeypatch.chdir(REPO)
+        code = cli.main(argv)
+        report = json.loads(capsys.readouterr().out)
+        report.pop("wall_time_s", None)
+        assert {"exit": code, "report": report} == ROUTE_REPORTS[" ".join(argv)]
 
 
 class TestCheck:
