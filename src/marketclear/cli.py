@@ -77,8 +77,6 @@ from .matching import (
 )
 from .transfers import (
     build_full_assignment_map,
-    build_housing_full_assignment_map,
-    build_housing_map,
     build_ot_map,
     build_transfer_map,
     full_assignment_supersolution,
@@ -90,17 +88,23 @@ from .transfers import (
 
 __all__ = ["main"]
 
-_ENGINE_MODELS = (
-    "linear", "constant_aggregate", "transfer", "ot", "housing", "hedonic",
-)
-
-
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit with the input-error code."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value; a refused one is a usage error naming the flag."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return seed
 
 
 def _build_parser() -> _Parser:
@@ -121,7 +125,7 @@ def _build_parser() -> _Parser:
     ps.add_argument("--step-tol", dest="step_tol", type=float, default=0.0)
     ps.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=10_000)
     ps.add_argument("--damping", type=float, default=1.0)
-    ps.add_argument("--seed", type=int, default=None,
+    ps.add_argument("--seed", type=_seed, default=None,
                     help="seed for generator fields in the market file")
     ps.add_argument("--samples", type=int, default=0,
                     help="run structure checks with this many sampled pairs")
@@ -136,12 +140,12 @@ def _build_parser() -> _Parser:
     pc.add_argument("market")
     pc.add_argument("outcome", help="path to an outcome JSON file")
     pc.add_argument("--tol", type=float, default=None)
-    pc.add_argument("--seed", type=int, default=None)
+    pc.add_argument("--seed", type=_seed, default=None)
     pc.set_defaults(func=cmd_check)
 
     pe = sub.add_parser("enumerate", help="list all stable matchings")
     pe.add_argument("market")
-    pe.add_argument("--seed", type=int, default=None)
+    pe.add_argument("--seed", type=_seed, default=None)
     pe.add_argument("--out", default=None)
     pe.set_defaults(func=cmd_enumerate)
 
@@ -150,112 +154,96 @@ def _build_parser() -> _Parser:
     pm.add_argument("--tol", type=float, default=1e-10)
     pm.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=10_000)
     pm.add_argument("--damping", type=float, default=1.0)
-    pm.add_argument("--seed", type=int, default=None)
+    pm.add_argument("--seed", type=_seed, default=None)
     pm.set_defaults(func=cmd_compare)
 
     return parser
 
 
 # ---------------------------------------------------------------------------
-# Shared wiring
+# Engine routes
 
 
-def _build_map(loaded: LoadedMarket, y0_override=None, pi_override=None):
-    """Construct the model's map and a context dict for artifacts."""
-    model = loaded.model
-    if model in ("linear", "constant_aggregate"):
-        payload = loaded.payload
-        if model == "linear":
-            q = linear_map(payload["A"], labels=payload["labels"])
-        else:
-            q = constant_aggregate_map(
-                payload["delta"], payload["A"], labels=payload["labels"]
-            )
-        return q, {}
-    market = loaded.payload
+def _engine_map(loaded: LoadedMarket, y0=None, pi=None):
+    """The engine map of ``loaded``, with the ``y0`` and ``pi`` it pins.
+
+    ``y0``/``pi`` override the file's; only a transfer or housing market
+    without singles pins a price. A housing market takes the transfer route:
+    its frontiers were checked at load.
+    """
+    model, market = loaded.model, loaded.payload
+    if model == "linear":
+        return linear_map(market["A"], labels=market["labels"]), None, 0.0
+    if model == "constant_aggregate":
+        q = constant_aggregate_map(
+            market["delta"], market["A"], labels=market["labels"]
+        )
+        return q, None, 0.0
     if model == "hedonic":
-        return build_hedonic_map(market), {"market": market}
+        return build_hedonic_map(market), None, 0.0
     if model == "ot":
-        return build_ot_map(market), {
-            "market": market, "recover_model": "ot",
-            "kind": "tu", "y0": None, "pi": 0.0,
+        return build_ot_map(market), None, 0.0
+    if market.singles:
+        return build_transfer_map(market), None, 0.0
+    y0 = loaded.extras.get("y0") if y0 is None else y0
+    pi = loaded.extras.get("pi", 0.0) if pi is None else pi
+    return build_full_assignment_map(market, y0=y0, pi=pi), y0, pi
+
+
+def _engine_starts(loaded: LoadedMarket, q, y0, pi) -> dict:
+    """The model's ``--start`` choices, each name mapped to a constructor of
+    the start point; the first is the default."""
+    model, market = loaded.model, loaded.payload
+    zeros = {"zeros": lambda: PriceVector(q.labels, np.zeros(len(q.labels)))}
+    if model in ("linear", "constant_aggregate"):
+        p0 = loaded.extras.get("p0")
+
+        def file():
+            if p0 is None:
+                raise ValueError("the market file provides no p0")
+            return PriceVector(q.labels, p0)
+
+        return {**zeros, "file": file} if p0 is None else {"file": file, **zeros}
+    if model == "hedonic":
+        return {
+            "supersolution": lambda: uniform_supersolution(market),
+            "subsolution": lambda: uniform_subsolution(market),
+            **zeros,
         }
-    y0 = y0_override if y0_override is not None else loaded.extras.get("y0")
-    pi = pi_override if pi_override is not None else loaded.extras.get("pi", 0.0)
+    if market.singles:
+        return {
+            "supersolution": lambda: singles_supersolution(market),
+            "subsolution": lambda: singles_subsolution(market),
+            **zeros,
+        }
     if model == "transfer":
-        q = (
-            build_transfer_map(market)
-            if market.singles
-            else build_full_assignment_map(market, y0=y0, pi=pi)
-        )
-    elif model == "housing":
-        q = (
-            build_housing_map(market)
-            if market.singles
-            else build_housing_full_assignment_map(market, y0=y0, pi=pi)
-        )
-    else:
-        raise MarketFileError(f"no solver route for model {model!r}")
-    return q, {
-        "market": market, "recover_model": "transfer",
-        "kind": market.frontiers.kind, "y0": y0, "pi": pi,
-    }
+        return {
+            "supersolution":
+                lambda: full_assignment_supersolution(market, y0=y0, pi=pi),
+            **zeros,
+        }
+    # ot, and housing without singles (experimental): no constructed start.
+    return zeros
 
 
-def _zeros(q) -> PriceVector:
-    return PriceVector(q.labels, np.zeros(len(q.labels)))
+def _pick_start(model: str, starts: dict, name: str | None):
+    """The constructor ``--start name`` picks (the default for ``None``)."""
+    if name is None:
+        name = next(iter(starts))
+    if name not in starts:
+        raise ValueError(f"--start {name!r} is not available for {model} markets")
+    return starts[name]
 
 
-def _default_start(loaded: LoadedMarket, q, ctx, start: str | None) -> PriceVector:
-    """Resolve ``--start`` (or the model default) to a price vector."""
-    model = loaded.model
-
-    def reject():
-        raise ValueError(
-            f"--start {start!r} is not available for {model} markets"
-        )
-
-    if model in ("linear", "constant_aggregate"):
-        if start not in (None, "zeros", "file"):
-            reject()
-        p0 = None if start == "zeros" else loaded.extras.get("p0")
-        if start == "file" and p0 is None:
-            raise ValueError("the market file provides no p0")
-        return PriceVector(q.labels, p0) if p0 is not None else _zeros(q)
-    market = ctx["market"]
-    if model == "ot":
-        if start not in (None, "zeros"):
-            reject()
-        return _zeros(q)
-    if model == "hedonic":
-        if start in (None, "supersolution"):
-            return uniform_supersolution(market)
-        if start == "subsolution":
-            return uniform_subsolution(market)
-        if start == "zeros":
-            return _zeros(q)
-        reject()
-    if model in ("transfer", "housing") and market.singles:
-        if start in (None, "supersolution"):
-            return singles_supersolution(market)
-        if start == "subsolution":
-            return singles_subsolution(market)
-        if start == "zeros":
-            return _zeros(q)
-        reject()
-    if model == "transfer":
-        if start in (None, "supersolution"):
-            return full_assignment_supersolution(
-                market, y0=ctx["y0"], pi=ctx["pi"]
-            )
-        if start == "zeros":
-            return _zeros(q)
-        reject()
-    # housing, full assignment: experimental, no constructed start.
-    if start in (None, "zeros"):
-        return _zeros(q)
-    reject()
-    raise AssertionError("unreachable")
+def _options(args, mode: str, step_tol: float = 0.0) -> SolverOptions:
+    """The solver options of ``solve`` and ``compare`` (no ``--step-tol``)."""
+    return SolverOptions(
+        residual_tol=args.tol,
+        step_tol=step_tol,
+        max_sweeps=args.max_sweeps,
+        mode=mode,
+        damping=args.damping,
+    )
 
 
 def _structure_flags(q) -> dict:
@@ -333,18 +321,13 @@ def _write_payoffs(files: list[str], path: Path, sides) -> None:
 
 
 def _solve_engine(loaded: LoadedMarket, args, report: dict, files: list[str]) -> None:
-    q, ctx = _build_map(loaded, args.y0, args.pi)
-    p0 = _default_start(loaded, q, ctx, args.start)
+    q, y0, pi = _engine_map(loaded, args.y0, args.pi)
+    starts = _engine_starts(loaded, q, y0, pi)
+    p0 = _pick_start(loaded.model, starts, args.start)()
     mode = args.mode.replace("-", "_") if args.mode else (
         "gauss_seidel" if loaded.model == "ot" else "jacobi"
     )
-    opts = SolverOptions(
-        residual_tol=args.tol,
-        step_tol=args.step_tol,
-        max_sweeps=args.max_sweeps,
-        mode=mode,
-        damping=args.damping,
-    )
+    opts = _options(args, mode, args.step_tol)
     # Before the solve, so that a bad sample count is refused at once.
     if args.samples:
         report["structure_checks"] = _structure_checks(q, args.samples, args.seed)
@@ -367,12 +350,10 @@ def _solve_engine(loaded: LoadedMarket, args, report: dict, files: list[str]) ->
         "residual_sup": last.residual_sup,
         "sweeps": len(trace.records) - 1,
     }
+    market = loaded.payload
     if loaded.model in ("transfer", "ot", "housing"):
-        market = ctx["market"]
-        eq = recover_equilibrium(
-            market, p,
-            model=ctx["recover_model"], y0=ctx["y0"], pi=ctx["pi"],
-        )
+        recover = "ot" if loaded.model == "ot" else "transfer"
+        eq = recover_equilibrium(market, p, model=recover, y0=y0, pi=pi)
         solution.update(
             u=[float(v) for v in eq.u],
             v=[float(v) for v in eq.v],
@@ -384,14 +365,10 @@ def _solve_engine(loaded: LoadedMarket, args, report: dict, files: list[str]) ->
             files, outdir / "payoffs.csv",
             [("x", market.x_labels, eq.u), ("y", market.y_labels, eq.v)],
         )
-        if ctx["kind"] in ("tu", "taxes"):
-            wages = recover_wages(
-                market, p,
-                model=ctx["recover_model"], y0=ctx["y0"], pi=ctx["pi"],
-            )
+        if market.frontiers.kind in ("tu", "taxes"):
+            wages = recover_wages(market, p, model=recover, y0=y0, pi=pi)
             _write_xy_table(files, outdir / "wages.csv", market, wages)
     elif loaded.model == "hedonic":
-        market = ctx["market"]
         s_vals = supply(market, p)
         d_vals = demand(market, p)
         _write(
@@ -413,17 +390,14 @@ def _solve_engine(loaded: LoadedMarket, args, report: dict, files: list[str]) ->
 
 def _solve_nt(loaded: LoadedMarket, args, report: dict, files: list[str]) -> None:
     market = loaded.payload
-    start = args.start or "worker_optimal"
-    if start == "worker_optimal":
-        outcome = deferred_acceptance(market)
-        mode = "deferred_acceptance"
-    elif start == "firm_optimal":
-        outcome = adachi_solve(market, start="firm_optimal")
-        mode = "adachi_firm_optimal"
-    else:
-        raise ValueError(
-            f"--start {start!r} is not available for nt markets"
-        )
+    mode, outcome = _pick_start("nt", {
+        "worker_optimal": lambda: (
+            "deferred_acceptance", deferred_acceptance(market)
+        ),
+        "firm_optimal": lambda: (
+            "adachi_firm_optimal", adachi_solve(market, start="firm_optimal")
+        ),
+    }, args.start)()
     report.update(mode=mode, sweeps=None, residual_sup=None)
     outdir = _outdir(args)
     if outdir is None:
@@ -498,14 +472,8 @@ def cmd_solve(args) -> int:
     loaded = load_market(args.market, seed=args.seed)
     report: dict = {"status": "ok", "model": loaded.model}
     files: list[str] = []
-    if loaded.model in _ENGINE_MODELS:
-        _solve_engine(loaded, args, report, files)
-    elif loaded.model == "nt":
-        _solve_nt(loaded, args, report, files)
-    elif loaded.model == "nt_aggregate":
-        _solve_nt_aggregate(loaded, args, report, files)
-    else:
-        raise MarketFileError(f"no solver route for model {loaded.model!r}")
+    route = {"nt": _solve_nt, "nt_aggregate": _solve_nt_aggregate}
+    route.get(loaded.model, _solve_engine)(loaded, args, report, files)
     report["files_written"] = files
     report["wall_time_s"] = time.perf_counter() - began
     print(json.dumps(report, sort_keys=True))
@@ -565,21 +533,21 @@ def _check_aggregate_nt(market, raw: dict, tol: float | None) -> list[str]:
 
 def cmd_check(args) -> int:
     loaded = load_market(args.market, seed=args.seed)
-    q = _build_map(loaded)[0] if loaded.model in _ENGINE_MODELS else None
+    if args.tol is not None and not 0 <= args.tol < np.inf:
+        raise ValueError("--tol must be finite and >= 0")
+    q = None if loaded.model in ("nt", "nt_aggregate") else _engine_map(loaded)[0]
     raw = load_json(args.outcome)
     report: dict = {"model": loaded.model}
     # Each checker reads the outcome file; what it refuses is the file's fault.
     try:
         if not isinstance(raw, dict):
             raise MarketFileError("top level must be an object")
-        if q is not None:
-            violations = _check_engine(q, raw, args.tol, report)
-        elif loaded.model == "nt":
+        if loaded.model == "nt":
             violations = _check_individual(loaded.payload, raw)
         elif loaded.model == "nt_aggregate":
             violations = _check_aggregate_nt(loaded.payload, raw, args.tol)
         else:
-            raise MarketFileError(f"no checker for model {loaded.model!r}")
+            violations = _check_engine(q, raw, args.tol, report)
     except (TypeError, ValueError) as exc:
         raise MarketFileError(f"{args.outcome}: {exc}") from exc
     report["violations"] = violations
@@ -635,22 +603,32 @@ def cmd_enumerate(args) -> int:
 
 def cmd_compare(args) -> int:
     loaded = load_market(args.market, seed=args.seed)
+    if loaded.model == "nt_aggregate":
+        raise MarketFileError(
+            "compare supports solver-engine and individual matching markets"
+        )
     report: dict = {"model": loaded.model}
     code = 0
-    if loaded.model in _ENGINE_MODELS:
-        q, ctx = _build_map(loaded)
-        p0 = _default_start(loaded, q, ctx, None)
+    if loaded.model == "nt":
+        market = loaded.payload
+        da = deferred_acceptance(market)
+        adachi = adachi_solve(market, start="worker_optimal")
+        gap = max(
+            float(np.max(np.abs(da.u - adachi.u))),
+            float(np.max(np.abs(da.v - adachi.v))),
+        )
+        report["agreement_sup"] = gap
+        report["identical"] = bool(
+            np.array_equal(da.mu, adachi.mu) and gap == 0.0
+        )
+    else:
+        q, y0, pi = _engine_map(loaded)
+        p0 = _pick_start(loaded.model, _engine_starts(loaded, q, y0, pi), None)()
         runs: dict[str, dict] = {}
         solved: dict[str, PriceVector] = {}
         for mode in ("jacobi", "gauss_seidel"):
-            opts = SolverOptions(
-                residual_tol=args.tol,
-                max_sweeps=args.max_sweeps,
-                mode=mode,
-                damping=args.damping,
-            )
             try:
-                p, trace = solve(q, p0, opts)
+                p, trace = solve(q, p0, _options(args, mode))
             except MaxSweepsExceeded:
                 runs[mode] = {"status": "max_sweeps_exceeded"}
             except NonFiniteResidual:
@@ -670,22 +648,6 @@ def cmd_compare(args) -> int:
             report["agreement_sup"] = float(gap.max())
         else:
             code = 2
-    elif loaded.model == "nt":
-        market = loaded.payload
-        da = deferred_acceptance(market)
-        adachi = adachi_solve(market, start="worker_optimal")
-        gap = max(
-            float(np.max(np.abs(da.u - adachi.u))),
-            float(np.max(np.abs(da.v - adachi.v))),
-        )
-        report["agreement_sup"] = gap
-        report["identical"] = bool(
-            np.array_equal(da.mu, adachi.mu) and gap == 0.0
-        )
-    else:
-        raise MarketFileError(
-            "compare supports solver-engine and individual matching markets"
-        )
     report["status"] = "ok" if code == 0 else "diverged"
     print(json.dumps(report, sort_keys=True))
     return code

@@ -542,8 +542,11 @@ def is_equilibrium_matching(
     nonnegativity, absence of blocking cells
     (``max(u_x - alpha, v_y - gamma) >= 0`` everywhere), and complementary
     slackness for matched cells and both outside stocks. All comparisons
-    are relative to ``tol`` scaled by the relevant magnitudes.
+    are relative to ``tol`` scaled by the relevant magnitudes; ``tol`` must
+    be finite and ``>= 0``.
     """
+    if not 0 <= tol < np.inf:
+        raise ValueError("tol must be finite and >= 0")
     if (
         outcome.x_labels != market.x_labels
         or outcome.y_labels != market.y_labels

@@ -463,13 +463,14 @@ class _Layout:
 
     @classmethod
     def pinned(cls, market: AggregateMarket, y0: str | None, pi: float):
-        """The full-assignment layout; ``y0`` defaults to the first y-type."""
+        """The full-assignment layout; ``y0`` defaults to the first y-type,
+        and the pinned price ``pi`` must be finite."""
         if market.singles:
             raise ValueError("full-assignment maps need a market without singles")
         y0 = market.y_labels[0] if y0 is None else str(y0)
         if y0 not in market.y_labels:
             raise ValueError(f"unknown y-type {y0!r}")
-        return cls(market, market.y_labels.index(y0), pi)
+        return cls(market, market.y_labels.index(y0), _finite_vector("pi", pi, 1)[0])
 
     def column(self, r: Array) -> Array:
         """The y columns of free y-prices ``r``."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import shlex
 import shutil
 import subprocess
 import sys
@@ -638,6 +639,96 @@ class TestMalformedFiles:
         code = cli.main(["check", str(MARKETS / name), str(outcome)])
         self.file_error(capsys, code, outcome)
 
+
+class TestFlagValues:
+    """A refused flag value is the flag's fault, not the market file's."""
+
+    @pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
+    @pytest.mark.parametrize("argv", [
+        ["solve", "linear_mmatrix.json"],
+        ["check", "linear_mmatrix.json", "solution.json"],
+        ["enumerate", "nt_small.json"],
+        ["compare", "linear_mmatrix.json"],
+    ], ids=lambda argv: argv[0])
+    def test_bad_seed_is_a_usage_error(self, argv, seed, capsys):
+        command, name, *rest = argv
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, str(MARKETS / name), *rest, "--seed", seed])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument --seed: {seed!r} is not a non-negative integer" in err
+
+    @pytest.mark.parametrize("pi", ["nan", "inf", "-inf"])
+    def test_non_finite_pinned_price_exits_1(self, pi, capsys):
+        argv = ["solve", str(MARKETS / "transfer_full.json"), f"--pi={pi}"]
+        assert cli.main(argv) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert (report["error"], report["message"]) == (
+            "ValueError", "pi must be finite"
+        )
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("name", ["transfer_tu.json", "nt_aggregate.json"])
+    def test_check_refuses_a_bad_tolerance(self, name, tol, tmp_path, capsys):
+        market = str(MARKETS / name)
+        assert cli.main(["solve", market, "--out", str(tmp_path)]) == 0
+        solution = tmp_path / "solution.json"
+        if name == "nt_aggregate.json":
+            # A broken outcome, so that no tolerance can let it pass quietly.
+            data = json.loads(solution.read_text())
+            data["mu"][0][0] += 0.5
+            solution.write_text(json.dumps(data))
+            assert cli.main(["check", market, str(solution)]) == 4
+        capsys.readouterr()
+        assert cli.main(["check", market, str(solution), "--tol", tol]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert (report["error"], report["message"]) == (
+            "ValueError", "--tol must be finite and >= 0"
+        )
+
+
+def _readme_command_lines() -> list[list[str]]:
+    """The ``marketclear ...`` lines of the README's command-line section."""
+    section = (REPO / "README.md").read_text().split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line)[1:]
+        for line in block.splitlines()
+        if line.startswith("marketclear ")
+    ]
+
+
+class TestReadme:
+    def test_command_lines_run_in_order(self, tmp_path, monkeypatch, capsys):
+        shutil.copytree(MARKETS, tmp_path / "markets")
+        monkeypatch.chdir(tmp_path)
+        lines = _readme_command_lines()
+        assert len(lines) >= 5
+        for argv in lines:
+            assert cli.main(argv) == 0, (argv, capsys.readouterr())
+
+
+class TestTracedNames:
+    def test_solve_calls_the_module_level_names(self, tmp_path, monkeypatch, capsys):
+        # A tracer times the CLI's layers by swapping these module globals,
+        # so a solve must look each of them up at call time.
+        calls = {}
+        for name in ("build_transfer_map", "singles_supersolution",
+                     "recover_equilibrium"):
+            real = getattr(cli, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+        monkeypatch.chdir(REPO)
+        argv = ["solve", "markets/transfer_tu.json", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert set(calls) == {
+            "build_transfer_map", "singles_supersolution", "recover_equilibrium"
+        }
 
 class TestEnumerate:
     def test_two_stable_matchings(self):

@@ -1,8 +1,10 @@
 """Every class and builder that takes labels, masses or matrices refuses the
 same bad inputs: duplicate labels, a wrong length or shape, a non-finite
 entry and, where masses apply, a non-positive one. The sampling checks
-refuse a sample count that is not a non-negative integer, and the Jacobian
-probe a step that is not finite and positive."""
+refuse a sample count that is not a non-negative integer, the Jacobian
+probe a step that is not finite and positive, the full-assignment routines
+a pinned price that is not finite, and the aggregate equilibrium check a
+tolerance that is not finite and non-negative."""
 
 from __future__ import annotations
 
@@ -23,11 +25,16 @@ from marketclear import (
     IndividualOutcome,
     PriceVector,
     TaxSchedule,
+    build_full_assignment_map,
     check_inverse_isotone,
     check_m0_strong_set_order,
     check_nonintegrability,
     constant_aggregate_map,
+    full_assignment_prices,
+    full_assignment_supersolution,
+    is_equilibrium_matching,
     linear_map,
+    recover_equilibrium,
 )
 
 INF, NAN = math.inf, math.nan
@@ -188,3 +195,31 @@ def test_fd_step_must_be_finite_and_positive(fd_step):
     p = PriceVector(market.labels, np.zeros(len(market.labels)))
     with pytest.raises(ValueError, match="fd_step must be finite and > 0"):
         check_nonintegrability(market, p, fd_step=fd_step)
+
+
+@pytest.mark.parametrize("pi", [NAN, INF, -INF])
+def test_pinned_price_must_be_finite(pi):
+    market = AggregateMarket(
+        x_labels=("x1", "x2"), y_labels=("y1", "y2"), n=[1.0, 2.0],
+        m=[2.0, 1.0], frontiers=FrontierGrid.tu([[0.5, 0.0], [0.0, 0.5]]),
+        sigma=1.0, singles=False,
+    )
+    p = PriceVector(market.labels, np.zeros(len(market.labels)))
+    reduced = PriceVector(("x1", "x2", "y2"), np.zeros(3))
+    for call in (
+        lambda: build_full_assignment_map(market, pi=pi),
+        lambda: full_assignment_supersolution(market, pi=pi),
+        lambda: full_assignment_prices(market, reduced, pi=pi),
+        lambda: recover_equilibrium(market, p, pi=pi),
+    ):
+        with pytest.raises(ValueError, match="pi must be finite"):
+            call()
+
+
+@pytest.mark.parametrize("tol", [NAN, INF, -1e-9])
+def test_equilibrium_check_tolerance_must_be_finite_and_non_negative(tol):
+    market = AggregateNTMarket(**VALID["AggregateNTMarket"][1])
+    outcome = AggregateNTOutcome(**VALID["AggregateNTOutcome"][1])
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        is_equilibrium_matching(market, outcome, tol=tol)
+    is_equilibrium_matching(market, outcome, tol=0.0)
