@@ -247,10 +247,10 @@ class EquilibriumMap:
         on every entry; ``residual_at`` is its one-entry call. Every
         bisection is a lockstep run (a Jacobi sweep, a whole block of a
         Gauss-Seidel sweep, or one lone coordinate) that sends each round of
-        probes through it; without it a round loops ``residual_at``. On runs
-        of up to 9 coordinates a round also fetches the next few levels of
-        each bisection ahead, some off the path ``smallest_root`` takes, so
-        the hook sees a superset of the scalar probes in fewer calls; each
+        probes through it; without it a round loops ``residual_at``. On
+        small runs a round also fetches the next few levels of each
+        bisection ahead, some off the path ``smallest_root`` takes, so the
+        hook sees a superset of the scalar probes in fewer calls; each
         coordinate's machine reads only the values on its own path, so
         roots are the same bits (see ``_lockstep_roots``).
     z_function, diagonal_isotone, m_function, m0_function:
@@ -262,6 +262,11 @@ class EquilibriumMap:
         updates a block in one ``update_value`` call, or bisects it in
         lockstep, whenever its visit order covers the whole block in one
         stretch.
+    probe_cells:
+        Optional positive integer: the kernel cells one ``residual_block``
+        probe evaluates. It prices a lockstep round, so it sets how many
+        bisection levels a round fetches ahead (``_speculation_depth``);
+        without it every probe is priced alike. It never changes a root.
     """
 
     labels: tuple[str, ...]
@@ -274,9 +279,12 @@ class EquilibriumMap:
     m0_function: bool = False
     blocks: tuple[tuple[int, int], ...] | None = None
     residual_block: Callable[[Array, Array, Array], Array] | None = None
+    probe_cells: int | None = None
 
     def __post_init__(self):
         labels = _labels("labels", self.labels)
+        if self.probe_cells is not None:
+            _require_count("probe_cells", self.probe_cells)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_pos", {z: i for i, z in enumerate(labels)})
         if self.blocks is not None:
@@ -383,8 +391,8 @@ class BracketOptions:
         if not 1 < self.growth_factor < math.inf:
             raise ValueError("growth_factor must be finite and > 1")
         _require_count("max_expansions", self.max_expansions)
-        if not self.bisection_tol > 0:
-            raise ValueError("bisection_tol must be > 0")
+        if not 0 < self.bisection_tol < math.inf:
+            raise ValueError("bisection_tol must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -400,10 +408,10 @@ class SolverOptions:
     root_finder: BracketOptions = field(default_factory=BracketOptions)
 
     def __post_init__(self):
-        if not self.residual_tol > 0:
-            raise ValueError("residual_tol must be > 0")
-        if not self.step_tol >= 0:
-            raise ValueError("step_tol must be >= 0")
+        if not 0 < self.residual_tol < math.inf:
+            raise ValueError("residual_tol must be finite and > 0")
+        if not 0 <= self.step_tol < math.inf:
+            raise ValueError("step_tol must be finite and >= 0")
         _require_count("max_sweeps", self.max_sweeps)
         if self.mode not in ("jacobi", "gauss_seidel"):
             raise ValueError("mode must be 'jacobi' or 'gauss_seidel'")
@@ -629,22 +637,46 @@ def _subtree(lo: float, hi: float, tol: float, depth: int) -> list[float]:
     return points
 
 
-# Probes one lockstep round may carry, summed over its coordinates: the
-# depth of speculative bisection is the largest d with n * (2**d - 1) within
-# it. On small maps a round costs about the same at 4 probes as at 28, so
-# fewer, wider rounds win; from 10 coordinates on (d = 1 here) a hedonic
-# round's cost grows with its probes and wider rounds lose.
-_PROBE_BUDGET = 28
+def _bracket_ahead(hint: float, h: float, tol: float, depth: int) -> list[float]:
+    """A machine's first fetch: the hint, both first expansion probes
+    ``hint -/+ h``, and the ``depth`` levels below either bracket the first
+    expansion closes, ``[hint - h, hint]`` and ``[hint, hint + h]``."""
+    below, above = hint - h, hint + h
+    return [
+        hint, below, above,
+        *_subtree(below, hint, tol, depth), *_subtree(hint, above, tol, depth),
+    ]
+
+
+# The cost one lockstep round may carry, in kernel cells: a probe costs its
+# map's probe_cells plus _PROBE_OVERHEAD, the lockstep loop's own work per
+# probe (building the round, reading the values back, resuming the
+# machine). A probe of a map that states no cells costs _UNPRICED_PROBE, so
+# such a map carries 28 probes a round. Small maps pay mostly per round, and fewer,
+# wider rounds win; on wide kernels a round's cost grows with its cells and
+# wider rounds lose. Past _MAX_DEPTH levels the fetch ahead, which doubles
+# with each level, measured slower even on the smallest maps (taxes 4x4
+# Gauss-Seidel blocks, lone hedonic 4x4x4 coordinates).
+_PROBE_OVERHEAD = 16
+_UNPRICED_PROBE = 96
+_ROUND_BUDGET = 28 * _UNPRICED_PROBE
+_MAX_DEPTH = 4
 
 
 def _speculation_depth(Q: EquilibriumMap, count: int) -> int:
     """Bisection levels a lockstep run of ``count`` coordinates fetches per
     round: 1 without ``residual_block`` (a batch is then a loop of
-    evaluations), else the largest ``d`` with ``count * (2**d - 1) <=
-    _PROBE_BUDGET``, at least 1."""
+    evaluations), else the largest ``d`` up to ``_MAX_DEPTH`` whose
+    ``count * (2**d - 1)`` probes cost at most ``_ROUND_BUDGET``, at least
+    1."""
     if Q.residual_block is None:
         return 1
-    return max(1, (_PROBE_BUDGET // max(count, 1) + 1).bit_length() - 1)
+    if Q.probe_cells is None:
+        cost = _UNPRICED_PROBE
+    else:
+        cost = Q.probe_cells + _PROBE_OVERHEAD
+    probes = _ROUND_BUDGET // (max(count, 1) * cost)
+    return min(_MAX_DEPTH, max(1, (probes + 1).bit_length() - 1))
 
 
 def _lockstep_roots(
@@ -659,10 +691,13 @@ def _lockstep_roots(
     machine's pending probe is the first of the next ``d`` levels below its
     bracket (:func:`_subtree`), and the round fetches all of them; the
     machine is then sent the fetched values as it asks for them, and a
-    probe that was not fetched waits for the next round. So a round takes
-    up to ``d`` bisection steps, while each machine reads exactly the values
-    :func:`smallest_root` reads: speculation changes round counts, never a
-    root, an error or which NaN is read. Returns the roots in ``idx`` order
+    probe that was not fetched waits for the next round. A machine's first
+    round also fetches its bracket (:func:`_bracket_ahead`), so a machine
+    whose first expansion closes it takes its first ``d`` bisection steps
+    in round 1. So a round takes up to ``d`` bisection steps, while each
+    machine reads exactly the values :func:`smallest_root` reads:
+    speculation changes round counts, never a root, an error or which NaN
+    is read. Returns the roots in ``idx`` order
     (NaN where a coordinate failed) and the error of each failed
     coordinate, for the caller to raise in its own visit order.
     """
@@ -679,6 +714,7 @@ def _lockstep_roots(
     ]
     live = list(range(idx.size))
     probes = [next(m) for m in machines]
+    first, h = True, opts.root_finder.initial_halfwidth
     while live:
         if depth == 1:
             res = Q.residuals_at(idx.take(live), np.array(probes), values).tolist()
@@ -686,7 +722,10 @@ def _lockstep_roots(
             rows, batch_idx, batch = [], [], []
             for k, x in zip(live, probes):
                 lo, hi = spans[k]
-                row = [x] if lo is None else _subtree(lo, hi, tol, depth)
+                if first:  # x is the hint
+                    row = _bracket_ahead(x, h, tol, depth)
+                else:
+                    row = [x] if lo is None else _subtree(lo, hi, tol, depth)
                 # The pending probe always goes, so every round moves on.
                 if x not in row:
                     row = [x, *row]
@@ -699,6 +738,7 @@ def _lockstep_roots(
             # zip stops at the end of a row, so each row takes its values.
             ahead = {k: dict(zip(row, got)) for k, row in zip(live, rows)}
             res = [ahead[k][x] for k, x in zip(live, probes)]
+            first = False
         next_live, next_probes = [], []
         for k, x, v in zip(live, probes, res):
             if math.isnan(v):

@@ -73,10 +73,10 @@ class HedonicMarket:
 def _choice_mass(util: Array, masses: Array) -> Array:
     """Per-column chosen mass for row-wise logit with outside weight 1.
 
-    ``util`` is ``(rows, columns)``, or a batch ``(k, rows, columns)`` of
-    such matrices, each reduced the same way. Each row is shifted by
-    ``max(0, row max)`` so the largest exponent is at most 0 (the outside
-    option's exponent is exactly ``-shift``).
+    ``util`` is ``(rows, columns)``. Each row is shifted by ``max(0, row
+    max)`` so the largest exponent is at most 0 (the outside option's
+    exponent is exactly ``-shift``). ``build_hedonic_map``'s batch hook
+    repeats these steps on the probed columns alone.
     """
     shift = np.maximum(util.max(axis=-1), 0.0)
     weights = np.exp(util - shift[..., None])
@@ -117,19 +117,40 @@ def build_hedonic_map(market: HedonicMarket) -> EquilibriumMap:
     def eval_values(values: Array) -> Array:
         return _supply_values(market, values) - _demand_values(market, values)
 
+    X, Z = len(market.x_labels), len(market.z_labels)
+    # Supply and demand utilities as one (X+Y, Z) array P * S + B, with
+    # S = 1, B = -c on the x rows and S = -1, B = a on the y rows: exact
+    # rewrites of P - c and a - P.
+    S = np.concatenate([np.ones(X), -np.ones(len(market.y_labels))])[:, None]
+    B = np.concatenate([-market.c, market.a])
+    masses = np.concatenate([market.n, market.m])
+
+    def fold(w: Array) -> Array:
+        # The sum over types of eval_values, (X, Z).sum(axis=-2): numpy
+        # folds the rows in order for Z > 1 and sums them pairwise for
+        # Z = 1. accumulate folds in order at any k, where a (k, X) sum
+        # would go pairwise.
+        if Z == 1:
+            return w.sum(axis=-1)
+        return np.add.accumulate(w, axis=-1)[:, -1]
+
     def own_excess(idx: Array, t: Array, values: Array) -> Array:
-        # Row r is the price vector with variety idx[r] at t[r]; one batched
-        # evaluation of all rows, of which each keeps its own variety.
+        # Row r is the price vector with variety idx[r] at t[r]. Row maxima,
+        # exp and row sums run over every variety, since each denominator
+        # needs the whole row; only variety idx[r] is divided, weighted and
+        # folded over the types.
         r = np.arange(len(idx))
         P = np.repeat(values[None, :], len(idx), axis=0)
         P[r, idx] = t
-        supplied = _choice_mass(P[:, None, :] - market.c, market.n)
-        demanded = _choice_mass(market.a - P[:, None, :], market.m)
-        return supplied[r, idx] - demanded[r, idx]
+        util = P[:, None, :] * S + B
+        shift = np.maximum(util.max(axis=-1), 0.0)
+        weights = np.exp(util - shift[..., None])
+        denom = np.exp(-shift) + weights.sum(axis=-1)
+        mass = masses * (weights[r, :, idx] / denom)
+        return fold(mass[:, :X]) - fold(mass[:, X:])
 
-    # Rows per batch, so that no (rows, types, varieties) array outgrows
-    # _BATCH_CELLS.
-    step = max(1, _BATCH_CELLS // max(market.c.size, market.a.size))
+    # Rows per batch, so that no (rows, X+Y, Z) array outgrows _BATCH_CELLS.
+    step = max(1, _BATCH_CELLS // B.size)
 
     def residual_block(idx: Array, t: Array, values: Array) -> Array:
         if len(idx) <= step:
@@ -143,6 +164,7 @@ def build_hedonic_map(market: HedonicMarket) -> EquilibriumMap:
         labels=market.z_labels,
         eval_values=eval_values,
         residual_block=residual_block,
+        probe_cells=B.size,
         z_function=True,
         diagonal_isotone=True,
         m_function=True,

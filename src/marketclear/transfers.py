@@ -322,10 +322,13 @@ class FrontierGrid:
 
     def distance(self, U, V, rows=_ALL, cols=_ALL):
         """Distances for the selected cells; ``U``/``V`` must broadcast."""
+        return self._distance(U, V, lambda a: a[rows, cols])
+
+    def _distance(self, U, V, pick):
+        # The cells pick(matrix) selects from each parameter matrix.
         if self.kind == "tu":
-            return _tu_distance(U, V, self.phi[rows, cols])
-        a = self.alpha[rows, cols]
-        g = self.gamma[rows, cols]
+            return _tu_distance(U, V, pick(self.phi))
+        a, g = pick(self.alpha), pick(self.gamma)
         if self.kind == "ntu":
             return _ntu_distance(U, V, a, g)
         return _taxes_distance(U, V, a, g, self.schedule)
@@ -486,6 +489,11 @@ class _Layout:
         return py
 
 
+def _whole(matrix: Array) -> Array:
+    # The kernel's pick of every cell.
+    return matrix
+
+
 def _bipartite_map(
     market: AggregateMarket,
     layout: _Layout,
@@ -494,8 +502,9 @@ def _bipartite_map(
 ) -> EquilibriumMap:
     """The excess-supply map of ``market`` over ``layout``.
 
-    Cell masses are ``exp(log_kernel(p_x, p_y, rows, cols))``. The x excess
-    is the row mass (plus the single mass ``exp(p_x / sigma)``) minus
+    Cell masses are ``exp(log_kernel(p_x, p_y, pick))``, where
+    ``pick(matrix)`` selects the cells' entries of a parameter matrix. The x
+    excess is the row mass (plus the single mass ``exp(p_x / sigma)``) minus
     ``n_x``; the y excess is ``m_y`` minus the column mass (plus the single
     mass ``exp(-p_y / sigma)``). The x and the y coordinates form two
     blocks, and ``residual_block`` evaluates a batch of one-coordinate
@@ -504,11 +513,11 @@ def _bipartite_map(
     formula on a slice of rows or columns for a block and for a coordinate.
     """
     sigma, n, m = market.sigma, market.n, market.m
-    singles, nx, keep = layout.singles, layout.nx, layout.keep
+    singles, nx, ny, keep = layout.singles, layout.nx, layout.ny, layout.keep
 
     def eval_values(values: Array) -> Array:
         px, py = values[:nx], layout.py(values)
-        K = np.exp(log_kernel(px[:, None], py[None, :]))
+        K = np.exp(log_kernel(px[:, None], py[None, :], _whole))
         rows, cols = K.sum(axis=1), _colsums(K)
         if singles:
             rows = rows + np.exp(px / sigma)
@@ -518,28 +527,57 @@ def _bipartite_map(
     # One kernel row per x probe and one column per y probe; each is summed
     # along a contiguous axis, so every entry equals the row or column sum
     # of eval_values bit for bit. Rows and columns are index arrays.
-    def x_residuals(rows, t: Array, values: Array) -> Array:
-        K = np.exp(log_kernel(t[:, None], layout.py(values), rows, _ALL))
-        mass = K.sum(axis=1)
+    def x_excess(mass: Array, rows: Array, t: Array) -> Array:
         if singles:
             mass = mass + np.exp(t / sigma)
         return mass - n[rows]
 
-    def y_residuals(cols, t: Array, values: Array) -> Array:
-        mass = _colsums(np.exp(log_kernel(values[:nx, None], t, _ALL, cols)))
+    def y_excess(mass: Array, cols: Array, t: Array) -> Array:
         if singles:
             mass = mass + np.exp(-t / sigma)
         return m[cols] - mass
 
+    # Flat indices of row 0's cells and of column 0's cells.
+    row_cells, col_cells = np.arange(ny), np.arange(nx) * ny
+
+    def mixed_excess(rows: Array, cols: Array, tx: Array, ty: Array, values: Array):
+        # One flat kernel pass over the cells of every probe: those of the
+        # x probes laid out (kx, ny), then those of the y probes (ky, nx).
+        # Each probe's cells are contiguous and sum as in the one-sided case.
+        split = len(rows) * ny
+
+        def stacked(x_part, y_part, dtype=float) -> Array:
+            out = np.empty(split + len(cols) * nx, dtype)
+            out[:split].reshape(len(rows), ny)[...] = x_part
+            out[split:].reshape(len(cols), nx)[...] = y_part
+            return out
+
+        cells = stacked(
+            rows[:, None] * ny + row_cells, col_cells + cols[:, None], np.intp
+        )
+        K = np.exp(log_kernel(
+            stacked(tx[:, None], values[:nx]),
+            stacked(layout.py(values), ty[:, None]),
+            lambda a: a.ravel()[cells],
+        ))
+        return (
+            x_excess(K[:split].reshape(len(rows), ny).sum(axis=1), rows, tx),
+            y_excess(K[split:].reshape(len(cols), nx).sum(axis=1), cols, ty),
+        )
+
     def residual_block(idx: Array, t: Array, values: Array) -> Array:
         on_x = idx < nx
         if on_x.all():
-            return x_residuals(idx, t, values)
+            K = np.exp(log_kernel(t[:, None], layout.py(values), lambda a: a[idx]))
+            return x_excess(K.sum(axis=1), idx, t)
         if not on_x.any():
-            return y_residuals(layout.column(idx - nx), t, values)
+            cols = layout.column(idx - nx)
+            K = np.exp(log_kernel(values[:nx, None], t, lambda a: a[:, cols]))
+            return y_excess(_colsums(K), cols, t)
         out = np.empty(len(idx))
-        out[on_x] = x_residuals(idx[on_x], t[on_x], values)
-        out[~on_x] = y_residuals(layout.column(idx[~on_x] - nx), t[~on_x], values)
+        out[on_x], out[~on_x] = mixed_excess(
+            idx[on_x], layout.column(idx[~on_x] - nx), t[on_x], t[~on_x], values
+        )
         return out
 
     update = None
@@ -565,6 +603,7 @@ def _bipartite_map(
         eval_values=eval_values,
         update_value=update,
         residual_block=residual_block,
+        probe_cells=max(nx, ny),
         z_function=True,
         diagonal_isotone=True,
         m_function=singles,
@@ -581,8 +620,8 @@ def _distance_map(market: AggregateMarket, layout: _Layout) -> EquilibriumMap:
     """
     grid, sigma = market.frontiers, market.sigma
 
-    def log_kernel(px, py, rows=_ALL, cols=_ALL):
-        return -grid.distance(-px, py, rows, cols) / sigma
+    def log_kernel(px, py, pick):
+        return -grid._distance(-px, py, pick) / sigma
 
     scale = 2.0 * sigma if grid.kind == "tu" else None
     return _bipartite_map(market, layout, log_kernel, scale)
@@ -618,8 +657,8 @@ def build_ot_map(market: AggregateMarket) -> EquilibriumMap:
         raise ValueError("the balanced map is for markets without singles")
     phi, sigma = market.frontiers.phi, market.sigma
 
-    def log_kernel(px, py, rows=_ALL, cols=_ALL):
-        return (phi[rows, cols] + px - py) / sigma
+    def log_kernel(px, py, pick):
+        return (pick(phi) + px - py) / sigma
 
     return _bipartite_map(market, _Layout(market), log_kernel, sigma)
 

@@ -668,6 +668,20 @@ class TestFlagValues:
             "ValueError", "pi must be finite"
         )
 
+    @pytest.mark.parametrize("flag, field, relation", [
+        ("--tol", "residual_tol", ">"), ("--step-tol", "step_tol", ">="),
+    ])
+    def test_solve_refuses_an_infinite_tolerance(self, flag, field, relation, capsys):
+        # Once, --tol inf stopped at sweep 0 and reported "ok".
+        argv = ["solve", str(MARKETS / "transfer_tu.json"), flag, "inf"]
+        assert cli.main(argv) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report == {
+            "error": "ValueError",
+            "message": f"{field} must be finite and {relation} 0",
+            "status": "error",
+        }
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     @pytest.mark.parametrize("name", ["transfer_tu.json", "nt_aggregate.json"])
     def test_check_refuses_a_bad_tolerance(self, name, tol, tmp_path, capsys):

@@ -278,6 +278,10 @@ class TestSolveEngine:
     @pytest.mark.parametrize("field, value", [
         ("step_tol", math.nan),
         ("step_tol", -1e-9),
+        ("step_tol", math.inf),
+        ("residual_tol", math.inf),
+        ("residual_tol", math.nan),
+        ("bisection_tol", math.inf),
         ("max_sweeps", 2.5),
         ("max_sweeps", 10.0),
         ("max_sweeps", False),
@@ -286,8 +290,10 @@ class TestSolveEngine:
     def test_solver_options_validation(self, field, value):
         # A NaN step_tol once switched the step criterion off silently, and a
         # float max_sweeps raised a bare TypeError from range() inside solve.
+        # An infinite tolerance stopped a solve at once and reported it ok.
+        bracket = field in {f.name for f in dataclasses.fields(BracketOptions)}
         with pytest.raises(ValueError, match=field):
-            SolverOptions(**{field: value})
+            (BracketOptions if bracket else SolverOptions)(**{field: value})
 
     def test_integral_counts_of_any_integer_type(self):
         opts = SolverOptions(

@@ -35,6 +35,9 @@ from marketclear import (
     SolverOptions,
     build_full_assignment_map,
     build_hedonic_map,
+    build_housing_full_assignment_map,
+    build_housing_map,
+    build_ot_map,
     build_transfer_map,
     coordinate_update,
     gauss_seidel_sweep,
@@ -343,20 +346,37 @@ def test_lockstep_sweeps_equal_scalar_loop(
             assert lockstep.seq == scalar.seq
 
 
+def expected_rounds(scalar: Probes, i: int, d: int) -> int:
+    """Rounds coordinate ``i`` takes at depth ``d``, from its scalar probes.
+
+    At ``d = 1`` a round is one scalar probe. Deeper, the first round
+    fetches the hint, both first expansion probes and ``d`` levels below
+    either bracket they close, so a coordinate whose bracket closes at the
+    first expansion does its first ``d`` bisection levels in round 1. Any
+    further expansion takes a round of its own, then each round takes the
+    next ``d`` levels."""
+    bisect = scalar.bisect[i]
+    expansions = scalar.per[i] - bisect - 1
+    if d == 1:
+        return scalar.per[i]
+    if expansions == 1:
+        return max(1, -(-bisect // d))
+    return expansions + -(-bisect // d)
+
+
 @pytest.mark.parametrize("kind", ["taxes-singles", "taxes-pinned", "hedonic"])
 def test_each_hook_call_is_one_round(kind, monkeypatch):
     # Jacobi runs every coordinate in one lockstep run and Gauss-Seidel one
-    # run per block. A coordinate of a run at depth d takes one round per
-    # bracket probe, then one per d bisection levels, so a run takes as many
-    # hook calls as its slowest coordinate: fewer than the scalar loop's
-    # rounds when d > 1, and exactly its probes at d = 1 (a budget of 1). A
-    # coordinate outside a block is a one-coordinate run of its own, at
-    # depth 4, so the engine never probes through residual_at.
+    # run per block. A run takes as many hook calls as its slowest
+    # coordinate (expected_rounds): fewer than the scalar loop's rounds when
+    # d > 1, and exactly its probes at d = 1 (a budget of 1). A coordinate
+    # outside a block is a one-coordinate run of its own, at depth 4, so the
+    # engine never probes through residual_at.
     q = bisection_map(kind, 4, 3, 4, 1, 0.2)
     p = PriceVector(q.labels, np.random.default_rng(4).uniform(-2, 2, len(q.labels)))
     opts = SolverOptions()
-    for budget, frozen in itertools.product((core._PROBE_BUDGET, 1), (True, False)):
-        monkeypatch.setattr(core, "_PROBE_BUDGET", budget)
+    for budget, frozen in itertools.product((core._ROUND_BUDGET, 1), (True, False)):
+        monkeypatch.setattr(core, "_ROUND_BUDGET", budget)
         sweep = jacobi_sweep if frozen else gauss_seidel_sweep
         scalar = Probes()
         with scalar.residual_at():
@@ -377,11 +397,10 @@ def test_each_hook_call_is_one_round(kind, monkeypatch):
         rounds = scalar_rounds = 0
         for r in runs:
             d = core._speculation_depth(q, len(r))
-            assert d == (1 if budget == 1 else 4 if len(r) == 1 else 3 if len(r) <= 4 else 2)
-            rounds += max(
-                scalar.per[i] - scalar.bisect[i] + -(-scalar.bisect[i] // d)
-                for i in r
-            )
+            # A 7-variety hedonic probe is 49 cells, a taxes probe 4.
+            wide = kind == "hedonic" and len(r) > 1
+            assert d == (1 if budget == 1 else 2 if wide else 4)
+            rounds += max(expected_rounds(scalar, i, d) for i in r)
             scalar_rounds += max(scalar.per[i] for i in r)
         assert lockstep.hook_calls == rounds
         if budget == 1:
@@ -406,6 +425,130 @@ def test_hooks_equal_residual_at(kind, nx, ny):
     probes = rng.uniform(-8.0, 8.0, 40)
     want = [substituted(q, int(i), t, values) for i, t in zip(idx, probes)]
     assert q.residual_block(idx, probes, values).tobytes() == np.asarray(want).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The hooks against the substitution oracle, bit for bit
+
+# Side lengths around numpy's pairwise-sum thresholds: fewer than 8 terms
+# are folded in order, 8 to 128 go through eight partial sums, and longer
+# sums split in halves.
+SIDES = st.sampled_from([1, 2, 8, 9, 130])
+BATCHES = st.sampled_from([1, 2, 5, 17])
+BIPARTITE = [
+    "tu-singles", "tu-pinned", "taxes-singles", "taxes-pinned",
+    "ntu-singles", "ntu-pinned", "ot", "housing-singles", "housing-pinned",
+]
+
+
+def bipartite_map(kind: str, rng, nx: int, ny: int, y0: int, pi: float):
+    """A bipartite map with its residual_block hook, of any layout."""
+    family, _, layout = kind.partition("-")
+    if family == "ot":
+        return build_ot_map(random_tu_market(rng, nx, ny, 1.0, singles=False))
+    singles = layout == "singles"
+    market = {
+        "tu": lambda: random_tu_market(rng, nx, ny, 0.7, singles),
+        "taxes": lambda: random_taxes_market(rng, nx, ny, singles),
+        "ntu": lambda: random_ntu_market(rng, nx, ny, singles),
+        "housing": lambda: random_ntu_market(rng, nx, ny, singles),
+    }[family]()
+    housing = family == "housing"
+    if singles:
+        return (build_housing_map if housing else build_transfer_map)(market)
+    build = build_housing_full_assignment_map if housing else build_full_assignment_map
+    return build(market, y0=market.y_labels[y0 % ny], pi=pi)
+
+
+def with_signed_zeros(rng, values):
+    """``values`` with about a quarter of the entries set to 0.0 or -0.0."""
+    values = np.array(values, dtype=float)
+    zero = rng.random(values.size) < 0.25
+    values[zero] = rng.choice([0.0, -0.0], int(zero.sum()))
+    return values
+
+
+def oracle(q: EquilibriumMap, idx, probes, values) -> bytes:
+    return np.array(
+        [substituted(q, int(i), t, values) for i, t in zip(idx, probes)]
+    ).tobytes()
+
+
+@given(
+    kind=st.sampled_from(BIPARTITE),
+    nx=SIDES,
+    ny=SIDES,
+    sides=st.sampled_from(["x", "y", "both"]),
+    k=BATCHES,
+    y0=st.integers(0, 200),
+    pi=st.sampled_from([0.0, -0.0, 0.4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_bipartite_hook_equals_substitution(kind, nx, ny, sides, k, y0, pi, seed):
+    # x probes alone and y probes alone take the broadcast kernel, a batch
+    # of both the one flat pass; every entry must be eval_values with its
+    # probe substituted, signed zeros included.
+    rng = np.random.default_rng(seed)
+    q = bipartite_map(kind, rng, nx, ny, y0, pi)
+    xs, ys = np.arange(nx), np.arange(nx, len(q.labels))
+    pool = {"x": xs, "y": ys if ys.size else xs, "both": np.arange(len(q.labels))}[sides]
+    idx = rng.choice(pool, k)
+    if sides == "both" and ys.size and k > 1:
+        idx[:2] = rng.choice(xs), rng.choice(ys)  # a mixed batch
+        rng.shuffle(idx)
+    values = with_signed_zeros(rng, rng.uniform(-3.0, 3.0, len(q.labels)))
+    probes = with_signed_zeros(rng, rng.uniform(-6.0, 6.0, k))
+    got = q.residual_block(idx, probes, values)
+    assert got.tobytes() == oracle(q, idx, probes, values)
+
+
+@given(nx=SIDES, ny=SIDES, nz=SIDES, k=BATCHES, seed=st.integers(0, 2**32 - 1))
+# Z = 1, where eval_values sums the types pairwise rather than folding
+# them; X = 1; a batch of one, where a (1, X) sum would go pairwise.
+@example(nx=9, ny=130, nz=1, k=17, seed=0)
+@example(nx=1, ny=9, nz=9, k=1, seed=1)
+@example(nx=130, ny=8, nz=2, k=1, seed=2)
+@settings(max_examples=80, deadline=None)
+def test_hedonic_hook_equals_substitution(nx, ny, nz, k, seed):
+    rng = np.random.default_rng(seed)
+    q = build_hedonic_map(random_hedonic_market(rng, nx, ny, nz))
+    assert q.probe_cells == (nx + ny) * nz
+    idx = rng.integers(0, nz, k)
+    values = with_signed_zeros(rng, rng.uniform(-2.0, 2.0, nz))
+    probes = with_signed_zeros(rng, rng.uniform(-4.0, 4.0, k))
+    got = q.residual_block(idx, probes, values)
+    assert got.tobytes() == oracle(q, idx, probes, values)
+
+
+def test_hedonic_batches_stay_within_the_cell_bound(monkeypatch):
+    # A batch row is one (X+Y, Z) array of utilities; with more consumer
+    # types than producers, counting X*Z or Y*Z cells alone would overrun.
+    import marketclear.hedonic as hedonic
+
+    market = random_hedonic_market(np.random.default_rng(3), 2, 12, 10)
+    rng = np.random.default_rng(4)
+    idx, probes = rng.integers(0, 10, 100), rng.uniform(-3.0, 3.0, 100)
+    values = rng.uniform(-2.0, 2.0, 10)
+    whole = build_hedonic_map(market).residual_block(idx, probes, values)
+    sizes = []
+
+    class Counted:
+        # numpy, with the size of every exp result recorded: the largest
+        # arrays of a slice (utilities, weights) all have that shape.
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x):
+            out = np.exp(x)
+            sizes.append(out.size)
+            return out
+
+    monkeypatch.setattr(hedonic, "_BATCH_CELLS", 4096)
+    monkeypatch.setattr(hedonic, "np", Counted())
+    sliced = build_hedonic_map(market).residual_block(idx, probes, values)
+    assert max(sizes) == (4096 // 140) * 140
+    assert sliced.tobytes() == whole.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -515,21 +658,36 @@ def test_nan_on_the_scalar_path_names_its_probe(at):
 def test_speculation_depth_rule():
     rng = np.random.default_rng(8)
     depth = core._speculation_depth
-    # Large runs, where a wider round costs more than it saves: depth 1.
+    # Wide kernels, where a wider round costs more than it saves: depth 1.
     taxes40 = build_transfer_map(random_taxes_market(rng, 40, 40))
+    hedonic10 = build_hedonic_map(random_hedonic_market(rng, 10, 10, 10))
     hedonic20 = build_hedonic_map(random_hedonic_market(rng, 20, 20, 20))
+    assert (taxes40.probe_cells, hedonic10.probe_cells) == (40, 200)
     assert depth(taxes40, len(taxes40.labels)) == 1  # 80 coordinates, Jacobi
     assert depth(taxes40, 40) == 1  # one side's block, Gauss-Seidel
+    assert depth(hedonic10, len(hedonic10.labels)) == 1
     assert depth(hedonic20, len(hedonic20.labels)) == 1
-    # The sizes of the benchmark's bisection instances: hedonic 4x4x4 and
-    # taxes 4x4 with singles.
+    # The sizes of the benchmark's bisection instances, hedonic 4x4x4 and
+    # taxes 4x4 with singles, and taxes 5x5.
     hedonic4 = build_hedonic_map(random_hedonic_market(rng, 4, 4, 4))
     taxes4 = build_transfer_map(random_taxes_market(rng, 4, 4))
+    taxes5 = build_transfer_map(random_taxes_market(rng, 5, 5))
+    assert (hedonic4.probe_cells, taxes4.probe_cells) == (32, 4)
     assert depth(hedonic4, len(hedonic4.labels)) == 3
-    assert depth(taxes4, len(taxes4.labels)) == 2
+    assert depth(taxes4, len(taxes4.labels)) == 4
+    assert depth(taxes5, len(taxes5.labels)) == 3
     # Without the hook a batch is a loop of evaluations: never speculate.
     assert depth(dataclasses.replace(taxes4, residual_block=None), 8) == 1
-    assert [depth(taxes4, n) for n in (1, 2, 4, 5, 9, 10)] == [4, 3, 3, 2, 2, 1]
+    assert [depth(taxes4, n) for n in (1, 2, 4, 5, 9, 10)] == [4, 4, 4, 4, 3, 3]
+    # A map that states no cells keeps n * (2**d - 1) <= 28 probes.
+    unpriced = dataclasses.replace(taxes4, probe_cells=None)
+    assert [depth(unpriced, n) for n in (1, 2, 4, 5, 9, 10)] == [4, 3, 3, 2, 2, 1]
+
+
+@pytest.mark.parametrize("cells", [0, -3, 2.5, True])
+def test_probe_cells_must_be_a_positive_integer(cells):
+    with pytest.raises(ValueError, match="probe_cells"):
+        EquilibriumMap(labels=("z1",), eval_values=lambda v: v, probe_cells=cells)
 
 
 def test_coordinate_update_runs_one_machine():
@@ -596,7 +754,8 @@ def test_smallest_root_takes_the_scalar_probes(
 
     def lockstep():
         q = hooked_map([probe("lockstep")])
-        with mock.patch.object(core, "_PROBE_BUDGET", 2**depth - 1):
+        budget = (2**depth - 1) * core._UNPRICED_PROBE
+        with mock.patch.multiple(core, _ROUND_BUDGET=budget, _MAX_DEPTH=depth):
             assert core._speculation_depth(q, 1) == depth
             roots, errors = core._lockstep_roots(
                 q, [0], np.array([float(hint)]), SolverOptions(root_finder=opts)
