@@ -38,8 +38,6 @@ from .core import (
     SolverOptions,
     check_inverse_isotone,
     check_m0_strong_set_order,
-    constant_aggregate_map,
-    linear_map,
     solve,
 )
 from .errors import (
@@ -127,7 +125,7 @@ def _build_parser() -> _Parser:
     ps.add_argument("--damping", type=float, default=1.0)
     ps.add_argument("--seed", type=_seed, default=None,
                     help="seed for generator fields in the market file")
-    ps.add_argument("--samples", type=int, default=0,
+    ps.add_argument("--samples", type=int, default=None,
                     help="run structure checks with this many sampled pairs")
     ps.add_argument("--y0", default=None,
                     help="pinned y label for full-assignment markets")
@@ -169,16 +167,11 @@ def _engine_map(loaded: LoadedMarket, y0=None, pi=None):
 
     ``y0``/``pi`` override the file's; only a transfer or housing market
     without singles pins a price. A housing market takes the transfer route:
-    its frontiers were checked at load.
+    its frontiers were checked at load. A linear-family file loads as its map.
     """
     model, market = loaded.model, loaded.payload
-    if model == "linear":
-        return linear_map(market["A"], labels=market["labels"]), None, 0.0
-    if model == "constant_aggregate":
-        q = constant_aggregate_map(
-            market["delta"], market["A"], labels=market["labels"]
-        )
-        return q, None, 0.0
+    if model in ("linear", "constant_aggregate"):
+        return market, None, 0.0
     if model == "hedonic":
         return build_hedonic_map(market), None, 0.0
     if model == "ot":
@@ -256,21 +249,17 @@ def _structure_flags(q) -> dict:
 
 
 def _structure_checks(q, samples: int, seed: int | None) -> dict:
-    rng_seed = 0 if seed is None else seed
-    report = check_inverse_isotone(q, samples, rng_seed)
-    out = {
-        "inverse_isotone": {
+    """The sampled checks the declared flags call for, by report name."""
+    checks = {"inverse_isotone": check_inverse_isotone}
+    if q.m0_function and not q.m_function:
+        checks["m0_strong_set_order"] = check_m0_strong_set_order
+    out = {}
+    for name, check in checks.items():
+        report = check(q, samples, 0 if seed is None else seed)
+        out[name] = {
             "samples": report.samples,
             "comparable": report.comparable,
             "violations": len(report.violations),
-        }
-    }
-    if q.m0_function and not q.m_function:
-        so = check_m0_strong_set_order(q, samples, rng_seed)
-        out["m0_strong_set_order"] = {
-            "samples": so.samples,
-            "comparable": so.comparable,
-            "violations": len(so.violations),
         }
     return out
 
@@ -435,7 +424,13 @@ def _solve_nt_aggregate(
     loaded: LoadedMarket, args, report: dict, files: list[str]
 ) -> None:
     market = loaded.payload
-    outcome = dalm(market, max_rounds=args.max_sweeps)
+    run = _pick_start("nt_aggregate", {
+        "dalm": lambda: dalm(market, max_rounds=args.max_sweeps)
+    }, args.start)
+    for flag in ("mode", "y0", "pi", "samples"):
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} is not available for nt_aggregate markets")
+    outcome = run()
     ok, names = is_equilibrium_matching(market, outcome)
     report.update(
         mode="dalm",

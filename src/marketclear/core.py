@@ -1050,14 +1050,6 @@ def _default_labels(count: int, prefix: str = "z") -> tuple[str, ...]:
     return tuple(f"{prefix}{i + 1}" for i in range(count))
 
 
-def _square_matrix(A) -> Array:
-    """Read-only copy of a finite square matrix ``A``."""
-    A = _finite_matrix("A", A)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("A must be a square matrix")
-    return A
-
-
 def linear_map(A, labels: Sequence[str] | None = None) -> EquilibriumMap:
     """Map ``Q(p) = A p`` with structure flags derived from ``A``.
 
@@ -1066,7 +1058,9 @@ def linear_map(A, labels: Sequence[str] | None = None) -> EquilibriumMap:
     sums additionally declare an M-function (weak variant). A closed-form
     coordinate update is registered when every diagonal entry is positive.
     """
-    A = _square_matrix(A)
+    A = _finite_matrix("A", A)
+    if A.shape[0] != A.shape[1]:
+        raise ValueError("A must be a square matrix")
     n = A.shape[0]
     labels = _labels("labels", _default_labels(n) if labels is None else labels, n)
 
@@ -1203,13 +1197,8 @@ class IsotonicityReport:
     violations: tuple[tuple[PriceVector, PriceVector], ...]
 
 
-@dataclass(frozen=True)
-class SetOrderReport:
+class SetOrderReport(IsotonicityReport):
     """Outcome of a strong-set-order sampling check on the inverse."""
-
-    samples: int
-    comparable: int
-    violations: tuple[tuple[PriceVector, PriceVector], ...]
 
 
 def _ordered_pairs(Q: EquilibriumMap, sample_count: int, rng_seed: int, box: float):

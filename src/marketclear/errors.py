@@ -15,15 +15,19 @@ class ResponsivenessViolation(SolverError):
     """A coordinate residual never changes sign: no root can be bracketed."""
 
 
-class MaxSweepsExceeded(SolverError):
-    """The sweep budget ran out before the convergence criterion was met.
-
-    Carries the trace accumulated so far in ``trace``.
-    """
+class _BudgetExceeded(SolverError):
+    """An iteration budget ran out; the trace so far is in ``trace``."""
 
     def __init__(self, message: str, trace=None):
         super().__init__(message)
         self.trace = trace
+
+
+class MaxSweepsExceeded(_BudgetExceeded):
+    """The sweep budget ran out before the convergence criterion was met.
+
+    Carries the trace accumulated so far in ``trace``.
+    """
 
 
 class IrreducibilityViolation(SolverError):
@@ -38,17 +42,13 @@ class InstanceTooLarge(SolverError):
     """The instance exceeds a size guard for exhaustive enumeration."""
 
 
-class MaxRoundsExceeded(SolverError):
+class MaxRoundsExceeded(_BudgetExceeded):
     """An iterative matching algorithm ran out of rounds.
 
     Carries a trace in ``trace``: the per-round trace accumulated so far
     when the caller asked for one, otherwise the last state alone, in a
     one-element list (for ``dalm``: the last availability matrix).
     """
-
-    def __init__(self, message: str, trace=None):
-        super().__init__(message)
-        self.trace = trace
 
 
 class InternalError(SolverError):

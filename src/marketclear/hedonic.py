@@ -70,17 +70,21 @@ class HedonicMarket:
         object.__setattr__(self, "a", _finite_matrix("a", self.a, shape_a))
 
 
-def _choice_mass(util: Array, masses: Array) -> Array:
-    """Per-column chosen mass for row-wise logit with outside weight 1.
+def _logit(util: Array) -> tuple[Array, Array]:
+    """Row-wise logit weights and denominators with outside weight 1.
 
-    ``util`` is ``(rows, columns)``. Each row is shifted by ``max(0, row
-    max)`` so the largest exponent is at most 0 (the outside option's
-    exponent is exactly ``-shift``). ``build_hedonic_map``'s batch hook
-    repeats these steps on the probed columns alone.
+    Each row of ``util`` (last axis) is shifted by ``max(0, row max)`` so
+    the largest exponent is at most 0 (the outside option's exponent is
+    exactly ``-shift``); a row's shares are its weights over its denominator.
     """
     shift = np.maximum(util.max(axis=-1), 0.0)
     weights = np.exp(util - shift[..., None])
-    denom = np.exp(-shift) + weights.sum(axis=-1)
+    return weights, np.exp(-shift) + weights.sum(axis=-1)
+
+
+def _choice_mass(util: Array, masses: Array) -> Array:
+    """Per-column chosen mass of the ``(rows, columns)`` logit ``util``."""
+    weights, denom = _logit(util)
     shares = weights / denom[..., None]
     return (masses[:, None] * shares).sum(axis=-2)
 
@@ -142,10 +146,7 @@ def build_hedonic_map(market: HedonicMarket) -> EquilibriumMap:
         r = np.arange(len(idx))
         P = np.repeat(values[None, :], len(idx), axis=0)
         P[r, idx] = t
-        util = P[:, None, :] * S + B
-        shift = np.maximum(util.max(axis=-1), 0.0)
-        weights = np.exp(util - shift[..., None])
-        denom = np.exp(-shift) + weights.sum(axis=-1)
+        weights, denom = _logit(P[:, None, :] * S + B)
         mass = masses * (weights[r, :, idx] / denom)
         return fold(mass[:, :X]) - fold(mass[:, X:])
 

@@ -43,10 +43,9 @@ import numpy as np
 from .core import (
     _default_labels,
     _finite_vector,
-    _labels,
     _require_count,
-    _square_matrix,
-    _validate_constant_aggregate,
+    constant_aggregate_map,
+    linear_map,
 )
 from .hedonic import HedonicMarket
 from .matching import AggregateNTMarket, IndividualMarket
@@ -75,12 +74,13 @@ class MarketFileError(ValueError):
 
 @dataclass(frozen=True)
 class LoadedMarket:
-    """A parsed market file: normalized model name, market object, options.
+    """A parsed market file: normalized model name, model object, options.
 
     ``model`` is one of ``linear``, ``constant_aggregate``, ``transfer``,
-    ``ot``, ``housing``, ``hedonic``, ``nt``, ``nt_aggregate``. For the
-    linear family ``payload`` is a dict of arrays; otherwise it is the
-    constructed market object. ``extras`` carries optional per-file solver
+    ``ot``, ``housing``, ``hedonic``, ``nt``, ``nt_aggregate``. ``payload``
+    is the model object: for the linear family that is the map itself
+    (``linear_map`` or ``constant_aggregate_map``), otherwise the
+    constructed market. ``extras`` carries optional per-file solver
     defaults (``p0``, ``y0``, ``pi``).
     """
 
@@ -277,20 +277,20 @@ def _load_nt(raw: dict, resolver: _Resolver) -> LoadedMarket:
 
 
 def _load_linear(raw: dict, model: str) -> LoadedMarket:
-    """The linear family's payload, checked as its map builder checks it."""
+    """The linear family's map, which checks the file's ``A`` and labels."""
     _require("A" in raw, f"'{model}' files need 'A'")
-    if model == "linear":
-        payload: dict[str, Any] = {"A": _square_matrix(_rows(raw, "A"))}
-    else:
+    if model == "constant_aggregate":
         _require("delta" in raw, "'constant_aggregate' files need 'delta'")
-        delta, a = _validate_constant_aggregate(raw["delta"], _rows(raw, "A"))
-        payload = {"A": a, "delta": delta}
-    size = len(payload["A"])
-    payload["labels"] = _labels("labels", _label_list(raw, "labels", size, "z"), size)
+    A = _rows(raw, "A")
+    labels = _label_list(raw, "labels", len(A), "z")
+    if model == "linear":
+        q = linear_map(A, labels)
+    else:
+        q = constant_aggregate_map(raw["delta"], A, labels)
     extras: dict[str, Any] = {}
     if raw.get("p0") is not None:
-        extras["p0"] = _finite_vector("p0", raw["p0"], size)
-    return LoadedMarket(model, payload, extras)
+        extras["p0"] = _finite_vector("p0", raw["p0"], len(q.labels))
+    return LoadedMarket(model, q, extras)
 
 
 def load_json(path) -> Any:

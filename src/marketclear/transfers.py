@@ -515,29 +515,30 @@ def _bipartite_map(
     sigma, n, m = market.sigma, market.n, market.m
     singles, nx, ny, keep = layout.singles, layout.nx, layout.ny, layout.keep
 
-    def eval_values(values: Array) -> Array:
-        px, py = values[:nx], layout.py(values)
-        K = np.exp(log_kernel(px[:, None], py[None, :], _whole))
-        rows, cols = K.sum(axis=1), _colsums(K)
-        if singles:
-            rows = rows + np.exp(px / sigma)
-            cols = cols + np.exp(-py / sigma)
-        return np.concatenate([rows - n, (m - cols)[keep]])
-
-    # One kernel row per x probe and one column per y probe; each is summed
-    # along a contiguous axis, so every entry equals the row or column sum
-    # of eval_values bit for bit. Rows and columns are index arrays.
-    def x_excess(mass: Array, rows: Array, t: Array) -> Array:
+    # The x excess of kernel row masses and the y excess of column masses, at
+    # rows or columns (index arrays, or _ALL) priced at t.
+    def x_excess(mass: Array, rows, t: Array) -> Array:
         if singles:
             mass = mass + np.exp(t / sigma)
         return mass - n[rows]
 
-    def y_excess(mass: Array, cols: Array, t: Array) -> Array:
+    def y_excess(mass: Array, cols, t: Array) -> Array:
         if singles:
             mass = mass + np.exp(-t / sigma)
         return m[cols] - mass
 
-    # Flat indices of row 0's cells and of column 0's cells.
+    def eval_values(values: Array) -> Array:
+        px, py = values[:nx], layout.py(values)
+        K = np.exp(log_kernel(px[:, None], py[None, :], _whole))
+        return np.concatenate([
+            x_excess(K.sum(axis=1), _ALL, px),
+            y_excess(_colsums(K), _ALL, py)[keep],
+        ])
+
+    # One kernel row per x probe and one column per y probe; each is summed
+    # along a contiguous axis, so every entry equals the row or column sum
+    # of eval_values bit for bit. Flat indices of row 0's cells and of
+    # column 0's cells:
     row_cells, col_cells = np.arange(ny), np.arange(nx) * ny
 
     def mixed_excess(rows: Array, cols: Array, tx: Array, ty: Array, values: Array):

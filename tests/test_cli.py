@@ -11,9 +11,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from marketclear import cli
+from marketclear import EquilibriumMap, cli, linear_map
 
 REPO = Path(__file__).resolve().parent.parent
 MARKETS = REPO / "markets"
@@ -227,8 +228,27 @@ ROUTE_LINES = [
 
 # Exit code and JSON report (less ``wall_time_s``) of each line above, keyed
 # by the command line; recorded while the CLI still chose each model's map,
-# starts and recovery in separate ladders.
+# starts and recovery in separate ladders. The ``solve nt_aggregate.json
+# --start`` lines were re-recorded when the dalm route began to refuse every
+# start but ``dalm``, which it had ignored until then.
 ROUTE_REPORTS = json.loads((Path(__file__).parent / "cli_reports.json").read_text())
+
+
+# Comparable pairs of each sampled check ``solve --samples 50`` reports for
+# every market the sweep engine solves (all 50 samples, no violations),
+# recorded while each check's report was assembled by hand.
+# ``m0_strong_set_order`` runs exactly when a map declares ``m0_function``
+# but not ``m_function``. ``linear_divergent`` runs its checks too, but its
+# solve fails and reports only the error.
+SAMPLED_CHECKS = {
+    "hedonic.json": {"inverse_isotone": 0},
+    "housing.json": {"inverse_isotone": 0},
+    "linear_mmatrix.json": {"inverse_isotone": 2, "m0_strong_set_order": 2},
+    "ot_small.json": {"inverse_isotone": 0, "m0_strong_set_order": 0},
+    "transfer_full.json": {"inverse_isotone": 1, "m0_strong_set_order": 1},
+    "transfer_taxes.json": {"inverse_isotone": 0},
+    "transfer_tu.json": {"inverse_isotone": 0},
+}
 
 
 def run_cli(*argv: str):
@@ -294,6 +314,19 @@ class TestSolve:
         checks = report["structure_checks"]
         assert checks["inverse_isotone"]["samples"] == 50
         assert checks["inverse_isotone"]["violations"] == 0
+
+    @pytest.mark.parametrize("name", sorted(SAMPLED_CHECKS))
+    def test_sampled_checks_follow_the_declared_flags(self, name, capsys):
+        assert cli.main(["solve", str(MARKETS / name), "--samples", "50"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["structure_checks"] == {
+            check: {"samples": 50, "comparable": comparable, "violations": 0}
+            for check, comparable in SAMPLED_CHECKS[name].items()
+        }
+        flags = report["structure"]
+        assert ("m0_strong_set_order" in report["structure_checks"]) == (
+            flags["m0_function"] and not flags["m_function"]
+        )
 
     def test_artifacts_round_trip(self, tmp_path):
         out = tmp_path / "run"
@@ -640,8 +673,50 @@ class TestMalformedFiles:
         self.file_error(capsys, code, outcome)
 
 
+class TestLoader:
+    @pytest.mark.parametrize("name", ["linear_mmatrix.json", "linear_divergent.json"])
+    def test_linear_file_loads_as_its_map(self, name):
+        raw = json.loads((MARKETS / name).read_text())
+        q = cli.load_market(MARKETS / name).payload
+        assert isinstance(q, EquilibriumMap)
+        built = linear_map(raw["A"], raw.get("labels"))
+        assert q.labels == built.labels
+        flags = ("z_function", "diagonal_isotone", "m_function", "m0_function")
+        assert [getattr(q, f) for f in flags] == [getattr(built, f) for f in flags]
+        values = np.linspace(-2.0, 3.0, len(q.labels))
+        assert q.eval_values(values).tobytes() == built.eval_values(values).tobytes()
+
+
 class TestFlagValues:
     """A refused flag value is the flag's fault, not the market file's."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--mode", "gauss-seidel"], "--mode"),
+        (["--y0", "q"], "--y0"),
+        (["--pi", "1.5"], "--pi"),
+        (["--samples", "10"], "--samples"),
+        (["--samples", "0"], "--samples"),
+    ])
+    def test_aggregate_route_refuses_unused_flags(self, argv, flag, tmp_path, capsys):
+        out = tmp_path / "out"
+        name = str(MARKETS / "nt_aggregate.json")
+        assert cli.main(["solve", name, *argv, "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "ValueError",
+            "message": f"{flag} is not available for nt_aggregate markets",
+            "status": "error",
+        }
+        assert not out.exists()
+
+    def test_aggregate_route_takes_its_one_start(self, capsys):
+        name = str(MARKETS / "nt_aggregate.json")
+        assert cli.main(["solve", name, "--start", "dalm"]) == 0
+        assert json.loads(capsys.readouterr().out)["mode"] == "dalm"
+        argv = ["solve", name, "--start", "bogus", "--mode", "gauss-seidel", "--y0", "q"]
+        assert cli.main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["message"] == (
+            "--start 'bogus' is not available for nt_aggregate markets"
+        )
 
     @pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
     @pytest.mark.parametrize("argv", [

@@ -17,11 +17,13 @@ from marketclear import (
     BracketOptions,
     EquilibriumMap,
     InternalError,
+    IsotonicityReport,
     IrreducibilityViolation,
     MaxSweepsExceeded,
     NonFiniteResidual,
     PriceVector,
     ResponsivenessViolation,
+    SetOrderReport,
     SolverOptions,
     check_inverse_isotone,
     check_m0_strong_set_order,
@@ -563,6 +565,16 @@ class TestPropertyChecks:
             linear_map([[1.0, -2.0], [-2.0, 1.0]]), 400, rng_seed=42
         )
         assert len(bad.violations) > 0
+
+    def test_both_reports_share_one_field_list(self):
+        q = linear_map([[2.0, -1.0], [-1.0, 2.0]])
+        report = check_m0_strong_set_order(q, 20, rng_seed=1)
+        assert type(report) is SetOrderReport
+        assert isinstance(report, IsotonicityReport)
+        assert dataclasses.fields(report) == dataclasses.fields(IsotonicityReport)
+        # Equal fields under the two names are still two different reports.
+        same = IsotonicityReport(report.samples, report.comparable, report.violations)
+        assert report != same
 
 
 class TestMapValidation:
