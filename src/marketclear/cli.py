@@ -16,6 +16,9 @@ Subcommands
     Run both sweep modes (or both matching algorithms) on one market and
     report sweep counts and agreement.
 
+Each route reads a fixed set of the tuning flags; any other one given exits 1
+with a message naming it.
+
 Exit codes: 0 success; 1 input or validation problem; 2 non-convergence
 (sweep budget exhausted or non-finite values); 3 responsiveness failure;
 4 ``check`` found violations. Reports go to stdout as JSON; diagnostics go
@@ -74,12 +77,12 @@ from .matching import (
     is_equilibrium_matching,
 )
 from .transfers import (
+    _cell_wages,
     build_full_assignment_map,
     build_ot_map,
     build_transfer_map,
     full_assignment_supersolution,
     recover_equilibrium,
-    recover_wages,
     singles_subsolution,
     singles_supersolution,
 )
@@ -112,17 +115,19 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Tuning flags default to None so that a given one can be told from an
+    # absent one; an absent one takes the SolverOptions default.
     ps = sub.add_parser("solve", help="solve a market file")
     ps.add_argument("market", help="path to a market JSON file")
     ps.add_argument("--mode", choices=["jacobi", "gauss-seidel"], default=None)
     ps.add_argument("--start", default=None,
                     help="starting point (model-dependent; e.g. supersolution,"
                          " subsolution, zeros, file, firm_optimal)")
-    ps.add_argument("--tol", type=float, default=1e-10,
+    ps.add_argument("--tol", type=float, default=None,
                     help="sup-norm residual tolerance (default 1e-10)")
-    ps.add_argument("--step-tol", dest="step_tol", type=float, default=0.0)
-    ps.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=10_000)
-    ps.add_argument("--damping", type=float, default=1.0)
+    ps.add_argument("--step-tol", dest="step_tol", type=float, default=None)
+    ps.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=None)
+    ps.add_argument("--damping", type=float, default=None)
     ps.add_argument("--seed", type=_seed, default=None,
                     help="seed for generator fields in the market file")
     ps.add_argument("--samples", type=int, default=None,
@@ -149,9 +154,9 @@ def _build_parser() -> _Parser:
 
     pm = sub.add_parser("compare", help="run both solver routes and compare")
     pm.add_argument("market")
-    pm.add_argument("--tol", type=float, default=1e-10)
-    pm.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=10_000)
-    pm.add_argument("--damping", type=float, default=1.0)
+    pm.add_argument("--tol", type=float, default=None)
+    pm.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=None)
+    pm.add_argument("--damping", type=float, default=None)
     pm.add_argument("--seed", type=_seed, default=None)
     pm.set_defaults(func=cmd_compare)
 
@@ -159,64 +164,82 @@ def _build_parser() -> _Parser:
 
 
 # ---------------------------------------------------------------------------
-# Engine routes
+# Routes
 
 
-def _engine_map(loaded: LoadedMarket, y0=None, pi=None):
-    """The engine map of ``loaded``, with the ``y0`` and ``pi`` it pins.
+# The tuning flags each route of each command reads. Every route also reads
+# --seed and --out, and a solve route --start; any other flag given is
+# refused. "pinned" is the engine route of a market that pins a price.
+_TUNING = ("mode", "tol", "step_tol", "max_sweeps", "damping", "samples", "y0", "pi")
+_ENGINE = ("mode", "tol", "step_tol", "max_sweeps", "damping", "samples")
+_READS = {
+    "solve": {
+        "engine": _ENGINE,
+        "pinned": _TUNING,
+        "nt": (),
+        "nt_aggregate": ("max_sweeps",),
+    },
+    "check": {"engine": ("tol",), "nt": (), "nt_aggregate": ("tol",)},
+    "compare": {"engine": ("tol", "max_sweeps", "damping"), "nt": ()},
+}
+
+
+def _refuse_unread(args, model: str, route: str) -> None:
+    """Refuse the first tuning flag given that ``route`` does not read."""
+    reads = _READS[args.command][route]
+    for flag in _TUNING:
+        if flag not in reads and getattr(args, flag, None) is not None:
+            name = flag.replace("_", "-")
+            raise ValueError(f"--{name} is not available for {model} markets")
+
+
+def _engine_route(loaded: LoadedMarket, y0=None, pi=None):
+    """The engine map of ``loaded``, its ``--start`` menu (each name mapped to
+    a constructor of the start point, the default first) and the ``y0`` and
+    ``pi`` keywords it pins (empty when it pins nothing).
 
     ``y0``/``pi`` override the file's; only a transfer or housing market
     without singles pins a price. A housing market takes the transfer route:
     its frontiers were checked at load. A linear-family file loads as its map.
     """
     model, market = loaded.model, loaded.payload
-    if model in ("linear", "constant_aggregate"):
-        return market, None, 0.0
-    if model == "hedonic":
-        return build_hedonic_map(market), None, 0.0
-    if model == "ot":
-        return build_ot_map(market), None, 0.0
-    if market.singles:
-        return build_transfer_map(market), None, 0.0
-    y0 = loaded.extras.get("y0") if y0 is None else y0
-    pi = loaded.extras.get("pi", 0.0) if pi is None else pi
-    return build_full_assignment_map(market, y0=y0, pi=pi), y0, pi
+    pin = {}
 
+    def zeros():
+        return PriceVector(q.labels, np.zeros(len(q.labels)))
 
-def _engine_starts(loaded: LoadedMarket, q, y0, pi) -> dict:
-    """The model's ``--start`` choices, each name mapped to a constructor of
-    the start point; the first is the default."""
-    model, market = loaded.model, loaded.payload
-    zeros = {"zeros": lambda: PriceVector(q.labels, np.zeros(len(q.labels)))}
     if model in ("linear", "constant_aggregate"):
-        p0 = loaded.extras.get("p0")
+        q, p0 = market, loaded.extras.get("p0")
 
         def file():
             if p0 is None:
                 raise ValueError("the market file provides no p0")
             return PriceVector(q.labels, p0)
 
-        return {**zeros, "file": file} if p0 is None else {"file": file, **zeros}
-    if model == "hedonic":
-        return {
-            "supersolution": lambda: uniform_supersolution(market),
-            "subsolution": lambda: uniform_subsolution(market),
-            **zeros,
+        starts = ({"zeros": zeros, "file": file} if p0 is None
+                  else {"file": file, "zeros": zeros})
+    elif model == "hedonic":
+        q = build_hedonic_map(market)
+        starts = {"supersolution": lambda: uniform_supersolution(market),
+                  "subsolution": lambda: uniform_subsolution(market), "zeros": zeros}
+    elif model == "ot":
+        q, starts = build_ot_map(market), {"zeros": zeros}
+    elif market.singles:
+        q = build_transfer_map(market)
+        starts = {"supersolution": lambda: singles_supersolution(market),
+                  "subsolution": lambda: singles_subsolution(market), "zeros": zeros}
+    else:
+        pin = {
+            "y0": loaded.extras.get("y0", market.y_labels[0]) if y0 is None else y0,
+            "pi": loaded.extras["pi"] if pi is None else pi,
         }
-    if market.singles:
-        return {
-            "supersolution": lambda: singles_supersolution(market),
-            "subsolution": lambda: singles_subsolution(market),
-            **zeros,
+        q = build_full_assignment_map(market, **pin)
+        # Housing without singles (experimental) has no constructed start.
+        starts = {"zeros": zeros} if model != "transfer" else {
+            "supersolution": lambda: full_assignment_supersolution(market, **pin),
+            "zeros": zeros,
         }
-    if model == "transfer":
-        return {
-            "supersolution":
-                lambda: full_assignment_supersolution(market, y0=y0, pi=pi),
-            **zeros,
-        }
-    # ot, and housing without singles (experimental): no constructed start.
-    return zeros
+    return q, starts, pin
 
 
 def _pick_start(model: str, starts: dict, name: str | None):
@@ -228,24 +251,18 @@ def _pick_start(model: str, starts: dict, name: str | None):
     return starts[name]
 
 
-def _options(args, mode: str, step_tol: float = 0.0) -> SolverOptions:
-    """The solver options of ``solve`` and ``compare`` (no ``--step-tol``)."""
-    return SolverOptions(
-        residual_tol=args.tol,
-        step_tol=step_tol,
-        max_sweeps=args.max_sweeps,
-        mode=mode,
-        damping=args.damping,
-    )
+def _options(args, mode: str) -> SolverOptions:
+    """The solver options of ``solve`` and ``compare``; a flag not given keeps
+    the ``SolverOptions`` default."""
+    fields = {"residual_tol": "tol", "step_tol": "step_tol",
+              "max_sweeps": "max_sweeps", "damping": "damping"}
+    given = {k: getattr(args, flag, None) for k, flag in fields.items()}
+    return SolverOptions(mode=mode, **{k: v for k, v in given.items() if v is not None})
 
 
 def _structure_flags(q) -> dict:
-    return {
-        "z_function": q.z_function,
-        "diagonal_isotone": q.diagonal_isotone,
-        "m_function": q.m_function,
-        "m0_function": q.m0_function,
-    }
+    flags = ("z_function", "diagonal_isotone", "m_function", "m0_function")
+    return {flag: getattr(q, flag) for flag in flags}
 
 
 def _structure_checks(q, samples: int, seed: int | None) -> dict:
@@ -264,191 +281,161 @@ def _structure_checks(q, samples: int, seed: int | None) -> dict:
     return out
 
 
-def _outdir(args) -> Path | None:
-    if not getattr(args, "out", None):
-        return None
-    path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _write_artifacts(out: str | None, artifacts) -> list[str]:
+    """Make directory ``out`` and run each ``(file name, writer)`` pair of
+    ``artifacts`` into it in order; the paths written. Without ``out``
+    nothing is made and ``artifacts`` is never started."""
+    if not out:
+        return []
+    outdir = Path(out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    files = []
+    for name, writer in artifacts:
+        writer(outdir / name)
+        files.append(str(outdir / name))
+    return files
 
 
-def _write(files: list[str], path: Path, writer) -> None:
-    writer(path)
-    files.append(str(path))
-
-
-def _write_xy_table(files: list[str], path: Path, market, table) -> None:
-    """One row per x-type, one column per y-type."""
-    _write(
-        files, path,
-        lambda path: write_csv(
-            path,
-            ["x", *market.y_labels],
-            ([label, *row] for label, row in zip(market.x_labels, table)),
-        ),
+def _xy_table(market, table):
+    """A writer of one row per x-type, one column per y-type."""
+    return lambda path: write_csv(
+        path,
+        ["x", *market.y_labels],
+        ([label, *row] for label, row in zip(market.x_labels, table)),
     )
 
 
-def _write_payoffs(files: list[str], path: Path, sides) -> None:
-    """``side,label,value`` rows from ``(side, labels, payoffs)`` triples."""
-    _write(
-        files, path,
-        lambda path: write_csv(
-            path,
-            ["side", "label", "value"],
-            [
-                [side, label, float(val)]
-                for side, labels, payoffs in sides
-                for label, val in zip(labels, payoffs)
-            ],
-        ),
+def _payoffs(sides):
+    """A writer of ``side,label,value`` rows from ``(side, labels, payoffs)``."""
+    return lambda path: write_csv(
+        path,
+        ["side", "label", "value"],
+        [
+            [side, label, float(val)]
+            for side, labels, payoffs in sides
+            for label, val in zip(labels, payoffs)
+        ],
     )
 
 
 # ---------------------------------------------------------------------------
 # solve
+#
+# A route returns its report fields and a generator of (file name, writer)
+# pairs, which runs (recovery included) only when --out is given.
 
 
-def _solve_engine(loaded: LoadedMarket, args, report: dict, files: list[str]) -> None:
-    q, y0, pi = _engine_map(loaded, args.y0, args.pi)
-    starts = _engine_starts(loaded, q, y0, pi)
-    p0 = _pick_start(loaded.model, starts, args.start)()
+def _solve_engine(loaded: LoadedMarket, args):
+    model, market = loaded.model, loaded.payload
+    q, starts, pin = _engine_route(loaded, args.y0, args.pi)
+    start = _pick_start(model, starts, args.start)
+    _refuse_unread(args, model, "pinned" if pin else "engine")
+    p0 = start()
     mode = args.mode.replace("-", "_") if args.mode else (
-        "gauss_seidel" if loaded.model == "ot" else "jacobi"
+        "gauss_seidel" if model == "ot" else "jacobi"
     )
-    opts = _options(args, mode, args.step_tol)
+    opts = _options(args, mode)
+    fields = {}
     # Before the solve, so that a bad sample count is refused at once.
-    if args.samples:
-        report["structure_checks"] = _structure_checks(q, args.samples, args.seed)
+    if args.samples is not None:
+        fields["structure_checks"] = _structure_checks(q, args.samples, args.seed)
     p, trace = solve(q, p0, opts)
-    last = trace.records[-1]
-    report.update(
-        mode=mode,
-        sweeps=len(trace.records) - 1,
-        residual_sup=last.residual_sup,
+    sweeps, residual = len(trace.records) - 1, trace.records[-1].residual_sup
+    fields.update(
+        mode=mode, sweeps=sweeps, residual_sup=residual,
         structure=_structure_flags(q),
     )
-    outdir = _outdir(args)
-    if outdir is None:
-        return
-    _write(files, outdir / "trace.csv", trace.write_csv)
-    solution = {
-        "model": loaded.model,
-        "labels": list(p.labels),
-        "prices": [float(v) for v in p.values],
-        "residual_sup": last.residual_sup,
-        "sweeps": len(trace.records) - 1,
-    }
-    market = loaded.payload
-    if loaded.model in ("transfer", "ot", "housing"):
-        recover = "ot" if loaded.model == "ot" else "transfer"
-        eq = recover_equilibrium(market, p, model=recover, y0=y0, pi=pi)
-        solution.update(
-            u=[float(v) for v in eq.u],
-            v=[float(v) for v in eq.v],
-            mu_x0=[float(v) for v in eq.mu_x0],
-            mu_0y=[float(v) for v in eq.mu_0y],
-        )
-        _write_xy_table(files, outdir / "mu.csv", market, eq.mu)
-        _write_payoffs(
-            files, outdir / "payoffs.csv",
-            [("x", market.x_labels, eq.u), ("y", market.y_labels, eq.v)],
-        )
-        if market.frontiers.kind in ("tu", "taxes"):
-            wages = recover_wages(market, p, model=recover, y0=y0, pi=pi)
-            _write_xy_table(files, outdir / "wages.csv", market, wages)
-    elif loaded.model == "hedonic":
-        s_vals = supply(market, p)
-        d_vals = demand(market, p)
-        _write(
-            files, outdir / "prices.csv",
-            lambda path: write_csv(
-                path,
-                ["z", "price", "supply", "demand"],
-                (
-                    [z, float(pv), float(sv), float(dv)]
-                    for z, pv, sv, dv in zip(
-                        market.z_labels, p.values, s_vals, d_vals
-                    )
-                ),
-            ),
-        )
-    _write(files, outdir / "solution.json",
-           lambda path: write_json(path, solution))
+
+    def artifacts():
+        yield "trace.csv", trace.write_csv
+        solution = {
+            "model": model,
+            "labels": list(p.labels),
+            "prices": [float(v) for v in p.values],
+            "residual_sup": residual,
+            "sweeps": sweeps,
+        }
+        # The pin a flag set travels with the prices, for ``check``.
+        if pin and (args.y0 is not None or args.pi is not None):
+            solution.update(pin)
+        if model in ("transfer", "ot", "housing"):
+            recover = "ot" if model == "ot" else "transfer"
+            eq = recover_equilibrium(market, p, model=recover, **pin)
+            solution.update(
+                u=[float(v) for v in eq.u],
+                v=[float(v) for v in eq.v],
+                mu_x0=[float(v) for v in eq.mu_x0],
+                mu_0y=[float(v) for v in eq.mu_0y],
+            )
+            yield "mu.csv", _xy_table(market, eq.mu)
+            yield "payoffs.csv", _payoffs(
+                [("x", market.x_labels, eq.u), ("y", market.y_labels, eq.v)]
+            )
+            if market.frontiers.kind in ("tu", "taxes"):
+                yield "wages.csv", _xy_table(market, _cell_wages(market, eq))
+        elif model == "hedonic":
+            rows = zip(market.z_labels, p.values, supply(market, p),
+                       demand(market, p))
+            yield "prices.csv", lambda path: write_csv(
+                path, ["z", "price", "supply", "demand"],
+                ([z, float(pv), float(sv), float(dv)] for z, pv, sv, dv in rows),
+            )
+        yield "solution.json", lambda path: write_json(path, solution)
+
+    return fields, artifacts()
 
 
-def _solve_nt(loaded: LoadedMarket, args, report: dict, files: list[str]) -> None:
+def _solve_nt(loaded: LoadedMarket, args):
     market = loaded.payload
-    mode, outcome = _pick_start("nt", {
+    run = _pick_start("nt", {
         "worker_optimal": lambda: (
             "deferred_acceptance", deferred_acceptance(market)
         ),
         "firm_optimal": lambda: (
             "adachi_firm_optimal", adachi_solve(market, start="firm_optimal")
         ),
-    }, args.start)()
-    report.update(mode=mode, sweeps=None, residual_sup=None)
-    outdir = _outdir(args)
-    if outdir is None:
-        return
-    pairs = [
-        [market.i_labels[i], market.j_labels[j], 1]
-        for i, j in zip(*np.nonzero(outcome.mu))
-    ]
-    _write(
-        files, outdir / "matching.csv",
-        lambda path: write_csv(
+    }, args.start)
+    _refuse_unread(args, "nt", "nt")
+    mode, outcome = run()
+
+    def artifacts():
+        pairs = zip(*np.nonzero(outcome.mu))
+        yield "matching.csv", lambda path: write_csv(
             path, ["i", "j", "mu"],
-            ([i, j, float(m)] for i, j, m in pairs),
-        ),
-    )
-    _write_payoffs(
-        files, outdir / "payoffs.csv",
-        [("worker", market.i_labels, outcome.u),
-         ("firm", market.j_labels, outcome.v)],
-    )
-    _write(
-        files, outdir / "solution.json",
-        lambda path: write_json(path, {
+            ([market.i_labels[i], market.j_labels[j], 1.0] for i, j in pairs),
+        )
+        yield "payoffs.csv", _payoffs(
+            [("worker", market.i_labels, outcome.u),
+             ("firm", market.j_labels, outcome.v)]
+        )
+        yield "solution.json", lambda path: write_json(path, {
             "model": "nt",
             "i_labels": list(market.i_labels),
             "j_labels": list(market.j_labels),
             "mu": [[int(v) for v in row] for row in outcome.mu],
             "u": [float(v) for v in outcome.u],
             "v": [float(v) for v in outcome.v],
-        }),
-    )
+        })
+
+    return {"mode": mode, "sweeps": None, "residual_sup": None}, artifacts()
 
 
-def _solve_nt_aggregate(
-    loaded: LoadedMarket, args, report: dict, files: list[str]
-) -> None:
+def _solve_nt_aggregate(loaded: LoadedMarket, args):
     market = loaded.payload
+    rounds = SolverOptions.max_sweeps if args.max_sweeps is None else args.max_sweeps
     run = _pick_start("nt_aggregate", {
-        "dalm": lambda: dalm(market, max_rounds=args.max_sweeps)
+        "dalm": lambda: dalm(market, max_rounds=rounds)
     }, args.start)
-    for flag in ("mode", "y0", "pi", "samples"):
-        if getattr(args, flag) is not None:
-            raise ValueError(f"--{flag} is not available for nt_aggregate markets")
+    _refuse_unread(args, "nt_aggregate", "nt_aggregate")
     outcome = run()
     ok, names = is_equilibrium_matching(market, outcome)
-    report.update(
-        mode="dalm",
-        sweeps=outcome.rounds,
-        residual_sup=None,
-        check={"ok": ok, "violations": list(names)},
-    )
-    outdir = _outdir(args)
-    if outdir is None:
-        return
-    _write_xy_table(files, outdir / "mu.csv", market, outcome.mu)
-    _write_payoffs(
-        files, outdir / "payoffs.csv",
-        [("x", market.x_labels, outcome.u), ("y", market.y_labels, outcome.v)],
-    )
-    _write(
-        files, outdir / "solution.json",
-        lambda path: write_json(path, {
+
+    def artifacts():
+        yield "mu.csv", _xy_table(market, outcome.mu)
+        yield "payoffs.csv", _payoffs(
+            [("x", market.x_labels, outcome.u), ("y", market.y_labels, outcome.v)]
+        )
+        yield "solution.json", lambda path: write_json(path, {
             "model": "nt_aggregate",
             "x_labels": list(market.x_labels),
             "y_labels": list(market.y_labels),
@@ -458,19 +445,28 @@ def _solve_nt_aggregate(
             "u": [float(v) for v in outcome.u],
             "v": [float(v) for v in outcome.v],
             "rounds": outcome.rounds,
-        }),
-    )
+        })
+
+    return {
+        "mode": "dalm",
+        "sweeps": outcome.rounds,
+        "residual_sup": None,
+        "check": {"ok": ok, "violations": list(names)},
+    }, artifacts()
 
 
 def cmd_solve(args) -> int:
     began = time.perf_counter()
     loaded = load_market(args.market, seed=args.seed)
-    report: dict = {"status": "ok", "model": loaded.model}
-    files: list[str] = []
     route = {"nt": _solve_nt, "nt_aggregate": _solve_nt_aggregate}
-    route.get(loaded.model, _solve_engine)(loaded, args, report, files)
-    report["files_written"] = files
-    report["wall_time_s"] = time.perf_counter() - began
+    fields, artifacts = route.get(loaded.model, _solve_engine)(loaded, args)
+    report = {
+        "status": "ok",
+        "model": loaded.model,
+        **fields,
+        "files_written": _write_artifacts(args.out, artifacts),
+        "wall_time_s": time.perf_counter() - began,
+    }
     print(json.dumps(report, sort_keys=True))
     return 0
 
@@ -479,7 +475,10 @@ def cmd_solve(args) -> int:
 # check
 
 
-def _check_engine(q, raw: dict, tol: float | None, report: dict) -> list[str]:
+def _check_engine(loaded: LoadedMarket, raw: dict, tol: float | None,
+                  report: dict) -> list[str]:
+    # A solution written under a --y0/--pi flag carries its pin.
+    q = _engine_route(loaded, raw.get("y0"), raw.get("pi"))[0]
     labels = raw.get("labels")
     prices = raw.get("prices")
     if labels is None or prices is None:
@@ -528,21 +527,22 @@ def _check_aggregate_nt(market, raw: dict, tol: float | None) -> list[str]:
 
 def cmd_check(args) -> int:
     loaded = load_market(args.market, seed=args.seed)
+    model = loaded.model
+    _refuse_unread(args, model, model if model in ("nt", "nt_aggregate") else "engine")
     if args.tol is not None and not 0 <= args.tol < np.inf:
         raise ValueError("--tol must be finite and >= 0")
-    q = None if loaded.model in ("nt", "nt_aggregate") else _engine_map(loaded)[0]
     raw = load_json(args.outcome)
-    report: dict = {"model": loaded.model}
+    report: dict = {"model": model}
     # Each checker reads the outcome file; what it refuses is the file's fault.
     try:
         if not isinstance(raw, dict):
             raise MarketFileError("top level must be an object")
-        if loaded.model == "nt":
+        if model == "nt":
             violations = _check_individual(loaded.payload, raw)
-        elif loaded.model == "nt_aggregate":
+        elif model == "nt_aggregate":
             violations = _check_aggregate_nt(loaded.payload, raw, args.tol)
         else:
-            violations = _check_engine(q, raw, args.tol, report)
+            violations = _check_engine(loaded, raw, args.tol, report)
     except (TypeError, ValueError) as exc:
         raise MarketFileError(f"{args.outcome}: {exc}") from exc
     report["violations"] = violations
@@ -574,13 +574,10 @@ def cmd_enumerate(args) -> int:
         }
         for outcome in outcomes
     ]
-    files: list[str] = []
-    outdir = _outdir(args)
-    if outdir is not None:
-        _write(
-            files, outdir / "stable_set.json",
-            lambda path: write_json(path, {"count": len(items), "outcomes": items}),
-        )
+    files = _write_artifacts(args.out, [(
+        "stable_set.json",
+        lambda path: write_json(path, {"count": len(items), "outcomes": items}),
+    )])
     report = {
         "status": "ok",
         "model": "nt",
@@ -604,6 +601,7 @@ def cmd_compare(args) -> int:
         )
     report: dict = {"model": loaded.model}
     code = 0
+    _refuse_unread(args, loaded.model, "nt" if loaded.model == "nt" else "engine")
     if loaded.model == "nt":
         market = loaded.payload
         da = deferred_acceptance(market)
@@ -617,8 +615,8 @@ def cmd_compare(args) -> int:
             np.array_equal(da.mu, adachi.mu) and gap == 0.0
         )
     else:
-        q, y0, pi = _engine_map(loaded)
-        p0 = _pick_start(loaded.model, _engine_starts(loaded, q, y0, pi), None)()
+        q, starts, _ = _engine_route(loaded)
+        p0 = _pick_start(loaded.model, starts, None)()
         runs: dict[str, dict] = {}
         solved: dict[str, PriceVector] = {}
         for mode in ("jacobi", "gauss_seidel"):
@@ -653,16 +651,8 @@ def cmd_compare(args) -> int:
 
 
 def _fail(code: int, exc: BaseException) -> int:
-    print(
-        json.dumps(
-            {
-                "status": "error",
-                "error": type(exc).__name__,
-                "message": str(exc),
-            },
-            sort_keys=True,
-        )
-    )
+    report = {"status": "error", "error": type(exc).__name__, "message": str(exc)}
+    print(json.dumps(report, sort_keys=True))
     print(f"error: {exc}", file=sys.stderr)
     return code
 
@@ -672,13 +662,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MarketFileError as exc:
-        return _fail(1, exc)
-    except (InstanceTooLarge, IrreducibilityViolation, UnsupportedFrontier) as exc:
+    # A MarketFileError is a ValueError; no solver error is one.
+    except (ValueError, OSError, InstanceTooLarge, IrreducibilityViolation,
+            UnsupportedFrontier) as exc:
         return _fail(1, exc)
     except (MaxSweepsExceeded, MaxRoundsExceeded, NonFiniteResidual) as exc:
         return _fail(2, exc)
     except ResponsivenessViolation as exc:
         return _fail(3, exc)
-    except (ValueError, OSError) as exc:
-        return _fail(1, exc)

@@ -907,10 +907,18 @@ def recover_wages(
     verified as a cross-check. Fixed-split frontiers admit no wage
     decomposition and raise :class:`UnsupportedFrontier`.
     """
-    grid = market.frontiers
-    if grid.kind == "ntu":
+    if market.frontiers.kind == "ntu":
         raise UnsupportedFrontier("fixed-split frontiers have no wage decomposition")
     eq = recover_equilibrium(market, p, model=model, y0=y0, pi=pi)
+    return _cell_wages(market, eq, tol)
+
+
+def _cell_wages(
+    market: AggregateMarket, eq: AggregateEquilibrium, tol: float = 1e-8
+) -> Array:
+    """The wages of :func:`recover_wages` from an equilibrium already
+    recovered; the market's frontiers are perfect transfers or taxes."""
+    grid = market.frontiers
     if grid.kind == "tu":
         alpha = np.zeros(grid.shape)
         gamma = grid.phi

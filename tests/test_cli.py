@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from marketclear import EquilibriumMap, cli, linear_map
+from marketclear import EquilibriumMap, cli, linear_map, transfers
 
 REPO = Path(__file__).resolve().parent.parent
 MARKETS = REPO / "markets"
@@ -551,6 +552,38 @@ class TestCheck:
         assert code == 4
         assert "row_feasibility" in report["violations"]
 
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--pi", "3", 3.0), ("--y0", "y2", "y2"),
+    ])
+    def test_pinned_round_trip(self, flag, value, key, tmp_path, capsys):
+        # A pin set by a flag travels in solution.json, and check builds the
+        # map with it, not with the market file's.
+        market = str(MARKETS / "transfer_full.json")
+        argv = ["solve", market, flag, value, "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        solution = json.loads((tmp_path / "solution.json").read_text())
+        assert solution[flag.removeprefix("--")] == key
+        capsys.readouterr()
+        assert cli.main(["check", market, str(tmp_path / "solution.json")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["violations"] == [] and report["residual_sup"] <= 1e-8
+
+    def test_transfer_solve_recovers_once(self, tmp_path, monkeypatch, capsys):
+        # The wages come from the equilibrium the CLI recovered already.
+        calls = []
+        real = transfers.recover_equilibrium
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (cli, transfers):
+            monkeypatch.setattr(module, "recover_equilibrium", counted)
+        argv = ["solve", str(MARKETS / "transfer_taxes.json"), "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert len(calls) == 1
+        assert (tmp_path / "wages.csv").exists()
+
     def test_outcome_missing_fields_exits_1(self, tmp_path):
         empty = tmp_path / "empty.json"
         empty.write_text("{}")
@@ -774,6 +807,97 @@ class TestFlagValues:
         report = json.loads(capsys.readouterr().out)
         assert (report["error"], report["message"]) == (
             "ValueError", "--tol must be finite and >= 0"
+        )
+
+
+# A value for each tuning flag of ``solve``. A route that reads the flag
+# exits as it does without it: each value is the default but for --mode and
+# --samples, and --y0 names the y-type transfer_full.json pins by default.
+FLAG_VALUES = {
+    "--mode": "gauss-seidel", "--tol": "1e-10", "--step-tol": "0",
+    "--max-sweeps": "10000", "--damping": "1", "--samples": "5",
+    "--y0": "y1", "--pi": "0",
+}
+ENGINE_FLAGS = {"--mode", "--tol", "--step-tol", "--max-sweeps", "--damping",
+                "--samples"}
+# The model of each shipped market and the tuning flags its solve route reads.
+READ_FLAGS = {
+    "hedonic.json": ("hedonic", ENGINE_FLAGS),
+    "housing.json": ("housing", ENGINE_FLAGS),
+    "linear_divergent.json": ("linear", ENGINE_FLAGS),
+    "linear_mmatrix.json": ("linear", ENGINE_FLAGS),
+    "nt_8x8.json": ("nt", set()),
+    "nt_aggregate.json": ("nt_aggregate", {"--max-sweeps"}),
+    "nt_small.json": ("nt", set()),
+    "ot_small.json": ("ot", ENGINE_FLAGS),
+    "transfer_full.json": ("transfer", ENGINE_FLAGS | {"--y0", "--pi"}),
+    "transfer_taxes.json": ("transfer", ENGINE_FLAGS),
+    "transfer_tu.json": ("transfer", ENGINE_FLAGS),
+}
+
+
+@functools.cache
+def _default_exit(name: str) -> int:
+    return cli.main(["solve", str(MARKETS / name)])
+
+
+class TestFlagRule:
+    """A flag a route does not read exits 1 naming it, before any work."""
+
+    def test_every_shipped_market_is_listed(self):
+        assert sorted(READ_FLAGS) == sorted(f.name for f in MARKETS.glob("*.json"))
+
+    @pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+    @pytest.mark.parametrize("name", sorted(READ_FLAGS))
+    def test_solve_reads_or_refuses_each_flag(self, name, flag, tmp_path, capsys):
+        model, reads = READ_FLAGS[name]
+        expected = _default_exit(name)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = ["solve", str(MARKETS / name), flag, FLAG_VALUES[flag]]
+        code = cli.main([*argv, "--out", str(out)])
+        report = json.loads(capsys.readouterr().out)
+        if flag in reads:
+            assert code == expected, report
+            return
+        assert code == 1
+        assert report == {
+            "error": "ValueError",
+            "message": f"{flag} is not available for {model} markets",
+            "status": "error",
+        }
+        assert not out.exists()
+
+    def test_individual_route_names_the_first_unread_flag(self, capsys):
+        argv = ["solve", str(MARKETS / "nt_small.json"),
+                "--mode", "gauss-seidel", "--samples", "10", "--y0", "q"]
+        assert cli.main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["message"] == (
+            "--mode is not available for nt markets"
+        )
+
+    def test_engine_counts_a_given_zero_sample_count(self, capsys):
+        argv = ["solve", str(MARKETS / "linear_mmatrix.json"), "--samples", "0"]
+        assert cli.main(argv) == 0
+        checks = json.loads(capsys.readouterr().out)["structure_checks"]
+        assert {check["samples"] for check in checks.values()} == {0}
+
+    def test_check_refuses_a_tolerance_it_does_not_read(self, tmp_path, capsys):
+        market = str(MARKETS / "nt_small.json")
+        assert cli.main(["solve", market, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        argv = ["check", market, str(tmp_path / "solution.json"), "--tol", "5"]
+        assert cli.main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["message"] == (
+            "--tol is not available for nt markets"
+        )
+
+    def test_compare_refuses_flags_it_does_not_read(self, capsys):
+        argv = ["compare", str(MARKETS / "nt_small.json"),
+                "--tol", "7", "--max-sweeps", "1", "--damping", "0.2"]
+        assert cli.main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["message"] == (
+            "--tol is not available for nt markets"
         )
 
 
