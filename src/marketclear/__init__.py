@@ -5,142 +5,27 @@ with model layers for regularized transport, matching with imperfectly
 transferable utility (frontier distance functions), hedonic pricing,
 rent-controlled housing, and two-sided matching without transfers — plus a
 CLI (``marketclear``) that loads JSON market files and exports solutions.
+
+Each module's ``__all__`` lists its public names, and the package exports
+them all; of :mod:`marketclear.io` it exports the market-file loader alone.
 """
 
-from __future__ import annotations
-
-from .core import (
-    Array,
-    BracketOptions,
-    EquilibriumMap,
-    ExcessVector,
-    IsotonicityReport,
-    PriceVector,
-    SetOrderReport,
-    SolveTrace,
-    SolverOptions,
-    TraceRecord,
-    check_inverse_isotone,
-    check_m0_strong_set_order,
-    constant_aggregate_map,
-    coordinate_update,
-    gauss_seidel_sweep,
-    is_subsolution,
-    is_supersolution,
-    jacobi_sweep,
-    join,
-    linear_map,
-    meet,
-    perron_vector,
-    smallest_root,
-    solve,
-)
-from .errors import (
-    InstanceTooLarge,
-    InternalError,
-    IrreducibilityViolation,
-    MaxRoundsExceeded,
-    MaxSweepsExceeded,
-    NonFiniteResidual,
-    ResponsivenessViolation,
-    SolverError,
-    UnsupportedFrontier,
-)
-from .hedonic import (
-    HedonicMarket,
-    build_hedonic_map,
-    demand,
-    supply,
-    uniform_subsolution,
-    uniform_supersolution,
-)
+from . import core, errors, hedonic, matching, transfers
+from .core import *
+from .errors import *
+from .hedonic import *
 from .io import LoadedMarket, MarketFileError, load_market
-from .matching import (
-    AggregateNTMarket,
-    AggregateNTOutcome,
-    IndividualMarket,
-    IndividualOutcome,
-    adachi_map,
-    adachi_solve,
-    build_matching_map,
-    dalm,
-    damped_step,
-    deferred_acceptance,
-    disposal_phase,
-    enumerate_stable,
-    is_equilibrium_matching,
-    is_stable,
-    lattice_join_I,
-    lattice_meet_I,
-    proposal_phase,
-)
-from .transfers import (
-    AggregateEquilibrium,
-    AggregateMarket,
-    CombinedFrontier,
-    FrontierGrid,
-    NTUFrontier,
-    NonintegrabilityReport,
-    TUFrontier,
-    TaxBracketFrontier,
-    TaxSchedule,
-    TaxesFrontier,
-    build_full_assignment_map,
-    build_housing_full_assignment_map,
-    build_housing_map,
-    build_ot_map,
-    build_transfer_map,
-    check_nonintegrability,
-    combine_distances,
-    full_assignment_prices,
-    full_assignment_supersolution,
-    invert_net_wage,
-    net_wage,
-    recover_equilibrium,
-    recover_wages,
-    singles_subsolution,
-    singles_supersolution,
-    sinkhorn_update,
-)
+from .matching import *
+from .transfers import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # engine
-    "Array", "PriceVector", "ExcessVector", "EquilibriumMap",
-    "BracketOptions", "SolverOptions", "TraceRecord", "SolveTrace",
-    "meet", "join", "is_subsolution", "is_supersolution", "smallest_root",
-    "coordinate_update", "jacobi_sweep", "gauss_seidel_sweep", "solve",
-    "linear_map", "constant_aggregate_map", "perron_vector",
-    "IsotonicityReport", "SetOrderReport",
-    "check_inverse_isotone", "check_m0_strong_set_order",
-    # errors
-    "SolverError", "NonFiniteResidual", "ResponsivenessViolation",
-    "IrreducibilityViolation", "UnsupportedFrontier", "InstanceTooLarge",
-    "InternalError", "MaxSweepsExceeded", "MaxRoundsExceeded",
-    # transfers
-    "TaxSchedule", "net_wage", "invert_net_wage",
-    "TUFrontier", "TaxBracketFrontier", "TaxesFrontier", "NTUFrontier",
-    "CombinedFrontier", "combine_distances", "FrontierGrid",
-    "AggregateMarket", "AggregateEquilibrium",
-    "build_transfer_map", "sinkhorn_update", "build_ot_map",
-    "build_full_assignment_map", "full_assignment_prices",
-    "singles_supersolution", "singles_subsolution",
-    "full_assignment_supersolution",
-    "recover_equilibrium", "recover_wages",
-    "build_housing_map", "build_housing_full_assignment_map",
-    "NonintegrabilityReport", "check_nonintegrability",
-    # hedonic
-    "HedonicMarket", "supply", "demand", "build_hedonic_map",
-    "uniform_subsolution", "uniform_supersolution",
-    # matching
-    "IndividualMarket", "IndividualOutcome", "is_stable",
-    "deferred_acceptance", "enumerate_stable", "adachi_map",
-    "build_matching_map", "adachi_solve", "damped_step",
-    "lattice_meet_I", "lattice_join_I",
-    "AggregateNTMarket", "AggregateNTOutcome", "is_equilibrium_matching",
-    "proposal_phase", "disposal_phase", "dalm",
-    # files
+    *core.__all__,
+    *errors.__all__,
+    *transfers.__all__,
+    *hedonic.__all__,
+    *matching.__all__,
     "LoadedMarket", "MarketFileError", "load_market",
 ]

@@ -32,6 +32,7 @@ Array = np.ndarray
 _MAX_DOUBLINGS = 60
 
 __all__ = [
+    "Array",
     "PriceVector",
     "ExcessVector",
     "EquilibriumMap",
@@ -283,6 +284,8 @@ class EquilibriumMap:
 
     def __post_init__(self):
         labels = _labels("labels", self.labels)
+        if not labels:
+            raise ValueError("an equilibrium map needs at least one coordinate")
         if self.probe_cells is not None:
             _require_count("probe_cells", self.probe_cells)
         object.__setattr__(self, "labels", labels)
@@ -605,12 +608,16 @@ def smallest_root(
     without ever going negative, the boundary root ``sup{pi : f(pi) <= 0}``
     is returned instead. If no zero can be bracketed within the expansion
     budget, raises :class:`ResponsivenessViolation`; a NaN value raises
-    :class:`NonFiniteResidual`. The engine does not call it: every bisected
-    coordinate runs the same machine (:func:`_root_steps`) in a lockstep
-    run, which on small runs fetches several bisection levels ahead per
-    round; each root is the same bits either way.
+    :class:`NonFiniteResidual`; a non-finite ``hint`` raises ``ValueError``.
+    The engine does not call it: every bisected coordinate runs the same
+    machine (:func:`_root_steps`) in a lockstep run, which on small runs
+    fetches several bisection levels ahead per round; each root is the same
+    bits either way.
     """
-    steps = _root_steps(opts or BracketOptions(), float(hint), [None, None])
+    hint = float(hint)
+    if not math.isfinite(hint):
+        raise ValueError(f"hint must be finite, got {hint}")
+    steps = _root_steps(opts or BracketOptions(), hint, [None, None])
     x = next(steps)
     while True:
         v = float(f(x))

@@ -1,6 +1,16 @@
 """Exception types raised by the solvers and model constructors."""
 
-from __future__ import annotations
+__all__ = [
+    "SolverError",
+    "NonFiniteResidual",
+    "ResponsivenessViolation",
+    "MaxSweepsExceeded",
+    "IrreducibilityViolation",
+    "UnsupportedFrontier",
+    "InstanceTooLarge",
+    "MaxRoundsExceeded",
+    "InternalError",
+]
 
 
 class SolverError(Exception):

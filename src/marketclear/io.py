@@ -113,14 +113,26 @@ def _require(condition: bool, message: str) -> None:
         raise MarketFileError(message)
 
 
+def _numeric(name: str, value):
+    """``value`` as given, once no entry of it (nested lists included) is a
+    string or a boolean, which numpy would read as a number."""
+    for item in value if isinstance(value, list) else [value]:
+        if isinstance(item, list):
+            _numeric(name, item)
+        elif isinstance(item, (str, bool)):
+            raise MarketFileError(f"{name} must hold JSON numbers, not {json.dumps(item)}")
+    return value
+
+
 def _generated(obj, name: str, shape, resolver: _Resolver) -> np.ndarray:
     """Resolve a ``uniform`` or ``const`` generator to an array of ``shape``."""
     if "uniform" in obj:
-        lo, hi = _finite_vector(f"{name}: 'uniform'", obj["uniform"], 2)
+        bounds = _numeric(f"{name}: 'uniform'", obj["uniform"])
+        lo, hi = _finite_vector(f"{name}: 'uniform'", bounds, 2)
         _require(lo < hi, f"{name}: 'uniform' bounds must satisfy lo < hi")
         return resolver.rng().uniform(lo, hi, shape)
     if "const" in obj:
-        return np.full(shape, obj["const"], dtype=float)
+        return np.full(shape, _numeric(f"{name}: 'const'", obj["const"]), dtype=float)
     raise MarketFileError(f"{name}: generator needs 'uniform' or 'const'")
 
 
@@ -128,7 +140,7 @@ def _masses(obj, name: str, default_prefix: str, resolver: _Resolver):
     """Resolve a mass table to ``(labels, values)``; the market checks both."""
     _require(isinstance(obj, dict) and obj, f"'{name}' must be a non-empty object")
     if "count" not in obj:
-        return tuple(obj), tuple(obj.values())
+        return tuple(obj), _numeric(name, list(obj.values()))
     count = obj["count"]
     _require_count(f"{name}: 'count'", count)
     prefix = str(obj.get("prefix", default_prefix))
@@ -138,7 +150,9 @@ def _masses(obj, name: str, default_prefix: str, resolver: _Resolver):
 def _matrix(obj, name: str, shape: tuple[int, int], resolver: _Resolver):
     """Resolve a matrix field: a generator to ``shape``, explicit rows as
     given (the market checks their shape and values)."""
-    return _generated(obj, name, shape, resolver) if isinstance(obj, dict) else obj
+    if isinstance(obj, dict):
+        return _generated(obj, name, shape, resolver)
+    return _numeric(name, obj)
 
 
 def _label_list(raw: dict, key: str, count: int | None, prefix: str):
@@ -180,9 +194,8 @@ def _frontier(obj, shape, resolver: _Resolver) -> FrontierGrid:
             isinstance(sched, dict) and "rates" in sched and "thresholds" in sched,
             "taxes frontier needs 'schedule' with 'rates' and 'thresholds'",
         )
-        return FrontierGrid.taxes(
-            alpha, gamma, TaxSchedule(sched["rates"], sched["thresholds"])
-        )
+        rates, thresholds = (_numeric(k, sched[k]) for k in ("rates", "thresholds"))
+        return FrontierGrid.taxes(alpha, gamma, TaxSchedule(rates, thresholds))
     raise MarketFileError("frontier 'kind' must be 'tu', 'taxes', or 'ntu'")
 
 
@@ -203,7 +216,7 @@ def _load_transfer_family(raw: dict, model: str, resolver: _Resolver) -> LoadedM
         n=n,
         m=m,
         frontiers=_frontier(raw["frontier"], (len(x_labels), len(y_labels)), resolver),
-        sigma=raw.get("sigma", 1.0),
+        sigma=_numeric("sigma", raw.get("sigma", 1.0)),
         singles=singles,
     )
     # The checks the model's map builder makes, at load time.
@@ -216,7 +229,8 @@ def _load_transfer_family(raw: dict, model: str, resolver: _Resolver) -> LoadedM
         if raw.get("y0") is not None:
             _require(str(raw["y0"]) in y_labels, "'y0' must be a y-side label")
             extras["y0"] = str(raw["y0"])
-        extras["pi"] = float(_finite_vector("pi", raw.get("pi", 0.0), 1)[0])
+        pi = _numeric("pi", raw.get("pi", 0.0))
+        extras["pi"] = float(_finite_vector("pi", pi, 1)[0])
     return LoadedMarket(model, market, extras)
 
 
@@ -281,15 +295,16 @@ def _load_linear(raw: dict, model: str) -> LoadedMarket:
     _require("A" in raw, f"'{model}' files need 'A'")
     if model == "constant_aggregate":
         _require("delta" in raw, "'constant_aggregate' files need 'delta'")
-    A = _rows(raw, "A")
+    A = _numeric("A", _rows(raw, "A"))
     labels = _label_list(raw, "labels", len(A), "z")
     if model == "linear":
         q = linear_map(A, labels)
     else:
-        q = constant_aggregate_map(raw["delta"], A, labels)
+        q = constant_aggregate_map(_numeric("delta", raw["delta"]), A, labels)
     extras: dict[str, Any] = {}
     if raw.get("p0") is not None:
-        extras["p0"] = _finite_vector("p0", raw["p0"], len(q.labels))
+        p0 = _numeric("p0", raw["p0"])
+        extras["p0"] = _finite_vector("p0", p0, len(q.labels))
     return LoadedMarket(model, q, extras)
 
 

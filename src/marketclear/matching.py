@@ -290,7 +290,13 @@ def adachi_map(market: IndividualMarket):
 
 
 def build_matching_map(market: IndividualMarket) -> EquilibriumMap:
-    """Counting map whose zeros are the reservation-payoff fixed points.
+    """Counting map of the reservation-payoff operator.
+
+    Every fixed point of the operator is a zero of this map, but not every
+    zero is a fixed point: a payoff below its outside option can still count
+    zero. Only the operator's fixed points are stable matchings, so a solve
+    that stops on a zero residual can stop short of one; :func:`adachi_solve`
+    stops on a repeated state instead.
 
     Each worker coordinate counts the mutually-agreeable firms at the
     current state (plus the outside option once ``p_i >= 0``) minus one;

@@ -648,6 +648,35 @@ MALFORMED = {
         )
         for case, seed in [("float", 2.7), ("true", True), ("negative", -1), ("text", "3")]
     },
+    # A string or a boolean where a number belongs, which numpy would read
+    # as one: the report names the field.
+    **{
+        f"not_a_number_{case}": (_edited(name, edit), f"{field} must hold JSON numbers")
+        for case, name, field, edit in [
+            ("sigma_text", "transfer_tu.json", "sigma", lambda d: d.update(sigma="2")),
+            ("sigma_true", "transfer_tu.json", "sigma", lambda d: d.update(sigma=True)),
+            ("mass_true", "transfer_tu.json", "n", lambda d: d["n"].update(x1=True)),
+            ("phi_text", "transfer_tu.json", "frontier.phi",
+             lambda d: d["frontier"]["phi"].__setitem__(0, ["0.5", "-0.2", "0.1"])),
+            ("phi_bool", "transfer_tu.json", "frontier.phi",
+             lambda d: d["frontier"]["phi"].__setitem__(0, [True, False, 0.1])),
+            ("uniform_text", "transfer_tu.json", "n: 'uniform'",
+             lambda d: d.update(seed=1, n={"count": 2, "uniform": ["0.5", 2.0]})),
+            ("const_true", "transfer_tu.json", "n: 'const'",
+             lambda d: d.update(n={"count": 2, "const": True})),
+            ("pi_text", "transfer_full.json", "pi", lambda d: d.update(pi="0.5")),
+            ("rates_text", "transfer_taxes.json", "rates",
+             lambda d: d["frontier"]["schedule"]["rates"].__setitem__(0, "0.1")),
+            ("hedonic_c_true", "hedonic.json", "c", lambda d: d["c"][0].__setitem__(0, True)),
+            ("nt_alpha_text", "nt_small.json", "alpha",
+             lambda d: d["alpha"][0].__setitem__(0, "2")),
+            ("A_text", "linear_mmatrix.json", "A", lambda d: d["A"][0].__setitem__(0, "2")),
+            ("p0_true", "linear_mmatrix.json", "p0", lambda d: d.update(p0=[1.0, True, 3.0])),
+        ]
+    },
+    "not_a_number_delta_text": (
+        {**LINEAR_FAMILY, "delta": ["1.0", 1.0]}, "delta must hold JSON numbers"
+    ),
     "linear_nonfinite_A": (
         _edited("linear_mmatrix.json", lambda d: d["A"][1].__setitem__(0, math.inf)),
         "A must be finite",

@@ -150,6 +150,11 @@ class TestSmallestRoot:
         with pytest.raises(NonFiniteResidual):
             smallest_root(lambda x: float("nan"))
 
+    @pytest.mark.parametrize("hint", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_hint_refused(self, hint):
+        with pytest.raises(ValueError, match="hint must be finite"):
+            smallest_root(lambda x: x - 2.0, hint=hint)
+
     @given(
         st.floats(min_value=0.01, max_value=50.0),
         st.floats(min_value=-100.0, max_value=100.0),
@@ -594,3 +599,7 @@ class TestMapValidation:
         q = linear_map([[1.0]])
         with pytest.raises(ValueError):
             q.evaluate(PriceVector(("other",), np.zeros(1)))
+
+    def test_empty_labels_refused(self):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            EquilibriumMap(labels=(), eval_values=lambda v: v)

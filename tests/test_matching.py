@@ -31,8 +31,10 @@ from marketclear import (
     deferred_acceptance,
     disposal_phase,
     enumerate_stable,
+    gauss_seidel_sweep,
     is_equilibrium_matching,
     is_stable,
+    jacobi_sweep,
     lattice_join_I,
     lattice_meet_I,
     proposal_phase,
@@ -305,6 +307,23 @@ class TestMatchingMap:
             assert np.array_equal(
                 p.values, np.concatenate([-out.u, out.v])
             )
+
+    def test_a_zero_need_not_be_a_fixed_point(self):
+        # The firm's payoff -1 lies below its outside option 0, yet both
+        # counts are zero there: solve stops at once, while one sweep of the
+        # operator moves the firm to the stable state (both single).
+        market = IndividualMarket(("w",), ("f",), [[-1.0]], [[-1.0]])
+        q = build_matching_map(market)
+        p = PriceVector(q.labels, [0.0, -1.0])
+        assert q.eval_values(p.values).tolist() == [0.0, 0.0]
+        solved, trace = solve(q, p)
+        assert solved.values.tolist() == [0.0, -1.0]
+        assert len(trace.records) == 1
+        for sweep in (jacobi_sweep, gauss_seidel_sweep):
+            assert sweep(q, p).values.tolist() == [0.0, 0.0]
+        out = adachi_solve(market)
+        assert out.mu.tolist() == [[0]]
+        assert np.concatenate([-out.u, out.v]).tolist() == [0.0, 0.0]
 
     def test_inverse_set_order_in_samples(self):
         rng = np.random.default_rng(42)
