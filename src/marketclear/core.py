@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -158,21 +157,13 @@ class _LabeledVector:
         return type(self)(self.labels, values)
 
     @classmethod
-    def _trusted(
-        cls,
-        labels: tuple[str, ...],
-        pos: dict[str, int],
-        values: Array,
-        finite: bool = False,
-    ):
+    def _trusted(cls, labels: tuple[str, ...], pos: dict[str, int], values: Array):
         """Build from already validated ``labels``/``pos`` without copying.
 
         ``values`` must be a fresh 1-D float array of matching length that
-        no one else writes to; it is frozen here. ``finite`` states that the
-        caller has already checked every value, so the check is skipped.
+        no one else writes to, and finite where the class requires it (the
+        caller checks); it is frozen here.
         """
-        if cls._require_finite and not finite and not np.all(np.isfinite(values)):
-            raise ValueError("all values must be finite")
         values.setflags(write=False)
         out = object.__new__(cls)
         object.__setattr__(out, "labels", labels)
@@ -946,7 +937,7 @@ def _sweep(
             if not np.all(np.isfinite(values)):
                 raise _damped_nonfinite(Q, int(np.flatnonzero(~np.isfinite(values))[0]))
     # Every value was checked above.
-    return PriceVector._trusted(p.labels, p._pos, values, finite=True)
+    return PriceVector._trusted(p.labels, p._pos, values)
 
 
 def jacobi_sweep(
@@ -1143,19 +1134,15 @@ def constant_aggregate_map(delta, A, labels: Sequence[str] | None = None) -> Equ
 
 
 def _strongly_connected(A: Array) -> bool:
-    n = A.shape[0]
     adj = A > 0
 
     def reaches_all(matrix) -> bool:
-        seen = np.zeros(n, dtype=bool)
+        seen = np.zeros(len(matrix), dtype=bool)
         seen[0] = True
-        queue = deque([0])
-        while queue:
-            i = queue.popleft()
-            for j in np.flatnonzero(matrix[i]):
-                if not seen[j]:
-                    seen[j] = True
-                    queue.append(int(j))
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = matrix[frontier].any(axis=0) & ~seen
+            seen |= frontier
         return bool(seen.all())
 
     return reaches_all(adj) and reaches_all(adj.T)

@@ -132,7 +132,9 @@ def _generated(obj, name: str, shape, resolver: _Resolver) -> np.ndarray:
         _require(lo < hi, f"{name}: 'uniform' bounds must satisfy lo < hi")
         return resolver.rng().uniform(lo, hi, shape)
     if "const" in obj:
-        return np.full(shape, _numeric(f"{name}: 'const'", obj["const"]), dtype=float)
+        value = _numeric(f"{name}: 'const'", obj["const"])
+        _require(not isinstance(value, (list, dict)), f"{name}: 'const' must be one JSON number")
+        return np.full(shape, value, dtype=float)
     raise MarketFileError(f"{name}: generator needs 'uniform' or 'const'")
 
 

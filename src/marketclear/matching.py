@@ -179,46 +179,33 @@ def is_stable(market: IndividualMarket, matching) -> bool:
 
 
 def deferred_acceptance(market: IndividualMarket) -> IndividualOutcome:
-    """Worker-proposing deferred acceptance.
+    """Worker-proposing deferred acceptance, one proposal at a time.
 
-    Free workers propose to their best remaining firm with positive payoff;
-    each firm tentatively holds the best positive-payoff proposer seen so
-    far and rejects the rest. Returns the worker-optimal stable matching.
+    A free worker proposes to their best firm not yet tried among those
+    acceptable to both sides; the firm keeps the proposer with the larger
+    ``gamma`` and frees the other. Preferences are strict, so the
+    worker-optimal stable matching is unique and the order in which free
+    workers propose cannot change it.
     """
     alpha, gamma = market.alpha, market.gamma
     count_i, count_j = alpha.shape
-    available = alpha > 0.0
-    matched_to = np.full(count_i, -1)
+    acceptable = (alpha > 0.0) & (gamma > 0.0)
+    ranked = np.argsort(-alpha, axis=1)
+    prefs = [iter(row[acceptable[i, row]].tolist()) for i, row in enumerate(ranked)]
     holder = np.full(count_j, -1)
-    while True:
-        proposals: dict[int, list[int]] = {}
-        for i in range(count_i):
-            if matched_to[i] >= 0 or not available[i].any():
-                continue
-            j = int(np.argmax(np.where(available[i], alpha[i], -np.inf)))
-            proposals.setdefault(j, []).append(i)
-        if not proposals:
-            break
-        for j, cands in proposals.items():
-            pool = list(cands)
-            if holder[j] >= 0:
-                pool.append(int(holder[j]))
-            best = -1
-            for i in pool:
-                if gamma[i, j] > 0.0 and (best < 0 or gamma[i, j] > gamma[best, j]):
-                    best = i
-            for i in pool:
-                if i != best:
-                    available[i, j] = False
-                    if matched_to[i] == j:
-                        matched_to[i] = -1
-            if best >= 0:
-                holder[j] = best
-                matched_to[best] = j
+    free = list(range(count_i))
+    while free:
+        i = free.pop()
+        for j in prefs[i]:
+            k = holder[j]
+            if k < 0 or gamma[i, j] > gamma[k, j]:
+                holder[j] = i
+                if k >= 0:
+                    free.append(k)
+                break
     mu = np.zeros((count_i, count_j), dtype=int)
-    for i in range(count_i):
-        if matched_to[i] >= 0:
-            mu[i, matched_to[i]] = 1
+    firms = np.flatnonzero(holder >= 0)
+    mu[holder[firms], firms] = 1
     return _make_outcome(market, mu)
 
 
@@ -242,9 +229,8 @@ def enumerate_stable(market: IndividualMarket) -> tuple[IndividualOutcome, ...]:
     def recurse(i: int) -> None:
         if i == count_i:
             mu = np.zeros((count_i, count_j), dtype=int)
-            for w, f in enumerate(assignment):
-                if f >= 0:
-                    mu[w, f] = 1
+            workers = np.flatnonzero(assignment >= 0)
+            mu[workers, assignment[workers]] = 1
             if is_stable(market, mu):
                 found.append(_make_outcome(market, mu))
             return
@@ -667,24 +653,20 @@ def disposal_phase(
     return np.ascontiguousarray(kept.T)
 
 
+def _lowest_filled(pay: Array, mass: Array, outside: Array, tol: float) -> Array:
+    """Each row's lowest ``pay`` over its cells with ``mass`` above ``tol``;
+    0 for a row with ``outside`` mass above ``tol`` or no such cell."""
+    filled = mass > tol
+    lowest = np.where(filled, pay, np.inf).min(axis=1)
+    return np.where((outside > tol) | ~filled.any(axis=1), 0.0, lowest)
+
+
 def _recover_multipliers(
     market: AggregateNTMarket, mu: Array, mu_x0: Array, mu_0y: Array
 ) -> tuple[Array, Array]:
     tol = 1e-9 * (1.0 + max(float(market.n.max()), float(market.m.max())))
-    u = np.zeros(len(market.x_labels))
-    for x in range(u.size):
-        if mu_x0[x] > tol:
-            continue
-        filled = market.alpha[x][mu[x] > tol]
-        if filled.size:
-            u[x] = float(filled.min())
-    v = np.zeros(len(market.y_labels))
-    for y in range(v.size):
-        if mu_0y[y] > tol:
-            continue
-        filled = market.gamma[:, y][mu[:, y] > tol]
-        if filled.size:
-            v[y] = float(filled.min())
+    u = _lowest_filled(market.alpha, mu, mu_x0, tol)
+    v = _lowest_filled(market.gamma.T, mu.T, mu_0y, tol)
     return u, v
 
 

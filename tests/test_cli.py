@@ -307,6 +307,14 @@ class TestSolve:
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["error"] == "MaxSweepsExceeded"
 
+    def test_unresponsive_market_exits_3(self, tmp_path, capsys):
+        market = tmp_path / "unresponsive.json"
+        market.write_text(json.dumps(
+            {"model": "linear", "A": [[0.0, -1.0], [-1.0, 2.0]], "p0": [1.0, 1.0]}
+        ))
+        assert cli.main(["solve", str(market)]) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == "ResponsivenessViolation"
+
     def test_structure_checks_report(self):
         code, report = run_json(
             "solve", str(MARKETS / "linear_mmatrix.json"), "--samples", "50"
@@ -636,6 +644,26 @@ MALFORMED = {
         ),
         "thresholds",
     ),
+    "const_list_mass": (
+        _edited("transfer_tu.json", lambda d: d.update(n={"count": 2, "const": [1.0, 3.0]})),
+        "n: 'const' must be one JSON number",
+    ),
+    "const_list_matrix": (
+        _edited("transfer_tu.json", lambda d: d["frontier"].update(phi={"const": [0.5]})),
+        "frontier.phi: 'const' must be one JSON number",
+    ),
+    "generator_empty": (
+        _edited("transfer_tu.json", lambda d: d.update(n={"count": 2})),
+        "n: generator needs 'uniform' or 'const'",
+    ),
+    "frontier_kind": (
+        _edited("transfer_tu.json", lambda d: d["frontier"].update(kind="linear")),
+        "frontier 'kind' must be",
+    ),
+    "pinned_y0": (
+        _edited("transfer_full.json", lambda d: d.update(y0="y9")),
+        "'y0' must be a y-side label",
+    ),
     "count_true": (
         _edited("transfer_tu.json", lambda d: d.update(n={"count": True, "const": 1})),
         "'count' must be a positive integer",
@@ -685,17 +713,33 @@ MALFORMED = {
     "column_sums": ({**LINEAR_FAMILY, "delta": [2.0, 1.0]}, "column sums"),
 }
 
-# Outcome files ``check`` refuses, against the market file they are read with.
+# Outcome files ``check`` refuses, against the market file they are read with,
+# with the text each report must name.
 MALFORMED_OUTCOMES = {
     "engine_prices_length": (
-        "linear_mmatrix.json", {"labels": ["z1", "z2", "z3"], "prices": [1.0, 2.0]}
+        "linear_mmatrix.json", {"labels": ["z1", "z2", "z3"], "prices": [1.0, 2.0]},
+        "expected 2 labels, got 3",
     ),
-    "engine_not_an_object": ("linear_mmatrix.json", [1.0, 2.0, 3.0]),
-    "individual_mu_shape": ("nt_small.json", {"mu": [[1, 0]]}),
+    "engine_not_an_object": (
+        "linear_mmatrix.json", [1.0, 2.0, 3.0], "top level must be an object"
+    ),
+    "engine_labels": (
+        "linear_mmatrix.json", {"labels": ["a", "b", "c"], "prices": [1.0, 2.0, 3.0]},
+        "outcome labels do not match the market",
+    ),
+    "individual_mu_shape": ("nt_small.json", {"mu": [[1, 0]]}, "matching must have shape"),
+    "individual_no_mu": ("nt_small.json", {"u": [0.0]}, "outcome file needs 'mu'"),
     "aggregate_u_length": (
         "nt_aggregate.json",
         {"mu": [[0.0, 0.0], [0.0, 0.0]], "mu_x0": [2.0, 1.0],
          "mu_0y": [1.0, 3.0], "u": [0.0], "v": [0.0, 0.0]},
+        "u must have length 2",
+    ),
+    "aggregate_no_v": (
+        "nt_aggregate.json",
+        {"mu": [[0.0, 0.0], [0.0, 0.0]], "mu_x0": [2.0, 1.0],
+         "mu_0y": [1.0, 3.0], "u": [0.0, 0.0]},
+        "outcome file needs 'v'",
     ),
 }
 
@@ -728,11 +772,11 @@ class TestMalformedFiles:
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_OUTCOMES))
     def test_outcome_file_exits_1_naming_the_file(self, case, tmp_path, capsys):
-        name, doc = MALFORMED_OUTCOMES[case]
+        name, doc, names = MALFORMED_OUTCOMES[case]
         outcome = tmp_path / f"{case}.json"
         outcome.write_text(json.dumps(doc))
         code = cli.main(["check", str(MARKETS / name), str(outcome)])
-        self.file_error(capsys, code, outcome)
+        assert names in self.file_error(capsys, code, outcome)
 
 
 class TestLoader:
@@ -779,6 +823,13 @@ class TestFlagValues:
         assert json.loads(capsys.readouterr().out)["message"] == (
             "--start 'bogus' is not available for nt_aggregate markets"
         )
+
+    def test_start_file_needs_a_p0(self, tmp_path, capsys):
+        market = tmp_path / "no_p0.json"
+        market.write_text(json.dumps({**LINEAR_FAMILY, "delta": [1.0, 1.0]}))
+        assert cli.main(["solve", str(market), "--start", "file"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["message"] == "the market file provides no p0"
 
     @pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
     @pytest.mark.parametrize("argv", [

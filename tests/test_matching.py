@@ -161,8 +161,9 @@ class TestDeferredAcceptance:
 
     def test_stable_and_u_maximal_against_enumeration(self):
         rng = np.random.default_rng(42)
-        for _ in range(20):
-            market = random_individual_market(rng)
+        shapes = [(4, 4)] * 20 + list(itertools.product(range(1, 8), repeat=2))
+        for ni, nj in shapes:
+            market = random_individual_market(rng, ni, nj)
             out = deferred_acceptance(market)
             assert is_stable(market, out)
             pool = enumerate_stable(market)
@@ -691,8 +692,28 @@ def loop_disposal_phase(market: AggregateNTMarket, proposals) -> np.ndarray:
     return out
 
 
+def loop_multipliers(market: AggregateNTMarket, mu, mu_x0, mu_0y):
+    """Each type's lowest payoff over its filled cells, 0 with outside mass."""
+    tol = 1e-9 * (1.0 + max(float(market.n.max()), float(market.m.max())))
+    u = np.zeros(len(market.x_labels))
+    for x in range(u.size):
+        if mu_x0[x] > tol:
+            continue
+        filled = market.alpha[x][mu[x] > tol]
+        if filled.size:
+            u[x] = float(filled.min())
+    v = np.zeros(len(market.y_labels))
+    for y in range(v.size):
+        if mu_0y[y] > tol:
+            continue
+        filled = market.gamma[:, y][mu[:, y] > tol]
+        if filled.size:
+            v[y] = float(filled.min())
+    return u, v
+
+
 def loop_dalm(market: AggregateNTMarket):
-    """Full rounds; returns ``(mu, mu_x0, mu_0y, trace)``."""
+    """Full rounds; returns ``(mu, mu_x0, mu_0y, u, v, trace)``."""
     available = np.minimum.outer(market.n, market.m)
     threshold = 1e-12 * (1.0 + float(available.max()))
     trace = [available.copy()]
@@ -703,7 +724,9 @@ def loop_dalm(market: AggregateNTMarket):
         available = available - rejected
         trace.append(available.copy())
         if float(rejected.max(initial=0.0)) <= threshold:
-            return kept, market.n - kept.sum(axis=1), market.m - kept.sum(axis=0), trace
+            mu_x0, mu_0y = market.n - kept.sum(axis=1), market.m - kept.sum(axis=0)
+            u, v = loop_multipliers(market, kept, mu_x0, mu_0y)
+            return kept, mu_x0, mu_0y, u, v, trace
     raise AssertionError("the reference loop did not settle")
 
 
@@ -812,7 +835,7 @@ def test_greedy_fill_edge_cases_equal_the_loop():
 @settings(max_examples=200, deadline=None)
 def test_dalm_equals_full_rounds(seed, nx, ny, coarse, unit):
     market = oracle_market(seed, nx, ny, coarse, unit)
-    mu, mu_x0, mu_0y, want = loop_dalm(market)
+    mu, mu_x0, mu_0y, u, v, want = loop_dalm(market)
     out, trace = dalm(market, return_trace=True)
     assert len(trace) == len(want)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(trace, want))
@@ -820,7 +843,6 @@ def test_dalm_equals_full_rounds(seed, nx, ny, coarse, unit):
     assert out.mu.tobytes() == mu.tobytes()
     assert out.mu_x0.tobytes() == mu_x0.tobytes()
     assert out.mu_0y.tobytes() == mu_0y.tobytes()
-    u, v = matching._recover_multipliers(market, mu, mu_x0, mu_0y)
     assert out.u.tobytes() == u.tobytes()
     assert out.v.tobytes() == v.tobytes()
     plain = dalm(market)

@@ -4,7 +4,10 @@ entry and, where masses apply, a non-positive one. The sampling checks
 refuse a sample count that is not a non-negative integer, the Jacobian
 probe a step that is not finite and positive, the full-assignment routines
 a pinned price that is not finite, and the aggregate equilibrium check a
-tolerance that is not finite and non-negative."""
+tolerance that is not finite and non-negative. The routines that need a
+market with singles, or one without, refuse the other kind; those that
+take a state, a state with other labels; and the sub- and supersolution
+tests, a negative tolerance."""
 
 from __future__ import annotations
 
@@ -26,15 +29,22 @@ from marketclear import (
     PriceVector,
     TaxSchedule,
     build_full_assignment_map,
+    build_housing_map,
+    build_ot_map,
     check_inverse_isotone,
     check_m0_strong_set_order,
     check_nonintegrability,
     constant_aggregate_map,
+    damped_step,
     full_assignment_prices,
     full_assignment_supersolution,
     is_equilibrium_matching,
+    is_subsolution,
+    is_supersolution,
     linear_map,
     recover_equilibrium,
+    singles_subsolution,
+    singles_supersolution,
 )
 
 INF, NAN = math.inf, math.nan
@@ -54,6 +64,11 @@ VALID = {
         dict(delta=[1.0, 1.0], A=[[0.0, 1.0], [1.0, 0.0]], labels=("a", "b")),
     ),
     "TaxSchedule": (TaxSchedule, dict(rates=(0.0, 0.3), thresholds=(0.0, 1.0))),
+    "FrontierGrid": (
+        FrontierGrid,
+        dict(kind="taxes", alpha=[[0.5]], gamma=[[0.2]],
+             schedule=TaxSchedule((0.0,), (0.0,))),
+    ),
     "AggregateMarket": (
         AggregateMarket,
         dict(
@@ -117,6 +132,15 @@ INVALID = [
     ("constant_aggregate_map", "nonpositive", dict(delta=[0.0, 1.0]), "delta"),
     ("TaxSchedule", "length", dict(thresholds=(0.0,)), "thresholds"),
     ("TaxSchedule", "nonfinite", dict(rates=(0.0, INF)), "rates"),
+    ("TaxSchedule", "empty", dict(rates=(), thresholds=()), "at least one bracket"),
+    ("FrontierGrid", "kind", dict(kind="linear"), "kind must be"),
+    ("FrontierGrid", "tu_without_phi", dict(kind="tu"), "'tu' grids take phi only"),
+    ("FrontierGrid", "tu_schedule", dict(kind="tu", phi=[[0.5]], alpha=None, gamma=None),
+     "'tu' grids take no schedule"),
+    ("FrontierGrid", "taxes_phi", dict(phi=[[0.5]]), "'taxes' grids take alpha and gamma"),
+    ("FrontierGrid", "taxes_without_schedule", dict(schedule=None),
+     "'taxes' grids require a TaxSchedule"),
+    ("FrontierGrid", "ntu_schedule", dict(kind="ntu"), "'ntu' grids take no schedule"),
     ("AggregateMarket", "duplicate", dict(x_labels=("x1", "x1")),
      "must be unique"),
     ("AggregateMarket", "duplicate_across", dict(y_labels=("x1",)),
@@ -126,6 +150,7 @@ INVALID = [
     ("AggregateMarket", "nonpositive", dict(n=[1.0, 0.0]), "n"),
     ("AggregateMarket", "nonpositive_sigma", dict(sigma=-1.0), "sigma"),
     ("AggregateMarket", "nonfinite_sigma", dict(sigma=None), "sigma"),
+    ("AggregateMarket", "empty", dict(x_labels=(), n=[]), "at least one x-type"),
     ("HedonicMarket", "duplicate", dict(z_labels=("z1", "z1")),
      "must be unique"),
     ("HedonicMarket", "length", dict(m=[1.0, 1.0]), "m"),
@@ -168,6 +193,49 @@ def test_bad_arguments_raise_value_error(name, replaced, names):
     build, kwargs = VALID[name]
     with pytest.raises(ValueError, match=names):
         build(**{**kwargs, **replaced})
+
+
+SINGLES = AggregateMarket(**VALID["AggregateMarket"][1])
+BALANCED = AggregateMarket(
+    x_labels=("x1", "x2"), y_labels=("y1", "y2"), n=[1.0, 2.0], m=[2.0, 1.0],
+    frontiers=FrontierGrid.tu([[0.5, 0.0], [0.0, 0.5]]), sigma=1.0, singles=False,
+)
+ZEROS = PriceVector(SINGLES.labels, np.zeros(len(SINGLES.labels)))
+FOREIGN = PriceVector(("a", "b", "c"), np.zeros(3))
+LINEAR = linear_map([[2.0, -1.0], [-1.0, 2.0]])
+LINEAR_ZEROS = PriceVector(LINEAR.labels, np.zeros(2))
+
+# (routine, call on the wrong kind of market or state, text the error names).
+REFUSED = [
+    ("build_full_assignment_map", lambda: build_full_assignment_map(BALANCED, y0="y9"),
+     "unknown y-type 'y9'"),
+    ("build_ot_map", lambda: build_ot_map(SINGLES), "markets without singles"),
+    ("recover_equilibrium-model",
+     lambda: recover_equilibrium(SINGLES, ZEROS, model="tu"), "model must be"),
+    ("recover_equilibrium-labels",
+     lambda: recover_equilibrium(SINGLES, FOREIGN), "price labels do not match"),
+    ("recover_equilibrium-ot",
+     lambda: recover_equilibrium(SINGLES, ZEROS, model="ot"), "markets without singles"),
+    ("singles_supersolution", lambda: singles_supersolution(BALANCED),
+     "use full_assignment_supersolution"),
+    ("singles_subsolution", lambda: singles_subsolution(BALANCED), "needs a singles market"),
+    ("build_housing_map", lambda: build_housing_map(BALANCED), "needs a singles market"),
+    ("damped_step",
+     lambda: damped_step(IndividualMarket(**VALID["IndividualMarket"][1]), FOREIGN),
+     "state labels do not match"),
+    ("is_subsolution", lambda: is_subsolution(LINEAR, LINEAR_ZEROS, tol=-1.0),
+     "tol must be >= 0"),
+    ("is_supersolution", lambda: is_supersolution(LINEAR, LINEAR_ZEROS, tol=-1.0),
+     "tol must be >= 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, names", [pytest.param(call, names, id=name) for name, call, names in REFUSED]
+)
+def test_wrong_kind_of_input_raises_value_error(call, names):
+    with pytest.raises(ValueError, match=names):
+        call()
 
 
 def test_outcomes_copy_and_freeze_their_arrays():
