@@ -16,6 +16,7 @@ no blocking, and complementary slackness.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -689,9 +690,12 @@ def dalm(
     rejection propose again, and only the columns whose proposals changed
     retain again: every other row and column would redo the same
     arithmetic on the same numbers, so the result is bitwise that of full
-    rounds.
+    rounds. After a round in which no proposal changed, the following
+    rounds are idle for as long as every rejected cell's availability
+    stays at or above its proposal: each only subtracts the same rejection
+    again, so it runs on the rejected cells alone and calls neither phase.
 
-    The outcome's ``rounds`` counts the rounds run. With
+    The outcome's ``rounds`` counts the rounds run, idle ones included. With
     ``return_trace=True`` also returns the availability matrices by round
     (the start, then one per round); without it no per-round copy is
     kept. Raises :class:`MaxRoundsExceeded` if the budget runs out; its
@@ -703,7 +707,9 @@ def dalm(
     threshold = 1e-12 * (1.0 + float(available.max()))
     trace = [available.copy()] if return_trace else None
     rows = cols = None
-    for rounds in range(1, max_rounds + 1):
+    rounds = 0
+    while rounds < max_rounds:
+        rounds += 1
         offers = proposal_phase(market, available, rows=rows)
         if rows is None:
             proposed = offers
@@ -730,6 +736,22 @@ def dalm(
                 rounds=rounds,
             )
             return (outcome, trace) if return_trace else outcome
+        if cols is not None and not cols.size:
+            # No proposal changed, and none will while every rejected cell's
+            # availability stays at or above its proposal: until then a
+            # round only subtracts the same rejection from the same cells.
+            # On Python floats, which subtract bitwise as numpy does.
+            cells = np.nonzero(rejected)
+            left, step, floor = (
+                a[cells].tolist() for a in (available, rejected, proposed)
+            )
+            while rounds < max_rounds and all(map(operator.ge, left, floor)):
+                left = list(map(operator.sub, left, step))
+                rounds += 1
+                if return_trace:
+                    available[cells] = left
+                    trace.append(available.copy())
+            available[cells] = left
     raise MaxRoundsExceeded(
         f"no settlement after {max_rounds} proposal/disposal rounds",
         trace=trace if return_trace else [available],

@@ -307,6 +307,27 @@ class TestSolve:
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["error"] == "MaxSweepsExceeded"
 
+    def test_round_budget_exits_2(self, tmp_path, capsys):
+        # A 12 x 12 divisible-mass market whose dalm iteration settles only
+        # after 57616 rounds, most of them idle.
+        rng = np.random.default_rng(2194)
+        n, m = rng.uniform(0.5, 3.0, 12), rng.uniform(0.5, 3.0, 12)
+        alpha, gamma = rng.uniform(-1.0, 2.0, (2, 12, 12))
+        market = tmp_path / "creep.json"
+        market.write_text(json.dumps({
+            "model": "nt",
+            "n": {f"x{k}": float(v) for k, v in enumerate(n)},
+            "m": {f"y{k}": float(v) for k, v in enumerate(m)},
+            "alpha": alpha.tolist(), "gamma": gamma.tolist(),
+        }))
+        out = tmp_path / "out"
+        assert cli.main(["solve", str(market), "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "MaxRoundsExceeded"
+        assert not out.exists()
+        argv = ["solve", str(market), "--max-sweeps", "60000"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["sweeps"] == 57616
+
     def test_unresponsive_market_exits_3(self, tmp_path, capsys):
         market = tmp_path / "unresponsive.json"
         market.write_text(json.dumps(
