@@ -240,11 +240,12 @@ class EquilibriumMap:
         bisection is a lockstep run (a Jacobi sweep, a whole block of a
         Gauss-Seidel sweep, or one lone coordinate) that sends each round of
         probes through it; without it a round loops ``residual_at``. On
-        small runs a round also fetches the next few levels of each
-        bisection ahead, some off the path ``smallest_root`` takes, so the
-        hook sees a superset of the scalar probes in fewer calls; each
-        coordinate's machine reads only the values on its own path, so
-        roots are the same bits (see ``_lockstep_roots``).
+        small runs a round also fetches ahead: once a coordinate's bracket
+        is known, the whole bisection path to a secant estimate of its
+        root, some of it off the path ``smallest_root`` takes when the
+        estimate is wrong, so the hook sees a superset of the scalar probes
+        in fewer calls; each coordinate's machine reads only the values on
+        its own path, so roots are the same bits (see ``_lockstep_roots``).
     z_function, diagonal_isotone, m_function, m0_function:
         Declared structure flags. They are caller declarations, verified
         only by the sampling checks in this module.
@@ -256,9 +257,9 @@ class EquilibriumMap:
         stretch.
     probe_cells:
         Optional positive integer: the kernel cells one ``residual_block``
-        probe evaluates. It prices a lockstep round, so it sets how many
-        bisection levels a round fetches ahead (``_speculation_depth``);
-        without it every probe is priced alike. It never changes a root.
+        probe evaluates. It prices a lockstep round, so it decides whether
+        a run fetches ahead at all (``_prefetches``); without it every probe
+        is priced alike. It never changes a root.
     """
 
     labels: tuple[str, ...]
@@ -602,8 +603,8 @@ def smallest_root(
     :class:`NonFiniteResidual`; a non-finite ``hint`` raises ``ValueError``.
     The engine does not call it: every bisected coordinate runs the same
     machine (:func:`_root_steps`) in a lockstep run, which on small runs
-    fetches several bisection levels ahead per round; each root is the same
-    bits either way.
+    fetches each bisection's predicted path ahead in one round; each root
+    is the same bits either way.
     """
     hint = float(hint)
     if not math.isfinite(hint):
@@ -620,61 +621,59 @@ def smallest_root(
             return stop.value
 
 
-def _subtree(lo: float, hi: float, tol: float, depth: int) -> list[float]:
-    """The midpoints the bisection of ``[lo, hi]`` could probe in its next
-    ``depth`` levels, in level order, the midpoint of ``[lo, hi]`` first.
-    A span that fails the stop test of :func:`_root_steps` is not split."""
-    # Breadth first: the loop visits the spans it appends, level by level.
-    points, spans = [], [(lo, hi, depth)]
-    for a, b, levels in spans:
-        mid = 0.5 * (a + b)
-        if b - a > tol and a < mid < b:
-            points.append(mid)
-            if levels > 1:
-                spans += ((a, mid, levels - 1), (mid, b, levels - 1))
+def _estimate(lo: float, f_lo: float, hi: float, f_hi: float) -> float:
+    """Regula falsi on the bracket ``[lo, hi]``, whose values
+    ``f_lo <= 0 <= f_hi`` a machine has read, clamped to the bracket; its
+    midpoint where the secant is undefined (infinite or NaN values)."""
+    den = f_hi - f_lo
+    r = lo - f_lo * ((hi - lo) / den) if den > 0 else math.nan
+    if math.isnan(r):
+        return 0.5 * (lo + hi)
+    return min(max(r, lo), hi)
+
+
+def _path(lo: float, hi: float, r: float, tol: float) -> list[float]:
+    """The midpoints the bisection of ``[lo, hi]`` visits on its way to
+    ``r``, in order, down to the stop test of :func:`_root_steps`: after
+    each midpoint it keeps the half that holds ``r``, the upper one when
+    the midpoint lies below ``r``."""
+    points = []
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        points.append(mid)
+        if mid < r:
+            lo = mid
+        else:
+            hi = mid
     return points
 
 
-def _bracket_ahead(hint: float, h: float, tol: float, depth: int) -> list[float]:
-    """A machine's first fetch: the hint, both first expansion probes
-    ``hint -/+ h``, and the ``depth`` levels below either bracket the first
-    expansion closes, ``[hint - h, hint]`` and ``[hint, hint + h]``."""
-    below, above = hint - h, hint + h
-    return [
-        hint, below, above,
-        *_subtree(below, hint, tol, depth), *_subtree(hint, above, tol, depth),
-    ]
-
-
-# The cost one lockstep round may carry, in kernel cells: a probe costs its
-# map's probe_cells plus _PROBE_OVERHEAD, the lockstep loop's own work per
-# probe (building the round, reading the values back, resuming the
-# machine). A probe of a map that states no cells costs _UNPRICED_PROBE, so
-# such a map carries 28 probes a round. Small maps pay mostly per round, and fewer,
-# wider rounds win; on wide kernels a round's cost grows with its cells and
-# wider rounds lose. Past _MAX_DEPTH levels the fetch ahead, which doubles
-# with each level, measured slower even on the smallest maps (taxes 4x4
-# Gauss-Seidel blocks, lone hedonic 4x4x4 coordinates).
+# The price of a lockstep probe, in kernel cells: its map's probe_cells plus
+# _PROBE_OVERHEAD, the lockstep loop's own work per probe (building the
+# round, reading the values back, resuming the machine), or _UNPRICED_PROBE
+# for a map that states no cells. A run prefetches while three probes per
+# coordinate, a first round's width, cost at most _ROUND_BUDGET. Small maps
+# pay mostly per round, and a few wide rounds win; on wide kernels (taxes
+# 40x40, hedonic 10^3) a round's cost grows with its cells, and the plain
+# round of one probe per coordinate wins.
 _PROBE_OVERHEAD = 16
 _UNPRICED_PROBE = 96
 _ROUND_BUDGET = 28 * _UNPRICED_PROBE
-_MAX_DEPTH = 4
 
 
-def _speculation_depth(Q: EquilibriumMap, count: int) -> int:
-    """Bisection levels a lockstep run of ``count`` coordinates fetches per
-    round: 1 without ``residual_block`` (a batch is then a loop of
-    evaluations), else the largest ``d`` up to ``_MAX_DEPTH`` whose
-    ``count * (2**d - 1)`` probes cost at most ``_ROUND_BUDGET``, at least
-    1."""
+def _prefetches(Q: EquilibriumMap, count: int) -> bool:
+    """Whether a lockstep run of ``count`` coordinates fetches ahead: never
+    without ``residual_block`` (a batch is then a loop of evaluations),
+    else when ``3 * count`` probes cost at most ``_ROUND_BUDGET``."""
     if Q.residual_block is None:
-        return 1
+        return False
     if Q.probe_cells is None:
         cost = _UNPRICED_PROBE
     else:
         cost = Q.probe_cells + _PROBE_OVERHEAD
-    probes = _ROUND_BUDGET // (max(count, 1) * cost)
-    return min(_MAX_DEPTH, max(1, (probes + 1).bit_length() - 1))
+    return 3 * max(count, 1) * cost <= _ROUND_BUDGET
 
 
 def _lockstep_roots(
@@ -685,22 +684,22 @@ def _lockstep_roots(
     Coordinate ``i`` runs its own :func:`_root_steps` machine on
     ``Q_i(pi, values_{-i}) = 0``, hinted at ``values[i]``. Each round sends
     the pending probe of every live machine through one ``Q.residuals_at``
-    call. At depth ``d > 1`` (:func:`_speculation_depth`) a bisecting
-    machine's pending probe is the first of the next ``d`` levels below its
-    bracket (:func:`_subtree`), and the round fetches all of them; the
-    machine is then sent the fetched values as it asks for them, and a
-    probe that was not fetched waits for the next round. A machine's first
-    round also fetches its bracket (:func:`_bracket_ahead`), so a machine
-    whose first expansion closes it takes its first ``d`` bisection steps
-    in round 1. So a round takes up to ``d`` bisection steps, while each
-    machine reads exactly the values :func:`smallest_root` reads:
-    speculation changes round counts, never a root, an error or which NaN
-    is read. Returns the roots in ``idx`` order
+    call. A run that prefetches (:func:`_prefetches`) fetches more: in the
+    first round the hint and both first expansion probes ``hint -/+ h``;
+    once a machine has its bracket, the whole bisection path to an estimate
+    of its root (:func:`_estimate` on the bracket's values, then
+    :func:`_path`); otherwise its pending probe alone. Each machine is then
+    sent the fetched values in order as it asks for them, and a probe that
+    was not fetched waits for the next round. A right estimate finishes a
+    bisection in one round; a wrong one still leaves a narrower bracket
+    for the next estimate. Each machine reads exactly the values
+    :func:`smallest_root` reads: the prefetch changes round counts, never a
+    root, an error or which NaN is read. Returns the roots in ``idx`` order
     (NaN where a coordinate failed) and the error of each failed
     coordinate, for the caller to raise in its own visit order.
     """
     idx = np.asarray(idx, dtype=np.intp)
-    depth = _speculation_depth(Q, idx.size)
+    prefetch = _prefetches(Q, idx.size)
     tol = opts.root_finder.bisection_tol
     roots = np.full(idx.size, np.nan)
     errors: dict[int, Exception] = {}
@@ -710,46 +709,55 @@ def _lockstep_roots(
         _root_steps(opts.root_finder, float(values[i]), span)
         for i, span in zip(coords, spans)
     ]
+    # The values each machine has read, by probe: its bracket's are there.
+    read = [{} for _ in coords] if prefetch else None
     live = list(range(idx.size))
     probes = [next(m) for m in machines]
     first, h = True, opts.root_finder.initial_halfwidth
     while live:
-        if depth == 1:
+        if not prefetch:
             res = Q.residuals_at(idx.take(live), np.array(probes), values).tolist()
         else:
-            rows, batch_idx, batch = [], [], []
+            rows, batch = [], []
             for k, x in zip(live, probes):
                 lo, hi = spans[k]
                 if first:  # x is the hint
-                    row = _bracket_ahead(x, h, tol, depth)
+                    row = [x, x - h, x + h]
+                elif lo is None:
+                    row = [x]
                 else:
-                    row = [x] if lo is None else _subtree(lo, hi, tol, depth)
-                # The pending probe always goes, so every round moves on.
-                if x not in row:
-                    row = [x, *row]
+                    seen = read[k]
+                    row = _path(lo, hi, _estimate(lo, seen[lo], hi, seen[hi]), tol)
+                    # The pending probe always goes, so every round moves on.
+                    if not row or row[0] != x:
+                        row = [x, *row]
                 rows.append(row)
-                batch_idx += [coords[k]] * len(row)
                 batch += row
-            got = iter(Q.residuals_at(
-                np.array(batch_idx, dtype=np.intp), np.array(batch), values
-            ).tolist())
-            # zip stops at the end of a row, so each row takes its values.
-            ahead = {k: dict(zip(row, got)) for k, row in zip(live, rows)}
-            res = [ahead[k][x] for k, x in zip(live, probes)]
+            counts = [len(row) for row in rows]
+            got = Q.residuals_at(
+                np.repeat(idx.take(live), counts), np.array(batch), values
+            ).tolist()
+            res, start = [], 0
+            for row, n in zip(rows, counts):
+                res.append(zip(row, got[start:start + n]))
+                start += n
             first = False
         next_live, next_probes = [], []
         for k, x, v in zip(live, probes, res):
-            if math.isnan(v):
-                errors[coords[k]] = _nan_probe(x)
-                continue
             try:
-                x = machines[k].send(v)
-                if depth > 1:
-                    fetched = ahead[k]
-                    while (v := fetched.get(x)) is not None:
-                        if math.isnan(v):
-                            raise _nan_probe(x)
-                        x = machines[k].send(v)
+                if not prefetch:
+                    if math.isnan(v):
+                        raise _nan_probe(x)
+                    x = machines[k].send(v)
+                else:
+                    seen, machine = read[k], machines[k]
+                    # The machine asks for a subsequence of its row, in order.
+                    for t, u in v:
+                        if t == x:
+                            if math.isnan(u):
+                                raise _nan_probe(x)
+                            seen[x] = u
+                            x = machine.send(u)
                 next_probes.append(x)
                 next_live.append(k)
             except StopIteration as stop:

@@ -4,8 +4,9 @@ The oracle is the bracket-and-bisect routine as three scalar functions (one
 expansion search and two bisection loops), driven one coordinate at a time
 through ``residual_at``. The engine runs the same steps as one generator
 machine per coordinate and sends each round of probes through one
-``residual_block`` call. On small runs a round also fetches the next few
-bisection levels of each machine ahead and feeds them to the machine as it
+``residual_block`` call. On small runs a round also fetches ahead (the
+hint and both first expansion probes, then the whole bisection path to a
+secant estimate of each root) and feeds the values to the machine as it
 asks for them, so the engine's probes of a coordinate contain the oracle's,
 in order, among others; prices and error messages must be the same,
 whatever is fetched ahead.
@@ -43,7 +44,10 @@ from marketclear import (
     gauss_seidel_sweep,
     jacobi_sweep,
     linear_map,
+    singles_supersolution,
     smallest_root,
+    solve,
+    uniform_supersolution,
 )
 from conftest import (
     labels,
@@ -64,8 +68,9 @@ def _value(f, x):
     return v
 
 
-# Set while the oracle bisects, so probe counters can tell the phases apart.
-PHASE = {"bisect": False}
+# Set while the oracle bisects, so probe counters can tell the phases apart;
+# "span" is the bracket the pending bisection probe halves.
+PHASE = {"bisect": False, "span": None}
 
 
 def _bisect(f, lo, hi, tol, strict):
@@ -82,6 +87,7 @@ def _bisect_loop(f, lo, hi, tol, strict):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
+        PHASE["span"] = lo, hi
         v = _value(f, mid)
         if v < 0 or (not strict and v == 0):
             lo = mid
@@ -199,6 +205,8 @@ class Probes:
         self.seq = collections.defaultdict(list)  # probes per coordinate, in order
         self.per = collections.Counter()  # residual_at probes per coordinate
         self.bisect = collections.Counter()  # those made while the oracle bisects
+        self.value = collections.defaultdict(dict)  # residual_at values by probe
+        self.span = collections.defaultdict(list)  # the bracket of each bisection probe
 
     def watch(self, q: EquilibriumMap) -> EquilibriumMap:
         if q.residual_block is None:
@@ -221,7 +229,10 @@ class Probes:
             self.seq[i].append(float(t))
             self.per[i] += 1
             self.bisect[i] += PHASE["bisect"]
-            return inner(q, i, t, values)
+            if PHASE["bisect"]:
+                self.span[i].append(PHASE["span"])
+            v = self.value[i][float(t)] = inner(q, i, t, values)
+            return v
 
         EquilibriumMap.residual_at = counted
         try:
@@ -346,32 +357,65 @@ def test_lockstep_sweeps_equal_scalar_loop(
             assert lockstep.seq == scalar.seq
 
 
-def expected_rounds(scalar: Probes, i: int, d: int) -> int:
-    """Rounds coordinate ``i`` takes at depth ``d``, from its scalar probes.
-
-    At ``d = 1`` a round is one scalar probe. Deeper, the first round
-    fetches the hint, both first expansion probes and ``d`` levels below
-    either bracket they close, so a coordinate whose bracket closes at the
-    first expansion does its first ``d`` bisection levels in round 1. Any
-    further expansion takes a round of its own, then each round takes the
+def subtree_rounds(scalar: Probes, i: int, d: int) -> int:
+    """Rounds coordinate ``i`` took when each round fetched the next ``d``
+    bisection levels below its bracket (all ``2**d - 1`` midpoints), from
+    its scalar probes: the first round fetched the hint, both first
+    expansion probes and ``d`` levels below either bracket they close, any
+    further expansion took a round of its own, then each round took the
     next ``d`` levels."""
     bisect = scalar.bisect[i]
     expansions = scalar.per[i] - bisect - 1
-    if d == 1:
-        return scalar.per[i]
     if expansions == 1:
         return max(1, -(-bisect // d))
     return expansions + -(-bisect // d)
+
+
+def secant(lo: float, f_lo: float, hi: float, f_hi: float) -> float:
+    """Regula falsi on ``[lo, hi]``, clamped to it; its midpoint where the
+    secant is undefined."""
+    den = f_hi - f_lo
+    r = lo - f_lo * ((hi - lo) / den) if den > 0 else math.nan
+    return 0.5 * (lo + hi) if math.isnan(r) else min(max(r, lo), hi)
+
+
+def path_rounds(scalar: Probes, i: int, opts: BracketOptions) -> int:
+    """Rounds coordinate ``i`` takes in a run that fetches ahead, replayed
+    from its scalar probes and values. The first round fetches the hint and
+    ``hint -/+ h``; any further expansion probe takes a round of its own.
+    Then each round fetches the bisection path from the current bracket to
+    its secant root, and the machine reads as much of it, in order, as its
+    own probes follow."""
+    seq, f, spans = scalar.seq[i], scalar.value[i], scalar.span[i]
+    search = len(seq) - scalar.bisect[i]
+    hint, h = seq[0], opts.initial_halfwidth
+    read = 0
+    for t in (hint, hint - h, hint + h):
+        read += read < search and seq[read] == t
+    rounds = 1 + search - read
+    read = search
+    while read < len(seq):
+        lo, hi = spans[read - search]
+        r = secant(lo, f[lo], hi, f[hi])
+        while hi - lo > opts.bisection_tol:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            read += read < len(seq) and seq[read] == mid
+            lo, hi = (mid, hi) if mid < r else (lo, mid)
+        rounds += 1
+    return rounds
 
 
 @pytest.mark.parametrize("kind", ["taxes-singles", "taxes-pinned", "hedonic"])
 def test_each_hook_call_is_one_round(kind, monkeypatch):
     # Jacobi runs every coordinate in one lockstep run and Gauss-Seidel one
     # run per block. A run takes as many hook calls as its slowest
-    # coordinate (expected_rounds): fewer than the scalar loop's rounds when
-    # d > 1, and exactly its probes at d = 1 (a budget of 1). A coordinate
-    # outside a block is a one-coordinate run of its own, at depth 4, so the
-    # engine never probes through residual_at.
+    # coordinate: path_rounds when it fetches ahead, no more than rounds of
+    # the old 2- or 4-level subtrees took and fewer than the scalar loop's,
+    # and exactly its probes with a budget of 1, which fetches nothing
+    # ahead. A coordinate outside a block is a one-coordinate run of its
+    # own, so the engine never probes through residual_at.
     q = bisection_map(kind, 4, 3, 4, 1, 0.2)
     p = PriceVector(q.labels, np.random.default_rng(4).uniform(-2, 2, len(q.labels)))
     opts = SolverOptions()
@@ -394,18 +438,23 @@ def test_each_hook_call_is_one_round(kind, monkeypatch):
         for i, probes in scalar.seq.items():
             assert contains_in_order(lockstep.seq[i], probes)
         assert sum(lockstep.per.values()) == 0
-        rounds = scalar_rounds = 0
+        rounds = subtree = scalar_rounds = 0
         for r in runs:
-            d = core._speculation_depth(q, len(r))
-            # A 7-variety hedonic probe is 49 cells, a taxes probe 4.
-            wide = kind == "hedonic" and len(r) > 1
-            assert d == (1 if budget == 1 else 2 if wide else 4)
-            rounds += max(expected_rounds(scalar, i, d) for i in r)
+            assert core._prefetches(q, len(r)) == (budget > 1)
             scalar_rounds += max(scalar.per[i] for i in r)
+            if budget == 1:
+                rounds += max(scalar.per[i] for i in r)
+                continue
+            rounds += max(path_rounds(scalar, i, opts.root_finder) for i in r)
+            # The old depth: 2 for a 7-variety hedonic run (49 cells a
+            # probe), else 4.
+            d = 2 if kind == "hedonic" and len(r) > 1 else 4
+            subtree += max(subtree_rounds(scalar, i, d) for i in r)
         assert lockstep.hook_calls == rounds
         if budget == 1:
             assert lockstep.seq == scalar.seq
         elif runs:
+            assert rounds <= subtree
             assert lockstep.hook_calls < scalar_rounds
 
 
@@ -587,7 +636,7 @@ def test_first_coordinate_in_visit_order_is_named():
 
 def hooked_map(residuals) -> EquilibriumMap:
     """:func:`scripted_map` with a ``residual_block`` hook, so its lockstep
-    runs speculate."""
+    runs fetch ahead."""
 
     def residual_block(idx, probes, values):
         pairs = zip(np.asarray(idx).tolist(), np.asarray(probes).tolist())
@@ -630,7 +679,7 @@ def test_nan_off_the_scalar_path_is_never_read():
         return f
 
     q = hooked_map([poisoned(i) for i in range(len(SPECULATED))])
-    assert core._speculation_depth(q, len(SPECULATED)) == 3
+    assert core._prefetches(q, len(SPECULATED))
     assert outcome(lambda: jacobi_sweep(q, p, opts)) == expected
     assert served
 
@@ -638,9 +687,8 @@ def test_nan_off_the_scalar_path_is_never_read():
 @pytest.mark.parametrize("at", [1, 2, 3, 4, 5, 6, 9, 20])
 def test_nan_on_the_scalar_path_names_its_probe(at):
     # Probe ``at`` of z1's scalar sequence (0 is the hint, 1 the first
-    # expansion, the rest bisection midpoints) turns NaN: speculation
-    # probes it at some level of some round and must raise it as the
-    # scalar loop does.
+    # expansion, the rest bisection midpoints) turns NaN: the prefetch
+    # fetches it in some round and must raise it as the scalar loop does.
     p = PriceVector(labels("z", len(SPECULATED)), np.zeros(len(SPECULATED)))
     opts = SolverOptions()
     _, path = scalar_probes(hooked_map(SPECULATED), p, opts)
@@ -656,38 +704,72 @@ def test_nan_on_the_scalar_path_names_its_probe(at):
 
 
 def test_speculation_depth_rule():
+    # Whether a run fetches ahead: only while three probes per coordinate, a
+    # first round, cost at most 2688 cells.
     rng = np.random.default_rng(8)
-    depth = core._speculation_depth
-    # Wide kernels, where a wider round costs more than it saves: depth 1.
+    prefetches = core._prefetches
+    # Wide kernels, where a wider round costs more than it saves.
     taxes40 = build_transfer_map(random_taxes_market(rng, 40, 40))
     hedonic10 = build_hedonic_map(random_hedonic_market(rng, 10, 10, 10))
     hedonic20 = build_hedonic_map(random_hedonic_market(rng, 20, 20, 20))
     assert (taxes40.probe_cells, hedonic10.probe_cells) == (40, 200)
-    assert depth(taxes40, len(taxes40.labels)) == 1  # 80 coordinates, Jacobi
-    assert depth(taxes40, 40) == 1  # one side's block, Gauss-Seidel
-    assert depth(hedonic10, len(hedonic10.labels)) == 1
-    assert depth(hedonic20, len(hedonic20.labels)) == 1
+    assert not prefetches(taxes40, len(taxes40.labels))  # 80 coordinates, Jacobi
+    assert not prefetches(taxes40, 40)  # one side's block, Gauss-Seidel
+    assert not prefetches(hedonic10, len(hedonic10.labels))
+    assert not prefetches(hedonic20, len(hedonic20.labels))
     # The sizes of the benchmark's bisection instances, hedonic 4x4x4 and
     # taxes 4x4 with singles, and taxes 5x5.
     hedonic4 = build_hedonic_map(random_hedonic_market(rng, 4, 4, 4))
     taxes4 = build_transfer_map(random_taxes_market(rng, 4, 4))
     taxes5 = build_transfer_map(random_taxes_market(rng, 5, 5))
     assert (hedonic4.probe_cells, taxes4.probe_cells) == (32, 4)
-    assert depth(hedonic4, len(hedonic4.labels)) == 3
-    assert depth(taxes4, len(taxes4.labels)) == 4
-    assert depth(taxes5, len(taxes5.labels)) == 3
-    # Without the hook a batch is a loop of evaluations: never speculate.
-    assert depth(dataclasses.replace(taxes4, residual_block=None), 8) == 1
-    assert [depth(taxes4, n) for n in (1, 2, 4, 5, 9, 10)] == [4, 4, 4, 4, 3, 3]
-    # A map that states no cells keeps n * (2**d - 1) <= 28 probes.
+    assert prefetches(hedonic4, len(hedonic4.labels))
+    assert prefetches(taxes4, len(taxes4.labels))
+    assert prefetches(taxes5, len(taxes5.labels))
+    # Without the hook a batch is a loop of evaluations: never fetch ahead.
+    assert not prefetches(dataclasses.replace(taxes4, residual_block=None), 8)
+    # 3 * 44 probes of 20 cells fit, 3 * 45 do not.
+    assert [prefetches(taxes4, n) for n in (1, 10, 44, 45)] == [True] * 3 + [False]
+    # A map that states no cells prices a probe at 96: up to 9 coordinates.
     unpriced = dataclasses.replace(taxes4, probe_cells=None)
-    assert [depth(unpriced, n) for n in (1, 2, 4, 5, 9, 10)] == [4, 3, 3, 2, 2, 1]
+    assert [prefetches(unpriced, n) for n in (1, 2, 4, 5, 9, 10)] == [True] * 5 + [False]
 
 
 @pytest.mark.parametrize("cells", [0, -3, 2.5, True])
 def test_probe_cells_must_be_a_positive_integer(cells):
     with pytest.raises(ValueError, match="probe_cells"):
         EquilibriumMap(labels=("z1",), eval_values=lambda v: v, probe_cells=cells)
+
+
+def test_small_jacobi_solves_take_few_hook_calls(monkeypatch):
+    # Whole Jacobi solves of the benchmark's bisection sizes, taxes 4x4 with
+    # singles and hedonic 4x4x4: together at most 4 hook calls per sweep,
+    # where runs that fetched 4 or 3 bisection levels a round took 10 and
+    # 14. Alone, taxes 4x4 takes 3.8 to 4.1 per solve over seeds 0 to 7 and
+    # hedonic 4x4x4 3.3 to 3.6. Each trace is the bytes of the solve with a
+    # budget of 1, which fetches nothing ahead.
+    calls = sweeps = 0
+    for seed, family in itertools.product(range(4), ("taxes", "hedonic")):
+        rng = np.random.default_rng(seed)
+        if family == "taxes":
+            market = random_taxes_market(rng, 4, 4)
+            q, p0 = build_transfer_map(market), singles_supersolution(market)
+        else:
+            market = random_hedonic_market(rng, 4, 4, 4)
+            q, p0 = build_hedonic_map(market), uniform_supersolution(market)
+        runs = {}
+        for budget in (1, core._ROUND_BUDGET):
+            monkeypatch.setattr(core, "_ROUND_BUDGET", budget)
+            probes = Probes()
+            _, trace = solve(probes.watch(q), p0, SolverOptions(residual_tol=1e-10))
+            runs[budget] = trace.to_csv(), probes.hook_calls, len(trace) - 1
+        (plain, plain_calls, n), (csv, hook_calls, _) = runs.values()
+        assert csv == plain
+        assert plain_calls > 20 * n  # one call per scalar probe
+        assert hook_calls <= 4.5 * n
+        calls += hook_calls
+        sweeps += n
+    assert calls <= 4 * sweeps
 
 
 def test_coordinate_update_runs_one_machine():
@@ -726,22 +808,25 @@ def piecewise(kind: int, a: float, b: float):
     halfwidth=st.sampled_from([1.0, 0.01, 8.0]),
     growth=st.sampled_from([2.0, 1.5, 7.0]),
     expansions=st.sampled_from([60, 1, 3, 8]),
-    depth=st.integers(2, 5),
+    lean=st.one_of(st.none(), st.floats(0.0, 1.0)),
 )
-# A NaN band (0.3167, 0.3197) that the scalar path steps over but depth-3
-# and depth-5 trees probe; and a band (0.3187, 0.3237) the scalar path hits.
+# A NaN band (0.3167, 0.3197) that the scalar path steps over: so does the
+# path to the secant root, which is exact on a line, while the path to 0.318
+# of the first bracket [0, 1] probes it. And a band (0.3187, 0.3237) the
+# scalar path hits.
 @example(kind=8, a=0.006, b=0.3137, hint=0.0, halfwidth=1.0, growth=2.0,
-         expansions=60, depth=3)
+         expansions=60, lean=None)
 @example(kind=8, a=0.006, b=0.3137, hint=0.0, halfwidth=1.0, growth=2.0,
-         expansions=60, depth=5)
+         expansions=60, lean=0.318)
 @example(kind=8, a=0.01, b=0.3137, hint=0.0, halfwidth=1.0, growth=2.0,
-         expansions=60, depth=4)
+         expansions=60, lean=None)
 @settings(max_examples=300, deadline=None)
 def test_smallest_root_takes_the_scalar_probes(
-    kind, a, b, hint, halfwidth, growth, expansions, depth
+    kind, a, b, hint, halfwidth, growth, expansions, lean
 ):
-    # One lockstep coordinate that fetches ``depth`` levels ahead lands on
-    # the same root or error from a superset of the scalar probes.
+    # One lockstep coordinate that fetches ahead lands on the same root or
+    # error from a superset of the scalar probes, whether each path runs to
+    # the secant root or to the point ``lean`` of the way up its bracket.
     f = piecewise(kind, a, b)
     opts = BracketOptions(halfwidth, growth, expansions)
     seen = {"oracle": [], "engine": [], "lockstep": []}
@@ -754,9 +839,13 @@ def test_smallest_root_takes_the_scalar_probes(
 
     def lockstep():
         q = hooked_map([probe("lockstep")])
-        budget = (2**depth - 1) * core._UNPRICED_PROBE
-        with mock.patch.multiple(core, _ROUND_BUDGET=budget, _MAX_DEPTH=depth):
-            assert core._speculation_depth(q, 1) == depth
+        assert core._prefetches(q, 1)
+        if lean is None:
+            estimate = core._estimate
+        else:
+            def estimate(lo, f_lo, hi, f_hi):
+                return lo + lean * (hi - lo)
+        with mock.patch.object(core, "_estimate", estimate):
             roots, errors = core._lockstep_roots(
                 q, [0], np.array([float(hint)]), SolverOptions(root_finder=opts)
             )
@@ -773,28 +862,46 @@ def test_smallest_root_takes_the_scalar_probes(
     assert contains_in_order(seen["lockstep"], seen["oracle"])
 
 
-# Wrong points for core._subtree to fetch ahead, from the right ones.
-WRONG_AHEAD = {
+# Wrong estimates for core._estimate to return, from the right one r.
+WRONG_ESTIMATE = {
+    "at-lo": lambda r, lo, hi: lo,
+    "at-hi": lambda r, lo, hi: hi,
+    "outside": lambda r, lo, hi: lo - (hi - lo) if r > 0.5 * (lo + hi) else hi + 1.0,
+    "nan": lambda r, lo, hi: math.nan,
+}
+# Wrong paths for core._path to return, from the right one.
+WRONG_PATH = {
     "root-only": lambda points, lo, hi: points[:1],
     "shifted": lambda points, lo, hi: [t + 0.25 * (hi - lo) for t in points],
-    "outside": lambda points, lo, hi: [*points, lo - (hi - lo), hi + 1.0],
     "nothing": lambda points, lo, hi: [],
 }
 
 
-@pytest.mark.parametrize("wrong", sorted(WRONG_AHEAD))
+@pytest.mark.parametrize("wrong", sorted([*WRONG_ESTIMATE, *WRONG_PATH]))
 @pytest.mark.parametrize("kind", KINDS)
 def test_roots_hold_whatever_is_fetched_ahead(kind, wrong, monkeypatch):
     # The prefetch only picks which probes a round evaluates: each machine
     # is sent the values it asks for, and its pending probe always goes. So
-    # wrong points can change the hook calls, never a price or an error.
-    right, asked = core._subtree, []
+    # a wrong estimate (at either end of the bracket, outside it, NaN) or a
+    # wrong path (cut short, shifted, empty) can change the hook calls,
+    # never a price or an error.
+    asked = []
+    if wrong in WRONG_ESTIMATE:
+        right = core._estimate
 
-    def subtree(lo, hi, tol, depth):
-        asked.append(depth)
-        return WRONG_AHEAD[wrong](right(lo, hi, tol, depth), lo, hi)
+        def estimate(lo, f_lo, hi, f_hi):
+            asked.append(lo)
+            return WRONG_ESTIMATE[wrong](right(lo, f_lo, hi, f_hi), lo, hi)
 
-    monkeypatch.setattr(core, "_subtree", subtree)
+        monkeypatch.setattr(core, "_estimate", estimate)
+    else:
+        right = core._path
+
+        def path(lo, hi, r, tol):
+            asked.append(lo)
+            return WRONG_PATH[wrong](right(lo, hi, r, tol), lo, hi)
+
+        monkeypatch.setattr(core, "_path", path)
     opts = SolverOptions()
     for seed in range(3):
         q = bisection_map(kind, seed, 3, 2, 1, 0.2)
