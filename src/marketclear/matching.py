@@ -16,8 +16,10 @@ no blocking, and complementary slackness.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -493,6 +495,53 @@ class AggregateNTMarket:
         object.__setattr__(self, "alpha", _finite_matrix("alpha", self.alpha, shape))
         object.__setattr__(self, "gamma", _finite_matrix("gamma", self.gamma, shape))
 
+    def __getstate__(self):
+        # The walks are rebuilt on first use, not pickled or copied.
+        return {k: v for k, v in vars(self).items() if k != "_walks"}
+
+    def __setstate__(self, state):
+        # Unpickled and deep-copied arrays come back writeable; the walks
+        # built from alpha and gamma rely on their staying read-only.
+        for name in ("n", "m", "alpha", "gamma"):
+            state[name].setflags(write=False)
+        vars(self).update(state)
+
+    @functools.cached_property
+    def _walks(self) -> _Walks:
+        """Every type's greedy walk, built on first use and kept with the
+        market. ``alpha`` and ``gamma`` are read-only, so the walks never go
+        stale, and ``dataclasses.replace`` builds a market without them."""
+        width = self.alpha.shape[1]
+        return _Walks(
+            _walk_cells(self.alpha, 1, width), _walk_cells(self.gamma.T, width, 1)
+        )
+
+
+class _Walks(NamedTuple):
+    """Each x-type's walk (decreasing ``alpha``, ties by column) and each
+    y-type's (decreasing ``gamma``, ties by row), as ``(cells, gate)`` from
+    :func:`_walk_cells`."""
+
+    rows: tuple[Array, Array]
+    cols: tuple[Array, Array]
+
+
+def _walk_cells(pay: Array, step: int, stride: int) -> tuple[Array, Array]:
+    """The walks over ``pay``, one type's payoffs per row, step by step.
+
+    Column ``k`` of ``cells`` lists the flat cells ``order * step + k *
+    stride`` of the ``X × Y`` matrix that type ``k`` visits, in decreasing
+    pay (ties by index, as a stable sort of ``-pay``); ``gate`` says whether
+    the pay at each of them is ``>= 0``. Both are ``(steps, types)``, so
+    that each step of a fill is one contiguous row.
+    """
+    order = np.argsort(-pay, axis=1, kind="stable")
+    gate = (np.take_along_axis(pay, order, axis=1) >= 0.0).T.copy()
+    cells = (order * step + np.arange(len(pay))[:, None] * stride).T.copy()
+    for a in (cells, gate):
+        a.setflags(write=False)
+    return cells, gate
+
 
 @dataclass(frozen=True)
 class AggregateNTOutcome:
@@ -585,28 +634,61 @@ def is_equilibrium_matching(
     return (not violations, tuple(violations))
 
 
-def _greedy_fill(order: Array, pay: Array, caps: Array, budget: Array) -> Array:
-    """Greedy fill of every row at once, in each row's ``order``.
+def _greedy_fill(caps: Array, gate: Array, budget: Array) -> Array:
+    """Greedy fill of every walk at once: column ``k`` of ``caps`` and
+    ``gate`` holds walk ``k``'s caps and pay gates in walk order.
 
-    Row ``r`` walks its cells by ``order[r]`` and takes ``min(cap,
-    remaining budget)`` from each cell with ``pay >= 0`` until the budget is
-    spent. ``before`` is the budget left before each rank as the sequential
-    left fold ``((b - c0) - c1) - ...`` (``np.subtract.accumulate``, not a
-    cumsum), so every take is bitwise the one-cell-at-a-time loop's. Caps
-    at or below zero, or on negative pays, take nothing and leave the budget
-    as it was (``b - 0.0 == b``). Once a cap reaches the budget left, the
-    fold is at or below zero for every later rank, so those take nothing.
+    Walk ``k`` takes ``min(cap, remaining budget)`` from each step whose
+    ``gate`` (pay ``>= 0``) is set until ``budget[k]`` is spent. The budget
+    left before each step is the sequential left fold ``((b - c0) - c1) -
+    ...`` (``np.subtract.accumulate``, not a cumsum), so every take is
+    bitwise the one-cell-at-a-time loop's. Caps at or below zero (or NaN),
+    or gated off, take nothing and leave the budget as it was (``b - 0.0
+    == b``). Once a cap reaches the budget left, the fold is at or below
+    zero for every later step, so those take nothing. The clip never sees
+    a ``-0.0`` (the fold subtracts only ``+0.0`` and positive caps from a
+    positive budget), so it returns ``+0.0`` as the loop does.
     """
-    rows, cells = caps.shape
-    r = np.arange(rows)[:, None]
-    fold = np.empty((rows, cells + 1))
-    fold[:, 0] = budget
-    fold[:, 1:] = np.where((caps > 0.0) & (pay >= 0.0), caps, 0.0)[r, order]
-    before = np.subtract.accumulate(fold, axis=1)[:, :-1]
-    take = np.minimum(fold[:, 1:], before)
-    out = np.zeros((rows, cells))
-    out[r, order] = np.where(take > 0.0, take, 0.0)
-    return out
+    fold = np.zeros((caps.shape[0] + 1, caps.shape[1]))
+    fold[0] = budget
+    np.copyto(fold[1:], caps, where=(caps > 0.0) & gate)
+    take = np.minimum(fold[1:], np.subtract.accumulate(fold, axis=0)[:-1])
+    return np.maximum(take, 0.0, out=take)
+
+
+def _fill_walks(
+    matrix: Array, walks: tuple[Array, Array], budget: Array,
+    name: str, index, axis: int,
+) -> Array:
+    """The greedy fill of ``walks`` on ``matrix``'s caps: of every walk, or
+    of those ``index`` picks. The walks run along ``matrix``'s rows
+    (``axis=0``) or columns (``axis=1``), and the result holds the fill of
+    the picked rows or columns, in ``index`` order.
+
+    The fill is scattered into an array shaped like ``matrix`` (it needs no
+    zeros first: each walk covers its whole row or column), and the block
+    is gathered from it. ``index`` is checked by its dtype, not by a scan;
+    an out-of-range one is found by the gather of its walks.
+    """
+    cells, gate = walks
+    if index is not None:
+        index = np.asarray(index)
+        if index.dtype.kind not in "iu":
+            if index.size or index.dtype.kind == "b":
+                raise ValueError(f"{name} must be integer indices")
+            index = index.astype(np.intp)
+        if index.ndim != 1:
+            raise ValueError(f"{name} must be a 1-D list of indices")
+        try:
+            cells = cells.take(index, axis=1)
+        except IndexError:
+            raise ValueError(
+                f"{name} index out of range for {len(budget)} types"
+            ) from None
+        gate, budget = gate.take(index, axis=1), budget[index]
+    out = np.empty(matrix.shape)
+    out.put(cells, _greedy_fill(matrix.take(cells), gate, budget))
+    return out if index is None else out.take(index, axis=axis)
 
 
 def proposal_phase(
@@ -617,18 +699,15 @@ def proposal_phase(
     Each x-type walks its cells in decreasing ``alpha`` (ties by column
     order), skipping negative-``alpha`` cells, and proposes
     ``min(cap, remaining budget)`` until its mass is exhausted. With
-    ``rows`` (row indices) only those x-types propose, and the result is
-    their ``(len(rows), Y)`` block.
+    ``rows`` (integer row indices; negative ones count from the end, and
+    repeats repeat the row) only those x-types propose, and the result is
+    their ``(len(rows), Y)`` block. The walk orders are built once per
+    market, on first use, and kept with it.
     """
     available = np.asarray(available, dtype=float)
     if available.shape != market.alpha.shape:
         raise ValueError("availability matrix has the wrong shape")
-    if rows is None:
-        rows = np.arange(available.shape[0])
-    rows = np.asarray(rows, dtype=int)
-    pay = market.alpha[rows]
-    order = np.argsort(-pay, axis=1, kind="stable")
-    return _greedy_fill(order, pay, available[rows], market.n[rows])
+    return _fill_walks(available, market._walks.rows, market.n, "rows", rows, 0)
 
 
 def disposal_phase(
@@ -639,19 +718,15 @@ def disposal_phase(
     Each y-type walks its cells in decreasing ``gamma`` (ties by row
     order), skipping negative-``gamma`` cells, and keeps
     ``min(proposal, remaining capacity)`` until ``m_y`` is filled. With
-    ``cols`` (column indices) only those y-types retain, and the result is
-    their ``(X, len(cols))`` block.
+    ``cols`` (integer column indices, as ``rows`` in
+    :func:`proposal_phase`) only those y-types retain, and the result is
+    their ``(X, len(cols))`` block. The walk orders are built once per
+    market, on first use, and kept with it.
     """
     proposals = np.asarray(proposals, dtype=float)
     if proposals.shape != market.gamma.shape:
         raise ValueError("proposal matrix has the wrong shape")
-    if cols is None:
-        cols = np.arange(proposals.shape[1])
-    cols = np.asarray(cols, dtype=int)
-    pay = market.gamma[:, cols].T
-    order = np.argsort(-pay, axis=1, kind="stable")
-    kept = _greedy_fill(order, pay, proposals[:, cols].T, market.m[cols])
-    return np.ascontiguousarray(kept.T)
+    return _fill_walks(proposals, market._walks.cols, market.m, "cols", cols, 1)
 
 
 def _lowest_filled(pay: Array, mass: Array, outside: Array, tol: float) -> Array:
@@ -694,6 +769,8 @@ def dalm(
     rounds are idle for as long as every rejected cell's availability
     stays at or above its proposal: each only subtracts the same rejection
     again, so it runs on the rejected cells alone and calls neither phase.
+    The phases walk each type's cells in an order built once per market,
+    on first use, and kept with it (a few ``X × Y`` index arrays).
 
     The outcome's ``rounds`` counts the rounds run, idle ones included. With
     ``return_trace=True`` also returns the availability matrices by round
