@@ -11,6 +11,7 @@ structure checks.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -110,12 +111,24 @@ def _finite_matrix(name: str, value, shape: tuple[int, int] | None = None) -> Ar
     return out
 
 
+class _Frozen:
+    """Base of the frozen dataclasses whose ``__post_init__`` makes their
+    arrays read-only. A pickle or a deep copy restores arrays writeable;
+    ``__setstate__`` makes every ndarray attribute read-only again."""
+
+    def __setstate__(self, state):
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        vars(self).update(state)
+
+
 # ---------------------------------------------------------------------------
 # Labeled vectors
 
 
 @dataclass(frozen=True, eq=False)
-class _LabeledVector:
+class _LabeledVector(_Frozen):
     """A real vector with unique string labels per coordinate."""
 
     labels: tuple[str, ...]
@@ -236,16 +249,21 @@ class EquilibriumMap:
         -> array``: entry ``r`` is the residual of coordinate ``idx[r]`` at
         price ``probes[r]``, every other price read from ``values``. Must
         equal ``eval_values`` with that one price substituted, bit for bit
-        on every entry; ``residual_at`` is its one-entry call. Every
-        bisection is a lockstep run (a Jacobi sweep, a whole block of a
-        Gauss-Seidel sweep, or one lone coordinate) that sends each round of
-        probes through it; without it a round loops ``residual_at``. On
-        small runs a round also fetches ahead: once a coordinate's bracket
-        is known, the whole bisection path to a secant estimate of its
-        root, some of it off the path ``smallest_root`` takes when the
-        estimate is wrong, so the hook sees a superset of the scalar probes
-        in fewer calls; each coordinate's machine reads only the values on
-        its own path, so roots are the same bits (see ``_lockstep_roots``).
+        on every entry; ``residual_at`` is its one-entry call. So with no
+        price substituted, ``eval_values(values)[i]`` is the residual of
+        coordinate ``i`` at ``values[i]``, and a Jacobi solve takes each
+        bisection's value at its hint from the trace record's excess,
+        without a probe. Every bisection is a lockstep run (a Jacobi sweep,
+        a whole block of a Gauss-Seidel sweep, or one lone coordinate) that
+        sends each round of probes through it; without it a round loops
+        ``residual_at``. On small runs a round also fetches ahead: the
+        bisection path to a predicted root in a Jacobi solve's first round,
+        and once a coordinate's bracket is known the whole path to a secant
+        estimate of its root, some of it off the path ``smallest_root``
+        takes when the guess is wrong, so the hook sees a superset of the
+        scalar probes in fewer calls; each coordinate's machine reads only
+        the values on its own path, so roots are the same bits (see
+        ``_lockstep_roots``).
     z_function, diagonal_isotone, m_function, m0_function:
         Declared structure flags. They are caller declarations, verified
         only by the sampling checks in this module.
@@ -561,25 +579,36 @@ def _bracket_steps(opts: BracketOptions, hint: float):
     return le_lo, pos_hi, False
 
 
-def _root_steps(opts: BracketOptions, hint: float, span: list):
-    """The steps of :func:`smallest_root`: :func:`_bracket_steps`, then
-    bisection on the predicate ``f < 0`` (``f <= 0`` for the boundary root)
-    while the bracket is wider than ``bisection_tol`` and its midpoint
-    lies strictly inside it. Once the bracket is found, the two-slot list
-    ``span`` holds it as ``[lo, hi]``, so at each bisection probe it is the
-    bracket that probe halves; it is left as given during the search."""
-    lo, hi, negative = yield from _bracket_steps(opts, hint)
-    span[:] = lo, hi
-    tol = opts.bisection_tol
-    while hi - lo > tol:
+def _next_mid(lo: float, hi: float, tol: float) -> float | None:
+    """The next probe of the bisection of ``[lo, hi]``: its midpoint, or
+    ``None`` once the bracket is no wider than ``tol`` or no float lies
+    strictly inside it."""
+    if hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        fm = yield mid
-        if fm < 0 or (fm == 0 and not negative):
-            lo = span[0] = mid
+        if lo < mid < hi:
+            return mid
+    return None
+
+
+def _lands_low(v: float, negative: bool) -> bool:
+    """Whether a bisection probe whose value is ``v`` becomes the bracket's
+    lower end: ``f < 0``, or ``f <= 0`` for the boundary root."""
+    return v < 0 or (v == 0 and not negative)
+
+
+def _root_steps(opts: BracketOptions, hint: float):
+    """The steps of :func:`smallest_root`: :func:`_bracket_steps`, then
+    bisection of the bracket by :func:`_next_mid` and :func:`_lands_low`,
+    the steps every lockstep machine takes too."""
+    lo, hi, negative = yield from _bracket_steps(opts, hint)
+    tol = opts.bisection_tol
+    mid = _next_mid(lo, hi, tol)
+    while mid is not None:
+        if _lands_low((yield mid), negative):
+            lo = mid
         else:
-            hi = span[1] = mid
+            hi = mid
+        mid = _next_mid(lo, hi, tol)
     return hi if negative else lo
 
 
@@ -601,15 +630,16 @@ def smallest_root(
     is returned instead. If no zero can be bracketed within the expansion
     budget, raises :class:`ResponsivenessViolation`; a NaN value raises
     :class:`NonFiniteResidual`; a non-finite ``hint`` raises ``ValueError``.
-    The engine does not call it: every bisected coordinate runs the same
-    machine (:func:`_root_steps`) in a lockstep run, which on small runs
-    fetches each bisection's predicted path ahead in one round; each root
-    is the same bits either way.
+    The engine does not call it: every bisected coordinate takes the same
+    steps (:func:`_bracket_steps`, then :func:`_next_mid` and
+    :func:`_lands_low`) in a lockstep run, which on small runs fetches
+    each bisection's predicted path ahead in one round; each root is the
+    same bits either way.
     """
     hint = float(hint)
     if not math.isfinite(hint):
         raise ValueError(f"hint must be finite, got {hint}")
-    steps = _root_steps(opts or BracketOptions(), hint, [None, None])
+    steps = _root_steps(opts or BracketOptions(), hint)
     x = next(steps)
     while True:
         v = float(f(x))
@@ -634,25 +664,24 @@ def _estimate(lo: float, f_lo: float, hi: float, f_hi: float) -> float:
 
 def _path(lo: float, hi: float, r: float, tol: float) -> list[float]:
     """The midpoints the bisection of ``[lo, hi]`` visits on its way to
-    ``r``, in order, down to the stop test of :func:`_root_steps`: after
-    each midpoint it keeps the half that holds ``r``, the upper one when
-    the midpoint lies below ``r``."""
+    ``r``, in order, until :func:`_next_mid` stops at ``tol``: after each
+    midpoint it keeps the half that holds ``r``, the upper one when the
+    midpoint lies below ``r``."""
     points = []
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
+    mid = _next_mid(lo, hi, tol)
+    while mid is not None:
         points.append(mid)
         if mid < r:
             lo = mid
         else:
             hi = mid
+        mid = _next_mid(lo, hi, tol)
     return points
 
 
 # The price of a lockstep probe, in kernel cells: its map's probe_cells plus
 # _PROBE_OVERHEAD, the lockstep loop's own work per probe (building the
-# round, reading the values back, resuming the machine), or _UNPRICED_PROBE
+# round, reading the values back, stepping the machine), or _UNPRICED_PROBE
 # for a map that states no cells. A run prefetches while three probes per
 # coordinate, a first round's width, cost at most _ROUND_BUDGET. Small maps
 # pay mostly per round, and a few wide rounds win; on wide kernels (taxes
@@ -677,97 +706,186 @@ def _prefetches(Q: EquilibriumMap, count: int) -> bool:
 
 
 def _lockstep_roots(
-    Q: EquilibriumMap, idx: Sequence[int], values: Array, opts: SolverOptions
+    Q: EquilibriumMap,
+    idx: Sequence[int],
+    values: Array,
+    opts: SolverOptions,
+    hints: tuple | None = None,
 ) -> tuple[Array, dict[int, Exception]]:
     """:func:`smallest_root` of every coordinate ``i`` in ``idx`` at once.
 
-    Coordinate ``i`` runs its own :func:`_root_steps` machine on
-    ``Q_i(pi, values_{-i}) = 0``, hinted at ``values[i]``. Each round sends
-    the pending probe of every live machine through one ``Q.residuals_at``
-    call. A run that prefetches (:func:`_prefetches`) fetches more: in the
-    first round the hint and both first expansion probes ``hint -/+ h``;
-    once a machine has its bracket, the whole bisection path to an estimate
-    of its root (:func:`_estimate` on the bracket's values, then
-    :func:`_path`); otherwise its pending probe alone. Each machine is then
-    sent the fetched values in order as it asks for them, and a probe that
-    was not fetched waits for the next round. A right estimate finishes a
-    bisection in one round; a wrong one still leaves a narrower bracket
-    for the next estimate. Each machine reads exactly the values
-    :func:`smallest_root` reads: the prefetch changes round counts, never a
-    root, an error or which NaN is read. Returns the roots in ``idx`` order
-    (NaN where a coordinate failed) and the error of each failed
-    coordinate, for the caller to raise in its own visit order.
+    Coordinate ``i`` takes the steps of :func:`smallest_root` on
+    ``Q_i(pi, values_{-i}) = 0``, hinted at ``values[i]``: the bracket
+    search :func:`_bracket_steps`, then bisection by :func:`_next_mid` and
+    :func:`_lands_low`. Each round sends the probes of every live
+    coordinate through one ``Q.residuals_at`` call: in a run that does not
+    prefetch (:func:`_prefetches`), the pending probe of each coordinate's
+    :func:`_root_steps` machine.
+
+    ``hints``, from :func:`solve` in Jacobi mode, is ``(excess, guess)``:
+    ``excess`` is ``Q(values)``, whose entry ``i`` is the value at coordinate
+    ``i``'s hint bit for bit (the ``residual_block`` contract), so no
+    machine probes its hint; ``guess`` is ``None`` or :func:`_predict`'s
+    ``(roots, cuts)``.
+
+    A run that prefetches fetches more. A first round without ``hints``
+    fetches the hint and both first expansion probes ``hint -/+ h``. A
+    first round with them fetches the one expansion probe the sign of the
+    hint's value picks and, when the predicted root lies in the
+    half-bracket between that probe and the hint, the bisection path of
+    the half-bracket to it (:func:`_path`), cut where the bracket is no
+    wider than the coordinate's cut. Once a machine has its bracket, a
+    round fetches the whole bisection path to an estimate of its root
+    (:func:`_estimate` on the bracket's values); otherwise its pending
+    probe alone. Each machine reads the fetched values of the probes it
+    asks for, in order, with no generator step and no stored value per
+    bisection probe, and stops at the first fetched path probe it does not
+    ask for; a probe that was not fetched waits for the next round. A
+    right guess finishes a bisection in one round; a wrong one still
+    leaves a narrower bracket for the next estimate. Each machine reads
+    exactly the values :func:`smallest_root` reads (but the hint's, which
+    ``hints`` gives): the prefetch changes round counts, never a root, an
+    error or which NaN is read. Returns the roots in ``idx`` order (NaN
+    where a coordinate failed) and the error of each failed coordinate,
+    for the caller to raise in its own visit order.
     """
     idx = np.asarray(idx, dtype=np.intp)
-    prefetch = _prefetches(Q, idx.size)
-    tol = opts.root_finder.bisection_tol
+    rf = opts.root_finder
+    tol, h = rf.bisection_tol, rf.initial_halfwidth
     roots = np.full(idx.size, np.nan)
     errors: dict[int, Exception] = {}
     coords = idx.tolist()
-    spans = [[None, None] for _ in coords]
-    machines = [
-        _root_steps(opts.root_finder, float(values[i]), span)
-        for i, span in zip(coords, spans)
-    ]
-    # The values each machine has read, by probe: its bracket's are there.
-    read = [{} for _ in coords] if prefetch else None
-    live = list(range(idx.size))
-    probes = [next(m) for m in machines]
-    first, h = True, opts.root_finder.initial_halfwidth
-    while live:
-        if not prefetch:
-            res = Q.residuals_at(idx.take(live), np.array(probes), values).tolist()
-        else:
-            rows, batch = [], []
-            for k, x in zip(live, probes):
-                lo, hi = spans[k]
-                if first:  # x is the hint
-                    row = [x, x - h, x + h]
-                elif lo is None:
-                    row = [x]
-                else:
-                    seen = read[k]
-                    row = _path(lo, hi, _estimate(lo, seen[lo], hi, seen[hi]), tol)
-                    # The pending probe always goes, so every round moves on.
-                    if not row or row[0] != x:
-                        row = [x, *row]
-                rows.append(row)
-                batch += row
-            counts = [len(row) for row in rows]
-            got = Q.residuals_at(
-                np.repeat(idx.take(live), counts), np.array(batch), values
-            ).tolist()
-            res, start = [], 0
-            for row, n in zip(rows, counts):
-                res.append(zip(row, got[start:start + n]))
-                start += n
-            first = False
-        next_live, next_probes = [], []
-        for k, x, v in zip(live, probes, res):
-            try:
-                if not prefetch:
+    starts = values.take(idx).tolist()
+    # The values at the hints, a round that needs no probe.
+    got = None if hints is None else hints[0].take(idx).tolist()
+
+    def fail(k: int, exc: Exception) -> None:
+        if isinstance(exc, ResponsivenessViolation):
+            exc = ResponsivenessViolation(f"coordinate {Q.labels[coords[k]]!r}: {exc}")
+        errors[coords[k]] = exc
+
+    if not _prefetches(Q, idx.size):
+        # One probe a round: each machine is sent the value of its probe.
+        search = [_root_steps(rf, hint) for hint in starts]
+        live, probes = list(range(idx.size)), [next(m) for m in search]
+        while live:
+            if got is None:
+                got = Q.residuals_at(idx.take(live), np.array(probes), values).tolist()
+            next_live, next_probes = [], []
+            for k, x, v in zip(live, probes, got):
+                try:
                     if math.isnan(v):
                         raise _nan_probe(x)
-                    x = machines[k].send(v)
+                    next_probes.append(search[k].send(v))
+                    next_live.append(k)
+                except StopIteration as found:
+                    roots[k] = found.value
+                except (NonFiniteResidual, ResponsivenessViolation) as exc:
+                    fail(k, exc)
+            live, probes, got = next_live, next_probes, None
+        return roots, errors
+
+    # Machine k searches its bracket with the generator search[k], keeping
+    # the values it reads in seen[k]; once the bracket is found, search[k]
+    # is None and span[k] = [lo, hi, f(lo), f(hi), negative] is bisected.
+    search = [_bracket_steps(rf, hint) for hint in starts]
+    seen = [{} for _ in coords]
+    span: list = [None] * idx.size
+
+    def read(k: int, x: float, points, values_at: list) -> float | None:
+        """Machine ``k``, pending at ``x``, reads the values ``values_at``
+        of the fetched ``points`` that it asks for; returns its next probe,
+        or ``None`` once it has its root."""
+        pairs = zip(points, values_at)
+        machine = search[k]
+        # The bracket search asks for a subsequence of a first round's
+        # probes (the hint, then hint - h or hint + h).
+        while machine is not None:
+            for t, v in pairs:
+                if t == x:
+                    break
+            else:
+                return x
+            if math.isnan(v):
+                raise _nan_probe(x)
+            seen[k][x] = v
+            try:
+                x = machine.send(v)
+            except StopIteration as found:
+                lo, hi, negative = found.value
+                span[k] = [lo, hi, seen[k][lo], seen[k][hi], negative]
+                search[k] = machine = None
+                x = _next_mid(lo, hi, tol)
+        # Bisection reads the fetched path while it is its own.
+        state = span[k]
+        lo, hi, f_lo, f_hi, negative = state
+        if x is not None:
+            for t, v in pairs:
+                if t != x:
+                    break
+                if v != v:  # NaN
+                    raise _nan_probe(x)
+                if _lands_low(v, negative):
+                    lo, f_lo = x, v
                 else:
-                    seen, machine = read[k], machines[k]
-                    # The machine asks for a subsequence of its row, in order.
-                    for t, u in v:
-                        if t == x:
-                            if math.isnan(u):
-                                raise _nan_probe(x)
-                            seen[x] = u
-                            x = machine.send(u)
-                next_probes.append(x)
+                    hi, f_hi = x, v
+                x = _next_mid(lo, hi, tol)
+                if x is None:
+                    break
+            state[:4] = lo, hi, f_lo, f_hi
+        if x is None:
+            roots[k] = hi if negative else lo
+        return x
+
+    live, probes = list(range(idx.size)), [next(m) for m in search]
+    if got is None:
+        rows = [[x, x - h, x + h] for x in probes]
+    else:
+        rows = [(x,) for x in probes]
+    # The predicted roots and first-path cuts, read by the round after the
+    # hints.
+    guess = cuts = None
+    if hints is not None and hints[1] is not None:
+        guess, cuts = (a.take(idx).tolist() for a in hints[1])
+    while live:
+        if got is None:
+            counts = [len(row) for row in rows]
+            got = Q.residuals_at(
+                np.repeat(idx.take(live), counts),
+                np.fromiter(itertools.chain.from_iterable(rows), float, sum(counts)),
+                values,
+            ).tolist()
+        next_live, next_probes, start = [], [], 0
+        for k, x, row in zip(live, probes, rows):
+            end = start + len(row)
+            try:
+                x = read(k, x, row, got[start:end])
+            except (NonFiniteResidual, ResponsivenessViolation) as exc:
+                fail(k, exc)
+                x = None
+            start = end
+            if x is not None:
                 next_live.append(k)
-            except StopIteration as stop:
-                roots[k] = stop.value
-            except NonFiniteResidual as exc:
-                errors[coords[k]] = exc
-            except ResponsivenessViolation as exc:
-                where = f"coordinate {Q.labels[coords[k]]!r}"
-                errors[coords[k]] = ResponsivenessViolation(f"{where}: {exc}")
-        live, probes = next_live, next_probes
+                next_probes.append(x)
+        live, probes, got = next_live, next_probes, None
+        rows = []
+        for k, x in zip(live, probes):
+            if span[k] is not None:
+                lo, hi, f_lo, f_hi, _ = span[k]
+                row = _path(lo, hi, _estimate(lo, f_lo, hi, f_hi), tol)
+                # The pending probe always goes, so every round moves on.
+                if not row or row[0] != x:
+                    row = [x, *row]
+            else:
+                row = [x]
+                if guess is not None:
+                    # The half-bracket between the hint and its one
+                    # expansion probe x, to the predicted root.
+                    lo, hi = min(x, starts[k]), max(x, starts[k])
+                    if lo <= guess[k] <= hi:
+                        row += _path(lo, hi, guess[k], max(tol, cuts[k]))
+            rows.append(row)
+        guess = None
     return roots, errors
 
 
@@ -843,12 +961,18 @@ def _damp(old, new, damping: float):
 
 
 def _run_updates(
-    Q: EquilibriumMap, lo: int, hi: int, values: Array, opts: SolverOptions
+    Q: EquilibriumMap,
+    lo: int,
+    hi: int,
+    values: Array,
+    opts: SolverOptions,
+    hints: tuple | None = None,
 ) -> tuple[Array, dict[int, Exception]]:
     """Updates of coordinates ``lo..hi-1`` from ``values``, none of which
-    reads another's price: one ``update_value`` call, or lockstep bisection."""
+    reads another's price: one ``update_value`` call, or lockstep bisection
+    (with ``hints``, see :func:`_lockstep_roots`)."""
     if Q.update_value is None:
-        return _lockstep_roots(Q, range(lo, hi), values, opts)
+        return _lockstep_roots(Q, range(lo, hi), values, opts, hints)
     new = np.asarray(Q.update_value(lo, hi, values), dtype=float)
     if new.shape != (hi - lo,):
         raise InternalError("update_value returned a wrong-shaped array")
@@ -905,6 +1029,7 @@ def _sweep(
     opts: SolverOptions,
     order: Sequence[str] | None,
     frozen: bool,
+    hints: tuple | None = None,
 ) -> PriceVector:
     """One sweep over ``order`` (the label order when ``None``), run by run.
 
@@ -935,7 +1060,7 @@ def _sweep(
                         raise _damped_nonfinite(Q, lo)
                 values[lo] = new
             else:
-                new, errors = _run_updates(Q, lo, hi, read, opts)
+                new, errors = _run_updates(Q, lo, hi, read, opts, hints)
                 step = new if frozen else _damp(values[lo:hi], new, damping)
                 if not np.all(np.isfinite(step)):
                     _raise_first(Q, visit, lo, new, errors, None if frozen else step)
@@ -949,7 +1074,11 @@ def _sweep(
 
 
 def jacobi_sweep(
-    Q: EquilibriumMap, p: PriceVector, opts: SolverOptions | None = None
+    Q: EquilibriumMap,
+    p: PriceVector,
+    opts: SolverOptions | None = None,
+    *,
+    _hints: tuple | None = None,
 ) -> PriceVector:
     """One Jacobi sweep: every coordinate updated from the same ``p``.
 
@@ -958,9 +1087,9 @@ def jacobi_sweep(
     Each update reads only the frozen input vector, so evaluation order is
     immaterial; a map with block updates is updated one block at a time,
     and a map without closed-form updates bisects every coordinate in
-    lockstep.
+    lockstep. (``_hints`` is :func:`solve`'s, for that lockstep run.)
     """
-    return _sweep(Q, p, opts or _DEFAULT_OPTIONS, None, frozen=True)
+    return _sweep(Q, p, opts or _DEFAULT_OPTIONS, None, True, _hints)
 
 
 def gauss_seidel_sweep(
@@ -984,14 +1113,17 @@ def gauss_seidel_sweep(
 
 
 def _record(
-    Q: EquilibriumMap, sweep: int, p: PriceVector, prev: PriceVector | None
+    Q: EquilibriumMap,
+    sweep: int,
+    p: PriceVector,
+    prev: PriceVector | None,
+    excess: Array,
 ) -> TraceRecord:
     # _finite_excess without the ExcessVector or the label check (solve
-    # checks p0's labels; every sweep keeps them). Over finite values, min
-    # and max decide every all-coordinates test at once; NaN propagates
-    # through both. Prices are finite, so a >= b exactly when a - b >= 0,
-    # even when the difference overflows.
-    excess = Q._excess(p.values)
+    # checks p0's labels; every sweep keeps them), on excess = Q._excess(p).
+    # Over finite values, min and max decide every all-coordinates test at
+    # once; NaN propagates through both. Prices are finite, so a >= b
+    # exactly when a - b >= 0, even when the difference overflows.
     with np.errstate(over="ignore"):
         step = None if prev is None else p.values - prev.values
     lo, hi = float(excess.min()), float(excess.max())
@@ -1009,6 +1141,43 @@ def _record(
     )
 
 
+# A first path stops where its bracket is no wider than _CUT times the error
+# of the coordinate's last prediction: below that the path to this sweep's
+# prediction has most likely left the root's.
+_CUT = 0.25
+
+
+def _predict(
+    Q: EquilibriumMap, values: Array, steps: tuple[Array, ...], guess
+) -> tuple[Array, Array]:
+    """The predicted roots of the Jacobi sweep from ``values``, and the
+    width at which each coordinate's first path stops.
+
+    ``steps`` holds the last two or three steps, newest first. A coordinate
+    that converges linearly repeats its last ratio of steps, so the root is
+    predicted at ``values + s0 * (s0 / s1)`` (Aitken's extrapolation). On a
+    map split into two blocks each block is updated from the other, so the
+    sweep's linear part is bipartite and its rates come in pairs ``+-l``:
+    there steps two apart keep the ratio ``l**2``, and with three steps the
+    root is predicted at ``values + s1 * (s0 / s2)``. A step of 0, or one
+    that overflows, gives a NaN or infinite root, for which no path is
+    fetched. The cut is ``_CUT`` times the error of the last prediction
+    ``guess`` (0 where there was none).
+    """
+    s0, s1 = steps[:2]
+    with np.errstate(all="ignore"):
+        if len(steps) == 3 and Q.blocks is not None and len(Q.blocks) == 2:
+            roots = values + s1 * (s0 / steps[2])
+        else:
+            roots = values + s0 * (s0 / s1)
+        if guess is None:
+            cuts = np.zeros_like(values)
+        else:
+            cuts = _CUT * np.abs(values - guess[0])
+            cuts[~np.isfinite(cuts)] = 0.0
+    return roots, cuts
+
+
 def solve(
     Q: EquilibriumMap, p0: PriceVector, opts: SolverOptions | None = None
 ) -> tuple[PriceVector, SolveTrace]:
@@ -1019,20 +1188,34 @@ def solve(
     together with the trace of every sweep including the initial point as
     sweep 0. Raises :class:`MaxSweepsExceeded` (carrying the trace) when the
     budget runs out.
+
+    A Jacobi sweep that bisects hands its lockstep run the trace record's
+    excess, the values at every hint, and (undamped) each coordinate's
+    root predicted from its last steps (:func:`_predict`). They save hook
+    calls; every iterate keeps its bits.
     """
     opts = opts or _DEFAULT_OPTIONS
     if p0.labels != Q.labels:
         raise ValueError("price vector labels do not match the map")
     sweep_fn = jacobi_sweep if opts.mode == "jacobi" else gauss_seidel_sweep
+    hinted = opts.mode == "jacobi" and Q.update_value is None
+    predicts = hinted and opts.damping == 1.0
     trace = SolveTrace()
     p = p0
-    rec = _record(Q, 0, p, None)
+    excess = Q._excess(p.values)
+    rec = _record(Q, 0, p, None, excess)
     trace.records.append(rec)
     if rec.residual_sup <= opts.residual_tol:
         return p, trace
+    steps, guess = (), None
     for t in range(1, opts.max_sweeps + 1):
-        p_next = sweep_fn(Q, p, opts)
-        rec = _record(Q, t, p_next, p)
+        if hinted:
+            # The module-level name, like sweep_fn, so a wrapper sees it.
+            p_next = jacobi_sweep(Q, p, opts, _hints=(excess, guess))
+        else:
+            p_next = sweep_fn(Q, p, opts)
+        excess = Q._excess(p_next.values)
+        rec = _record(Q, t, p_next, p, excess)
         trace.records.append(rec)
         if rec.residual_sup <= opts.residual_tol:
             return p_next, trace
@@ -1040,6 +1223,11 @@ def solve(
             np.max(np.abs(p_next.values - p.values))
         ) <= opts.step_tol:
             return p_next, trace
+        if predicts:
+            with np.errstate(over="ignore", invalid="ignore"):
+                steps = (p_next.values - p.values, *steps[:2])
+            if len(steps) > 1:
+                guess = _predict(Q, p_next.values, steps, guess)
         p = p_next
     raise MaxSweepsExceeded(
         f"no convergence after {opts.max_sweeps} sweeps "

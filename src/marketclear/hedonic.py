@@ -17,6 +17,7 @@ from .core import (
     Array,
     EquilibriumMap,
     PriceVector,
+    _Frozen,
     _double_until,
     _finite_matrix,
     _finite_vector,
@@ -36,7 +37,7 @@ __all__ = [
 _BATCH_CELLS = 1 << 18
 
 @dataclass(frozen=True)
-class HedonicMarket:
+class HedonicMarket(_Frozen):
     """Producer masses/costs and consumer masses/tastes over varieties.
 
     ``c[x, z]`` is x's cost of supplying variety ``z``; ``a[y, z]`` is y's
@@ -70,6 +71,26 @@ class HedonicMarket:
         object.__setattr__(self, "a", _finite_matrix("a", self.a, shape_a))
 
 
+# numpy reduces a last axis shorter than _SHORT_ROW by one fold in order;
+# longer ones go through eight partial sums. Its reduction pays per row, so
+# from _MANY_ROWS rows on a short axis one call per column is cheaper.
+_SHORT_ROW = 8
+_MANY_ROWS = 48
+
+
+def _row_fold(ufunc, rows: Array) -> Array:
+    """``ufunc.reduce(rows, axis=-1)``, bit for bit, for ``np.add`` or
+    ``np.maximum``: many rows shorter than ``_SHORT_ROW`` are folded one
+    column at a time, numpy's own order there."""
+    width = rows.shape[-1]
+    if width >= _SHORT_ROW or rows.size < _MANY_ROWS * width:
+        return ufunc.reduce(rows, axis=-1)
+    out = rows[..., 0]
+    for j in range(1, width):
+        out = ufunc(out, rows[..., j])
+    return out
+
+
 def _logit(util: Array) -> tuple[Array, Array]:
     """Row-wise logit weights and denominators with outside weight 1.
 
@@ -77,9 +98,9 @@ def _logit(util: Array) -> tuple[Array, Array]:
     the largest exponent is at most 0 (the outside option's exponent is
     exactly ``-shift``); a row's shares are its weights over its denominator.
     """
-    shift = np.maximum(util.max(axis=-1), 0.0)
+    shift = np.maximum(_row_fold(np.maximum, util), 0.0)
     weights = np.exp(util - shift[..., None])
-    return weights, np.exp(-shift) + weights.sum(axis=-1)
+    return weights, np.exp(-shift) + _row_fold(np.add, weights)
 
 
 def _choice_mass(util: Array, masses: Array) -> Array:
@@ -128,25 +149,28 @@ def build_hedonic_map(market: HedonicMarket) -> EquilibriumMap:
     S = np.concatenate([np.ones(X), -np.ones(len(market.y_labels))])[:, None]
     B = np.concatenate([-market.c, market.a])
     masses = np.concatenate([market.n, market.m])
+    S_col, B_rows = S[:, 0], np.ascontiguousarray(B.T)
 
     def fold(w: Array) -> Array:
         # The sum over types of eval_values, (X, Z).sum(axis=-2): numpy
         # folds the rows in order for Z > 1 and sums them pairwise for
         # Z = 1. accumulate folds in order at any k, where a (k, X) sum
-        # would go pairwise.
-        if Z == 1:
-            return w.sum(axis=-1)
+        # would go pairwise; below _SHORT_ROW types both orders are one
+        # fold.
+        if Z == 1 or w.shape[-1] < _SHORT_ROW:
+            return _row_fold(np.add, w)
         return np.add.accumulate(w, axis=-1)[:, -1]
 
     def own_excess(idx: Array, t: Array, values: Array) -> Array:
-        # Row r is the price vector with variety idx[r] at t[r]. Row maxima,
-        # exp and row sums run over every variety, since each denominator
-        # needs the whole row; only variety idx[r] is divided, weighted and
-        # folded over the types.
+        # Row r is the utility array at the price vector with variety idx[r]
+        # at t[r]: the one at values with that variety's column redone.
+        # Row maxima, exp and row sums run over every variety, since each
+        # denominator needs the whole row; only variety idx[r] is divided,
+        # weighted and folded over the types.
         r = np.arange(len(idx))
-        P = np.repeat(values[None, :], len(idx), axis=0)
-        P[r, idx] = t
-        weights, denom = _logit(P[:, None, :] * S + B)
+        util = np.repeat((values * S + B)[None], len(idx), axis=0)
+        util[r, :, idx] = t[:, None] * S_col + B_rows[idx]
+        weights, denom = _logit(util)
         mass = masses * (weights[r, :, idx] / denom)
         return fold(mass[:, :X]) - fold(mass[:, X:])
 

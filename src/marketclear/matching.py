@@ -27,6 +27,7 @@ from .core import (
     Array,
     EquilibriumMap,
     PriceVector,
+    _Frozen,
     _finite_matrix,
     _finite_vector,
     _labels,
@@ -64,7 +65,7 @@ _ENUM_LIMIT = 7
 
 
 @dataclass(frozen=True)
-class IndividualMarket:
+class IndividualMarket(_Frozen):
     """Unit workers and firms with strict preferences.
 
     Strictness is enforced exactly: every row of ``alpha`` and every column
@@ -116,7 +117,7 @@ def _validate_unit_matching(mu, shape) -> Array:
 
 
 @dataclass(frozen=True)
-class IndividualOutcome:
+class IndividualOutcome(_Frozen):
     """A one-to-one matching with the payoffs it generates."""
 
     i_labels: tuple[str, ...]
@@ -470,7 +471,7 @@ def lattice_join_I(
 
 
 @dataclass(frozen=True)
-class AggregateNTMarket:
+class AggregateNTMarket(_Frozen):
     """Divisible type masses with fixed per-cell payoffs and no transfers."""
 
     x_labels: tuple[str, ...]
@@ -496,15 +497,9 @@ class AggregateNTMarket:
         object.__setattr__(self, "gamma", _finite_matrix("gamma", self.gamma, shape))
 
     def __getstate__(self):
-        # The walks are rebuilt on first use, not pickled or copied.
+        # The walks are rebuilt on first use, not pickled or copied; they
+        # rely on alpha and gamma staying read-only (_Frozen.__setstate__).
         return {k: v for k, v in vars(self).items() if k != "_walks"}
-
-    def __setstate__(self, state):
-        # Unpickled and deep-copied arrays come back writeable; the walks
-        # built from alpha and gamma rely on their staying read-only.
-        for name in ("n", "m", "alpha", "gamma"):
-            state[name].setflags(write=False)
-        vars(self).update(state)
 
     @functools.cached_property
     def _walks(self) -> _Walks:
@@ -544,7 +539,7 @@ def _walk_cells(pay: Array, step: int, stride: int) -> tuple[Array, Array]:
 
 
 @dataclass(frozen=True)
-class AggregateNTOutcome:
+class AggregateNTOutcome(_Frozen):
     """Mass matching with outside masses and payoff multipliers.
 
     ``rounds`` is the number of proposal/disposal rounds :func:`dalm` ran

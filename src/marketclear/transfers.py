@@ -25,6 +25,7 @@ from .core import (
     Array,
     EquilibriumMap,
     PriceVector,
+    _Frozen,
     _double_until,
     _finite_matrix,
     _finite_vector,
@@ -144,13 +145,20 @@ def _tu_distance(U, V, phi):
 
 
 def _bracket_distance(U, V, alpha, gamma, rate, threshold):
-    return (U - alpha + (1.0 - rate) * (V - gamma + threshold)) / (2.0 - rate)
+    return _bracket_line(U - alpha, V - gamma, rate, threshold)
+
+
+def _bracket_line(du, dv, rate, threshold):
+    # A bracket's distance from du = U - alpha and dv = V - gamma, which
+    # every bracket of a schedule shares.
+    return (du + (1.0 - rate) * (dv + threshold)) / (2.0 - rate)
 
 
 def _taxes_distance(U, V, alpha, gamma, schedule):
+    du, dv = U - alpha, V - gamma
     out = None
     for rate, thr in zip(schedule.rates, schedule.thresholds):
-        d = _bracket_distance(U, V, alpha, gamma, rate, thr)
+        d = _bracket_line(du, dv, rate, thr)
         out = d if out is None else np.maximum(out, d)
     return out
 
@@ -265,7 +273,7 @@ def combine_distances(frontiers, mode: str = "intersection") -> CombinedFrontier
 
 
 @dataclass(frozen=True)
-class FrontierGrid:
+class FrontierGrid(_Frozen):
     """One frontier per (x, y) cell, sharing a common family.
 
     ``kind`` is one of ``"tu"`` (needs ``phi``), ``"taxes"`` (needs
@@ -353,7 +361,7 @@ class FrontierGrid:
 
 
 @dataclass(frozen=True)
-class AggregateMarket:
+class AggregateMarket(_Frozen):
     """Type masses plus a frontier grid and a smoothing scale.
 
     ``singles`` selects the map family: with singles, every type keeps an

@@ -464,7 +464,7 @@ class TestTrace:
         prev = PriceVector(labels, [a for a, _ in moves[:n]])
         p = PriceVector(labels, [b for _, b in moves[:n]])
         for before in (None, prev):
-            rec = core._record(q, 1, p, before)
+            rec = core._record(q, 1, p, before, q._excess(p.values))
             want_sup = float(np.max(np.abs(e)))
             assert np.float64(rec.residual_sup).tobytes() == np.float64(want_sup).tobytes()
             assert rec.is_sub is bool(np.all(e <= 0.0))

@@ -11,7 +11,10 @@ tests, a negative tolerance."""
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -246,6 +249,44 @@ def test_outcomes_copy_and_freeze_their_arrays():
     assert outcome.mu[0, 0] == 0.0
     for name in ("mu", "mu_x0", "mu_0y", "u", "v"):
         assert not getattr(outcome, name).flags.writeable
+
+
+def arrays(obj, path="") -> dict:
+    """Every ndarray attribute of ``obj`` and of the value classes it holds,
+    by attribute path."""
+    out = {}
+    for name, value in vars(obj).items():
+        if isinstance(value, np.ndarray):
+            out[path + name] = value
+        elif dataclasses.is_dataclass(value):
+            out.update(arrays(value, f"{path}{name}."))
+    return out
+
+
+# The value classes whose arrays are frozen at construction.
+FROZEN = sorted(name for name in VALID if name[0].isupper() and name not in (
+    "EquilibriumMap", "TaxSchedule"))
+COPIES = {
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+@pytest.mark.parametrize("name", FROZEN)
+def test_arrays_stay_read_only_through_copies(name, how):
+    # A pickle or a deep copy restores arrays writeable; each value class
+    # must hand them back read-only, holding the same values.
+    build, kwargs = VALID[name]
+    original = build(**kwargs)
+    before = arrays(original)
+    assert before and not any(a.flags.writeable for a in before.values())
+    after = arrays(COPIES[how](original))
+    assert sorted(after) == sorted(before)
+    for key, value in after.items():
+        assert not value.flags.writeable, key
+        assert value.tobytes() == before[key].tobytes(), key
 
 
 @pytest.mark.parametrize("count", [-3, -1, 2.5, True, None])
