@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -77,8 +77,8 @@ def _labels(name: str, labels, count: int | None = None) -> tuple[str, ...]:
 def _finite_vector(
     name: str, value, count: int | None = None, positive: bool = False
 ) -> Array:
-    """Read-only 1-D copy of ``value`` with finite entries: ``count`` of
-    them when given, and strictly positive with ``positive``."""
+    """1-D copy of ``value`` with finite entries: ``count`` of them when
+    given, and strictly positive with ``positive``."""
     out = np.array(value, dtype=float).reshape(-1)
     if count is not None and out.size != count:
         raise ValueError(f"{name} must have length {count}")
@@ -86,7 +86,6 @@ def _finite_vector(
         raise ValueError(f"{name} must be finite")
     if positive and not np.all(out > 0):
         raise ValueError(f"{name} must be strictly positive")
-    out.setflags(write=False)
     return out
 
 
@@ -100,27 +99,43 @@ def _require_count(name: str, value, minimum: int = 1) -> None:
 
 
 def _finite_matrix(name: str, value, shape: tuple[int, int] | None = None) -> Array:
-    """Read-only copy of a finite 2-D matrix, of ``shape`` when given."""
+    """Copy of a finite 2-D matrix, of ``shape`` when given."""
     out = np.array(value, dtype=float)
     if out.ndim != 2 or (shape is not None and out.shape != shape):
         of_shape = f" of shape {shape}" if shape else ""
         raise ValueError(f"{name} must be a 2-D matrix{of_shape}")
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{name} must be finite")
-    out.setflags(write=False)
     return out
 
 
 class _Frozen:
-    """Base of the frozen dataclasses whose ``__post_init__`` makes their
-    arrays read-only. A pickle or a deep copy restores arrays writeable;
-    ``__setstate__`` makes every ndarray attribute read-only again."""
+    """Base of the frozen dataclasses; the one place that makes their
+    arrays read-only. ``__setstate__`` stores a dict of attributes past the
+    frozen ``__setattr__`` and makes every ndarray among them read-only; a
+    pickle or a deep copy restores through it. ``_set`` is its keyword
+    form, through which a ``__post_init__`` stores its checked fields; a
+    class without one stores its fields as given. An array stored here
+    must be one no one else writes to: a validator's copy, or one just
+    computed."""
+
+    def _set(self, **attrs):
+        self.__setstate__(attrs)
+
+    def __post_init__(self):
+        self.__setstate__({f.name: getattr(self, f.name) for f in fields(self)})
 
     def __setstate__(self, state):
-        for value in state.values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-        vars(self).update(state)
+        # One attribute at a time, not vars(self).update(state): that gives
+        # the instance a dict of its own, on which every attribute read
+        # takes about four times as long (CPython 3.11).
+        store = object.__setattr__
+        for name, value in state.items():
+            if isinstance(value, Array):
+                # write=False, passed by position: the keyword form takes
+                # twice as long, and every sweep stores a PriceVector.
+                value.setflags(False)
+            store(self, name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +156,9 @@ class _LabeledVector(_Frozen):
             values = _finite_vector("values", self.values)
         else:
             values = np.array(self.values, dtype=float).reshape(-1)
-            values.setflags(write=False)
         labels = _labels("labels", self.labels, values.size)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_pos", {z: i for i, z in enumerate(labels)})
+        pos = {z: i for i, z in enumerate(labels)}
+        self._set(labels=labels, values=values, _pos=pos)
 
     @classmethod
     def from_dict(cls, data: dict[str, float]):
@@ -177,11 +190,8 @@ class _LabeledVector(_Frozen):
         no one else writes to, and finite where the class requires it (the
         caller checks); it is frozen here.
         """
-        values.setflags(write=False)
         out = object.__new__(cls)
-        object.__setattr__(out, "labels", labels)
-        object.__setattr__(out, "values", values)
-        object.__setattr__(out, "_pos", pos)
+        out.__setstate__({"labels": labels, "values": values, "_pos": pos})
         return out
 
     def leq(self, other: "_LabeledVector") -> bool:
@@ -222,7 +232,7 @@ def join(p: PriceVector, q: PriceVector) -> PriceVector:
 
 
 @dataclass(frozen=True, eq=False)
-class EquilibriumMap:
+class EquilibriumMap(_Frozen):
     """An excess-supply map ``Q`` over a labeled coordinate set.
 
     Parameters
@@ -298,8 +308,7 @@ class EquilibriumMap:
             raise ValueError("an equilibrium map needs at least one coordinate")
         if self.probe_cells is not None:
             _require_count("probe_cells", self.probe_cells)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_pos", {z: i for i, z in enumerate(labels)})
+        blocks = block_of = None
         if self.blocks is not None:
             blocks = tuple((int(lo), int(hi)) for lo, hi in self.blocks)
             edges = [0] + [hi for _, hi in blocks]
@@ -312,17 +321,17 @@ class EquilibriumMap:
                     "blocks must split the coordinates into consecutive ranges"
                 )
             block_of = np.repeat(np.arange(len(blocks)), np.diff(edges))
-            object.__setattr__(self, "blocks", blocks)
-            object.__setattr__(self, "_block_of", block_of)
+        pos = {z: i for i, z in enumerate(labels)}
+        self._set(labels=labels, _pos=pos, blocks=blocks, _block_of=block_of)
         runs = _visit_runs(self, range(len(labels)))
-        object.__setattr__(self, "_runs", runs)
         # A bisection Jacobi sweep reads only its input: one lockstep run.
         whole = ((0, len(labels), tuple(range(len(labels)))),)
-        object.__setattr__(
-            self, "_frozen_runs", runs if self.update_value is not None else whole
+        self._set(
+            _runs=runs,
+            _frozen_runs=runs if self.update_value is not None else whole,
+            # The last explicit sweep order and its runs.
+            _order_runs=(None, None),
         )
-        # The last explicit sweep order and its runs.
-        object.__setattr__(self, "_order_runs", (None, None))
 
     def index(self, label: str) -> int:
         return self._pos[label]
@@ -381,7 +390,7 @@ class EquilibriumMap:
             if sorted(key) != sorted(self.labels):
                 raise ValueError("sweep_order must be a permutation of the map labels")
             runs = _visit_runs(self, [self._pos[z] for z in key])
-            object.__setattr__(self, "_order_runs", (key, runs))
+            self._set(_order_runs=(key, runs))
         return runs
 
 

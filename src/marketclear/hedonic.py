@@ -58,17 +58,12 @@ class HedonicMarket(_Frozen):
         z_labels = _labels("z_labels", self.z_labels)
         if not (x_labels and y_labels and z_labels):
             raise ValueError("every side needs at least one type")
-        object.__setattr__(self, "x_labels", x_labels)
-        object.__setattr__(self, "y_labels", y_labels)
-        object.__setattr__(self, "z_labels", z_labels)
         n = _finite_vector("n", self.n, len(x_labels), positive=True)
         m = _finite_vector("m", self.m, len(y_labels), positive=True)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        shape_c = (len(x_labels), len(z_labels))
-        shape_a = (len(y_labels), len(z_labels))
-        object.__setattr__(self, "c", _finite_matrix("c", self.c, shape_c))
-        object.__setattr__(self, "a", _finite_matrix("a", self.a, shape_a))
+        c = _finite_matrix("c", self.c, (len(x_labels), len(z_labels)))
+        a = _finite_matrix("a", self.a, (len(y_labels), len(z_labels)))
+        self._set(x_labels=x_labels, y_labels=y_labels, z_labels=z_labels,
+                  n=n, m=m, c=c, a=a)
 
 
 # numpy reduces a last axis shorter than _SHORT_ROW by one fold in order;

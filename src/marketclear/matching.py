@@ -93,10 +93,7 @@ class IndividualMarket(_Frozen):
         for col in gamma.T:
             if np.unique(col).size != col.size or np.any(col == 0.0):
                 raise ValueError("gamma columns must hold distinct nonzero values")
-        object.__setattr__(self, "i_labels", i_labels)
-        object.__setattr__(self, "j_labels", j_labels)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "gamma", gamma)
+        self._set(i_labels=i_labels, j_labels=j_labels, alpha=alpha, gamma=gamma)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -112,7 +109,6 @@ def _validate_unit_matching(mu, shape) -> Array:
     out = out.astype(int)
     if np.any(out.sum(axis=1) > 1) or np.any(out.sum(axis=0) > 1):
         raise ValueError("each agent can hold at most one match")
-    out.setflags(write=False)
     return out
 
 
@@ -130,11 +126,9 @@ class IndividualOutcome(_Frozen):
         i_labels = _labels("i_labels", self.i_labels)
         j_labels = _labels("j_labels", self.j_labels)
         mu = _validate_unit_matching(self.mu, (len(i_labels), len(j_labels)))
-        object.__setattr__(self, "i_labels", i_labels)
-        object.__setattr__(self, "j_labels", j_labels)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "u", _finite_vector("u", self.u, len(i_labels)))
-        object.__setattr__(self, "v", _finite_vector("v", self.v, len(j_labels)))
+        u = _finite_vector("u", self.u, len(i_labels))
+        v = _finite_vector("v", self.v, len(j_labels))
+        self._set(i_labels=i_labels, j_labels=j_labels, mu=mu, u=u, v=v)
 
     def worker_partner(self) -> Array:
         """Index of each worker's firm, -1 when unmatched."""
@@ -487,14 +481,12 @@ class AggregateNTMarket(_Frozen):
         if not x_labels or not y_labels:
             raise ValueError("both sides need at least one type")
         shape = (len(x_labels), len(y_labels))
-        object.__setattr__(self, "x_labels", x_labels)
-        object.__setattr__(self, "y_labels", y_labels)
         n = _finite_vector("n", self.n, shape[0], positive=True)
         m = _finite_vector("m", self.m, shape[1], positive=True)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "alpha", _finite_matrix("alpha", self.alpha, shape))
-        object.__setattr__(self, "gamma", _finite_matrix("gamma", self.gamma, shape))
+        alpha = _finite_matrix("alpha", self.alpha, shape)
+        gamma = _finite_matrix("gamma", self.gamma, shape)
+        self._set(x_labels=x_labels, y_labels=y_labels, n=n, m=m, alpha=alpha,
+                  gamma=gamma)
 
     def __getstate__(self):
         # The walks are rebuilt on first use, not pickled or copied; they
@@ -543,7 +535,8 @@ class AggregateNTOutcome(_Frozen):
     """Mass matching with outside masses and payoff multipliers.
 
     ``rounds`` is the number of proposal/disposal rounds :func:`dalm` ran
-    to reach it, and ``None`` for an outcome built any other way.
+    to reach it, a non-negative integer (not a bool), and ``None`` for an
+    outcome built any other way.
     """
 
     x_labels: tuple[str, ...]
@@ -559,13 +552,14 @@ class AggregateNTOutcome(_Frozen):
         x_labels = _labels("x_labels", self.x_labels)
         y_labels = _labels("y_labels", self.y_labels)
         nx, ny = len(x_labels), len(y_labels)
-        object.__setattr__(self, "x_labels", x_labels)
-        object.__setattr__(self, "y_labels", y_labels)
-        object.__setattr__(self, "mu", _finite_matrix("mu", self.mu, (nx, ny)))
-        for name, count in (("mu_x0", nx), ("mu_0y", ny), ("u", nx), ("v", ny)):
-            object.__setattr__(
-                self, name, _finite_vector(name, getattr(self, name), count)
-            )
+        if self.rounds is not None:
+            _require_count("rounds", self.rounds, 0)
+        mu = _finite_matrix("mu", self.mu, (nx, ny))
+        vectors = {
+            name: _finite_vector(name, getattr(self, name), count)
+            for name, count in (("mu_x0", nx), ("mu_0y", ny), ("u", nx), ("v", ny))
+        }
+        self._set(x_labels=x_labels, y_labels=y_labels, mu=mu, **vectors)
 
 
 def is_equilibrium_matching(

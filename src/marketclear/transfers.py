@@ -73,7 +73,7 @@ _LOG_GUARD = 300.0
 
 
 @dataclass(frozen=True)
-class TaxSchedule:
+class TaxSchedule(_Frozen):
     """Piecewise-linear retention schedule given by bracket lines.
 
     Bracket ``k`` contributes the line ``(1 - rates[k]) * (w - thresholds[k])``
@@ -97,8 +97,7 @@ class TaxSchedule:
             raise ValueError("thresholds must be strictly increasing")
         if any(not 0.0 <= r < 1.0 for r in rates):
             raise ValueError("rates must lie in [0, 1)")
-        object.__setattr__(self, "rates", tuple(rates.tolist()))
-        object.__setattr__(self, "thresholds", tuple(thresholds.tolist()))
+        self._set(rates=tuple(rates.tolist()), thresholds=tuple(thresholds.tolist()))
 
     @classmethod
     def no_tax(cls) -> "TaxSchedule":
@@ -241,7 +240,7 @@ class NTUFrontier(_FrontierBase):
 
 
 @dataclass(frozen=True)
-class CombinedFrontier(_FrontierBase):
+class CombinedFrontier(_FrontierBase, _Frozen):
     """Pointwise max (intersection) or min (union) of member distances."""
 
     parts: tuple
@@ -252,7 +251,7 @@ class CombinedFrontier(_FrontierBase):
             raise ValueError("mode must be 'intersection' or 'union'")
         if not self.parts:
             raise ValueError("at least one frontier is required")
-        object.__setattr__(self, "parts", tuple(self.parts))
+        self._set(parts=tuple(self.parts))
 
     def distance(self, U, V):
         pick = np.maximum if self.mode == "intersection" else np.minimum
@@ -297,14 +296,13 @@ class FrontierGrid(_Frozen):
                 raise ValueError("'tu' grids take phi only")
             if self.schedule is not None:
                 raise ValueError("'tu' grids take no schedule")
-            object.__setattr__(self, "phi", _finite_matrix("phi", self.phi))
+            self._set(phi=_finite_matrix("phi", self.phi))
         else:
             if self.alpha is None or self.gamma is None or self.phi is not None:
                 raise ValueError(f"'{self.kind}' grids take alpha and gamma")
             alpha = _finite_matrix("alpha", self.alpha)
             gamma = _finite_matrix("gamma", self.gamma, alpha.shape)
-            object.__setattr__(self, "alpha", alpha)
-            object.__setattr__(self, "gamma", gamma)
+            self._set(alpha=alpha, gamma=gamma)
             if self.kind == "taxes":
                 if not isinstance(self.schedule, TaxSchedule):
                     raise ValueError("'taxes' grids require a TaxSchedule")
@@ -395,11 +393,7 @@ class AggregateMarket(_Frozen):
             scale = max(1.0, abs(total_n), abs(total_m))
             if abs(total_n - total_m) > _BALANCE_RTOL * scale:
                 raise ValueError("total masses must balance without singles")
-        object.__setattr__(self, "x_labels", x_labels)
-        object.__setattr__(self, "y_labels", y_labels)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "sigma", sigma)
+        self._set(x_labels=x_labels, y_labels=y_labels, n=n, m=m, sigma=sigma)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -797,8 +791,9 @@ def full_assignment_supersolution(
 
 
 @dataclass(frozen=True)
-class AggregateEquilibrium:
-    """Match masses and payoffs implied by a clearing price vector."""
+class AggregateEquilibrium(_Frozen):
+    """Match masses and payoffs implied by a clearing price vector; its
+    arrays are stored as given and made read-only."""
 
     x_labels: tuple[str, ...]
     y_labels: tuple[str, ...]
@@ -985,8 +980,9 @@ def build_housing_full_assignment_map(
 
 
 @dataclass(frozen=True)
-class NonintegrabilityReport:
-    """Finite-difference price Jacobian and its cross-block asymmetry."""
+class NonintegrabilityReport(_Frozen):
+    """Finite-difference price Jacobian and its cross-block asymmetry; its
+    arrays are stored as given and made read-only."""
 
     jacobian: Array
     asymmetry: Array

@@ -19,24 +19,35 @@ import pickle
 import numpy as np
 import pytest
 
+import marketclear
 from marketclear import (
     AggregateMarket,
     AggregateNTMarket,
     AggregateNTOutcome,
+    BracketOptions,
     EquilibriumMap,
     ExcessVector,
     FrontierGrid,
     HedonicMarket,
     IndividualMarket,
     IndividualOutcome,
+    LoadedMarket,
+    NTUFrontier,
     PriceVector,
+    SolverOptions,
+    TaxBracketFrontier,
+    TaxesFrontier,
     TaxSchedule,
+    TraceRecord,
+    TUFrontier,
     build_full_assignment_map,
     build_housing_map,
     build_ot_map,
+    build_transfer_map,
     check_inverse_isotone,
     check_m0_strong_set_order,
     check_nonintegrability,
+    combine_distances,
     constant_aggregate_map,
     damped_step,
     full_assignment_prices,
@@ -48,16 +59,32 @@ from marketclear import (
     recover_equilibrium,
     singles_subsolution,
     singles_supersolution,
+    solve,
 )
 
 INF, NAN = math.inf, math.nan
 
-# Builder name -> (builder, keyword arguments it accepts).
+
+def identity(values):
+    # A module-level evaluator, so that a map built on it pickles.
+    return values
+
+
+MARKET = dict(
+    x_labels=("x1", "x2"), y_labels=("y1",), n=[1.0, 2.0], m=[1.0],
+    frontiers=FrontierGrid.tu([[0.5], [0.0]]), sigma=1.0,
+)
+SINGLES = AggregateMarket(**MARKET)
+CLEARED, _ = solve(build_transfer_map(SINGLES), singles_supersolution(SINGLES))
+
+# Builder name -> (builder, keyword arguments it accepts). A capitalised
+# name is the class the builder returns.
 VALID = {
     "PriceVector": (PriceVector, dict(labels=("a", "b"), values=[1.0, 2.0])),
     "ExcessVector": (ExcessVector, dict(labels=("a", "b"), values=[1.0, INF])),
     "EquilibriumMap": (
-        EquilibriumMap, dict(labels=("a", "b"), eval_values=lambda v: v)
+        EquilibriumMap,
+        dict(labels=("a", "b"), eval_values=identity, blocks=((0, 1), (1, 2))),
     ),
     "linear_map": (
         linear_map, dict(A=[[2.0, -1.0], [-1.0, 2.0]], labels=("a", "b"))
@@ -72,12 +99,10 @@ VALID = {
         dict(kind="taxes", alpha=[[0.5]], gamma=[[0.2]],
              schedule=TaxSchedule((0.0,), (0.0,))),
     ),
-    "AggregateMarket": (
-        AggregateMarket,
-        dict(
-            x_labels=("x1", "x2"), y_labels=("y1",), n=[1.0, 2.0], m=[1.0],
-            frontiers=FrontierGrid.tu([[0.5], [0.0]]), sigma=1.0,
-        ),
+    "AggregateMarket": (AggregateMarket, MARKET),
+    "AggregateEquilibrium": (recover_equilibrium, dict(market=SINGLES, p=CLEARED)),
+    "NonintegrabilityReport": (
+        check_nonintegrability, dict(market=SINGLES, p=CLEARED)
     ),
     "HedonicMarket": (
         HedonicMarket,
@@ -178,6 +203,10 @@ INVALID = [
     ("AggregateNTOutcome", "length", dict(mu_0y=[0.0, 0.0]), "mu_0y"),
     ("AggregateNTOutcome", "shape", dict(mu=[[0.0, 1.0]]), "mu"),
     ("AggregateNTOutcome", "nonfinite", dict(u=[0.0, INF]), "u"),
+    ("AggregateNTOutcome", "negative_rounds", dict(rounds=-3), "rounds"),
+    ("AggregateNTOutcome", "fractional_rounds", dict(rounds=2.5), "rounds"),
+    ("AggregateNTOutcome", "bool_rounds", dict(rounds=True), "rounds"),
+    ("AggregateNTOutcome", "text_rounds", dict(rounds="x"), "rounds"),
 ]
 
 
@@ -198,7 +227,6 @@ def test_bad_arguments_raise_value_error(name, replaced, names):
         build(**{**kwargs, **replaced})
 
 
-SINGLES = AggregateMarket(**VALID["AggregateMarket"][1])
 BALANCED = AggregateMarket(
     x_labels=("x1", "x2"), y_labels=("y1", "y2"), n=[1.0, 2.0], m=[2.0, 1.0],
     frontiers=FrontierGrid.tu([[0.5, 0.0], [0.0, 0.5]]), sigma=1.0, singles=False,
@@ -263,9 +291,11 @@ def arrays(obj, path="") -> dict:
     return out
 
 
-# The value classes whose arrays are frozen at construction.
-FROZEN = sorted(name for name in VALID if name[0].isupper() and name not in (
-    "EquilibriumMap", "TaxSchedule"))
+# The value classes whose arrays are frozen at construction (a map's
+# block index included); a TaxSchedule holds tuples.
+FROZEN = sorted(
+    name for name in VALID if name[0].isupper() and name != "TaxSchedule"
+)
 COPIES = {
     "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
     "copy": copy.copy,
@@ -287,6 +317,39 @@ def test_arrays_stay_read_only_through_copies(name, how):
     for key, value in after.items():
         assert not value.flags.writeable, key
         assert value.tobytes() == before[key].tobytes(), key
+
+
+# One instance of each public dataclass that VALID does not build.
+OTHERS = {
+    "SolverOptions": SolverOptions,
+    "BracketOptions": BracketOptions,
+    "TraceRecord": lambda: TraceRecord(0, ZEROS, 0.0, True, True, True, True),
+    "SolveTrace": lambda: solve(LINEAR, LINEAR_ZEROS)[1],
+    "IsotonicityReport": lambda: check_inverse_isotone(LINEAR, 4, 0),
+    "SetOrderReport": lambda: check_m0_strong_set_order(LINEAR, 4, 0),
+    "TUFrontier": lambda: TUFrontier(0.5),
+    "TaxesFrontier": lambda: TaxesFrontier(0.5, 0.2, TaxSchedule.no_tax()),
+    "TaxBracketFrontier": lambda: TaxBracketFrontier(0.5, 0.2, 0.1, 0.0),
+    "NTUFrontier": lambda: NTUFrontier(0.5, 0.2),
+    "CombinedFrontier": lambda: combine_distances([TUFrontier(0.5)]),
+    "LoadedMarket": lambda: LoadedMarket("linear", LINEAR),
+}
+
+
+def test_every_public_class_holding_arrays_is_frozen():
+    # A new value class with an ndarray attribute must join FROZEN, so
+    # that the copy round trips above check it.
+    public = sorted(
+        name for name in marketclear.__all__
+        if dataclasses.is_dataclass(getattr(marketclear, name))
+    )
+    built = {name: VALID[name][0](**VALID[name][1]) for name in public if name in VALID}
+    built.update((name, make()) for name, make in OTHERS.items())
+    assert sorted(built) == public
+    for name, obj in built.items():
+        assert type(obj).__name__ == name
+        if any(isinstance(value, np.ndarray) for value in vars(obj).values()):
+            assert name in FROZEN, name
 
 
 @pytest.mark.parametrize("count", [-3, -1, 2.5, True, None])
