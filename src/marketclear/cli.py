@@ -39,6 +39,7 @@ import numpy as np
 from .core import (
     PriceVector,
     SolverOptions,
+    _require_nonneg,
     check_inverse_isotone,
     check_m0_strong_set_order,
     solve,
@@ -529,8 +530,8 @@ def cmd_check(args) -> int:
     loaded = load_market(args.market, seed=args.seed)
     model = loaded.model
     _refuse_unread(args, model, model if model in ("nt", "nt_aggregate") else "engine")
-    if args.tol is not None and not 0 <= args.tol < np.inf:
-        raise ValueError("--tol must be finite and >= 0")
+    if args.tol is not None:
+        _require_nonneg("--tol", args.tol)
     raw = load_json(args.outcome)
     report: dict = {"model": model}
     # Each checker reads the outcome file; what it refuses is the file's fault.

@@ -98,6 +98,13 @@ def _require_count(name: str, value, minimum: int = 1) -> None:
         raise ValueError(f"{name} must be a {kind} integer")
 
 
+def _require_nonneg(name: str, value, positive: bool = False) -> None:
+    """Refuse anything but a finite scalar ``>= 0`` (``> 0`` with
+    ``positive``): a tolerance, a step or a sampling box. NaN is refused."""
+    if not (0 < value < math.inf if positive else 0 <= value < math.inf):
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0")
+
+
 def _finite_matrix(name: str, value, shape: tuple[int, int] | None = None) -> Array:
     """Copy of a finite 2-D matrix, of ``shape`` when given."""
     out = np.array(value, dtype=float)
@@ -111,31 +118,33 @@ def _finite_matrix(name: str, value, shape: tuple[int, int] | None = None) -> Ar
 
 class _Frozen:
     """Base of the frozen dataclasses; the one place that makes their
-    arrays read-only. ``__setstate__`` stores a dict of attributes past the
-    frozen ``__setattr__`` and makes every ndarray among them read-only; a
-    pickle or a deep copy restores through it. ``_set`` is its keyword
-    form, through which a ``__post_init__`` stores its checked fields; a
-    class without one stores its fields as given. An array stored here
+    arrays read-only. ``_set`` stores a dict of attributes past the frozen
+    ``__setattr__`` and makes every ndarray among them read-only; a
+    ``__post_init__`` stores its checked fields through it, and a class
+    without one stores its fields as given. It runs only while a value is
+    being built: a pickle, ``copy.copy`` and ``copy.deepcopy`` rebuild a
+    value through its constructor from its field values (``__reduce__``),
+    so a copy meets the same checks as the original. An array stored here
     must be one no one else writes to: a validator's copy, or one just
     computed."""
 
-    def _set(self, **attrs):
-        self.__setstate__(attrs)
-
-    def __post_init__(self):
-        self.__setstate__({f.name: getattr(self, f.name) for f in fields(self)})
-
-    def __setstate__(self, state):
-        # One attribute at a time, not vars(self).update(state): that gives
+    def _set(self, attrs: dict) -> None:
+        # One attribute at a time, not vars(self).update(attrs): that gives
         # the instance a dict of its own, on which every attribute read
         # takes about four times as long (CPython 3.11).
         store = object.__setattr__
-        for name, value in state.items():
+        for name, value in attrs.items():
             if isinstance(value, Array):
                 # write=False, passed by position: the keyword form takes
                 # twice as long, and every sweep stores a PriceVector.
                 value.setflags(False)
             store(self, name, value)
+
+    def __post_init__(self):
+        self._set({f.name: getattr(self, f.name) for f in fields(self)})
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +167,7 @@ class _LabeledVector(_Frozen):
             values = np.array(self.values, dtype=float).reshape(-1)
         labels = _labels("labels", self.labels, values.size)
         pos = {z: i for i, z in enumerate(labels)}
-        self._set(labels=labels, values=values, _pos=pos)
+        self._set(dict(labels=labels, values=values, _pos=pos))
 
     @classmethod
     def from_dict(cls, data: dict[str, float]):
@@ -191,7 +200,8 @@ class _LabeledVector(_Frozen):
         caller checks); it is frozen here.
         """
         out = object.__new__(cls)
-        out.__setstate__({"labels": labels, "values": values, "_pos": pos})
+        # A dict display, not dict(...) or keywords: every sweep stores one.
+        out._set({"labels": labels, "values": values, "_pos": pos})
         return out
 
     def leq(self, other: "_LabeledVector") -> bool:
@@ -322,16 +332,14 @@ class EquilibriumMap(_Frozen):
                 )
             block_of = np.repeat(np.arange(len(blocks)), np.diff(edges))
         pos = {z: i for i, z in enumerate(labels)}
-        self._set(labels=labels, _pos=pos, blocks=blocks, _block_of=block_of)
+        self._set(dict(labels=labels, _pos=pos, blocks=blocks, _block_of=block_of))
         runs = _visit_runs(self, range(len(labels)))
         # A bisection Jacobi sweep reads only its input: one lockstep run.
         whole = ((0, len(labels), tuple(range(len(labels)))),)
-        self._set(
+        self._set(dict(
             _runs=runs,
             _frozen_runs=runs if self.update_value is not None else whole,
-            # The last explicit sweep order and its runs.
-            _order_runs=(None, None),
-        )
+        ))
 
     def index(self, label: str) -> int:
         return self._pos[label]
@@ -380,18 +388,12 @@ class EquilibriumMap(_Frozen):
 
     def _sweep_runs(self, order: Sequence[str] | None) -> tuple:
         """The runs of a Gauss-Seidel sweep in ``order`` (label order when
-        empty). The last explicit order is validated and split once and
-        kept, so a solve splits its order once."""
+        empty), which is checked to be a permutation of the labels."""
         if not order:
             return self._runs
-        key = tuple(order)
-        last, runs = self._order_runs
-        if key != last:
-            if sorted(key) != sorted(self.labels):
-                raise ValueError("sweep_order must be a permutation of the map labels")
-            runs = _visit_runs(self, [self._pos[z] for z in key])
-            self._set(_order_runs=(key, runs))
-        return runs
+        if sorted(order) != sorted(self.labels):
+            raise ValueError("sweep_order must be a permutation of the map labels")
+        return _visit_runs(self, [self._pos[z] for z in order])
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +410,11 @@ class BracketOptions:
     bisection_tol: float = 1e-12
 
     def __post_init__(self):
-        if not 0 < self.initial_halfwidth < math.inf:
-            raise ValueError("initial_halfwidth must be finite and > 0")
+        _require_nonneg("initial_halfwidth", self.initial_halfwidth, positive=True)
         if not 1 < self.growth_factor < math.inf:
             raise ValueError("growth_factor must be finite and > 1")
         _require_count("max_expansions", self.max_expansions)
-        if not 0 < self.bisection_tol < math.inf:
-            raise ValueError("bisection_tol must be finite and > 0")
+        _require_nonneg("bisection_tol", self.bisection_tol, positive=True)
 
 
 @dataclass(frozen=True)
@@ -430,10 +430,8 @@ class SolverOptions:
     root_finder: BracketOptions = field(default_factory=BracketOptions)
 
     def __post_init__(self):
-        if not 0 < self.residual_tol < math.inf:
-            raise ValueError("residual_tol must be finite and > 0")
-        if not 0 <= self.step_tol < math.inf:
-            raise ValueError("step_tol must be finite and >= 0")
+        _require_nonneg("residual_tol", self.residual_tol, positive=True)
+        _require_nonneg("step_tol", self.step_tol)
         _require_count("max_sweeps", self.max_sweeps)
         if self.mode not in ("jacobi", "gauss_seidel"):
             raise ValueError("mode must be 'jacobi' or 'gauss_seidel'")
@@ -510,16 +508,16 @@ def _nonfinite_excess(Q: EquilibriumMap, out: Array) -> NonFiniteResidual:
 
 
 def is_subsolution(Q: EquilibriumMap, p: PriceVector, tol: float = 0.0) -> bool:
-    """True iff ``Q_z(p) <= tol`` for every coordinate."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+    """True iff ``Q_z(p) <= tol`` for every coordinate; ``tol`` must be
+    finite and ``>= 0``."""
+    _require_nonneg("tol", tol)
     return bool(np.all(_finite_excess(Q, p) <= tol))
 
 
 def is_supersolution(Q: EquilibriumMap, p: PriceVector, tol: float = 0.0) -> bool:
-    """True iff ``Q_z(p) >= -tol`` for every coordinate."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+    """True iff ``Q_z(p) >= -tol`` for every coordinate; ``tol`` must be
+    finite and ``>= 0``."""
+    _require_nonneg("tol", tol)
     return bool(np.all(_finite_excess(Q, p) >= -tol))
 
 
@@ -1036,11 +1034,11 @@ def _sweep(
     Q: EquilibriumMap,
     p: PriceVector,
     opts: SolverOptions,
-    order: Sequence[str] | None,
+    runs: tuple,
     frozen: bool,
     hints: tuple | None = None,
 ) -> PriceVector:
-    """One sweep over ``order`` (the label order when ``None``), run by run.
+    """One sweep over ``runs`` (from :func:`_visit_runs`), run by run.
 
     With ``frozen`` every update reads ``p`` and the damped step is taken
     once all updates are in (Jacobi); otherwise each run reads the values
@@ -1053,7 +1051,6 @@ def _sweep(
     """
     if p.labels != Q.labels:
         raise ValueError("price vector labels do not match the map")
-    runs = Q._frozen_runs if frozen else Q._sweep_runs(order)
     damping = opts.damping
     values = p.values.copy()
     read = p.values if frozen else values
@@ -1098,11 +1095,15 @@ def jacobi_sweep(
     and a map without closed-form updates bisects every coordinate in
     lockstep. (``_hints`` is :func:`solve`'s, for that lockstep run.)
     """
-    return _sweep(Q, p, opts or _DEFAULT_OPTIONS, None, True, _hints)
+    return _sweep(Q, p, opts or _DEFAULT_OPTIONS, Q._frozen_runs, True, _hints)
 
 
 def gauss_seidel_sweep(
-    Q: EquilibriumMap, p: PriceVector, opts: SolverOptions | None = None
+    Q: EquilibriumMap,
+    p: PriceVector,
+    opts: SolverOptions | None = None,
+    *,
+    _runs: tuple | None = None,
 ) -> PriceVector:
     """One Gauss-Seidel sweep: coordinates updated sequentially in order.
 
@@ -1111,10 +1112,13 @@ def gauss_seidel_sweep(
     A stretch of the order that visits a whole block (the label order
     visits every block so) is updated in one ``update_value`` call, or
     bisected in lockstep; since a block's coordinates never read each other, the
-    result is the same.
+    result is the same. An explicit order is checked and split on every
+    call; :func:`solve` splits it once and passes the runs as ``_runs``.
     """
     opts = opts or _DEFAULT_OPTIONS
-    return _sweep(Q, p, opts, opts.sweep_order, frozen=False)
+    if _runs is None:
+        _runs = Q._sweep_runs(opts.sweep_order)
+    return _sweep(Q, p, opts, _runs, frozen=False)
 
 
 # ---------------------------------------------------------------------------
@@ -1201,13 +1205,14 @@ def solve(
     A Jacobi sweep that bisects hands its lockstep run the trace record's
     excess, the values at every hint, and (undamped) each coordinate's
     root predicted from its last steps (:func:`_predict`). They save hook
-    calls; every iterate keeps its bits.
+    calls; every iterate keeps its bits. A Gauss-Seidel solve checks and
+    splits its ``sweep_order`` once and hands the runs to every sweep.
     """
     opts = opts or _DEFAULT_OPTIONS
     if p0.labels != Q.labels:
         raise ValueError("price vector labels do not match the map")
-    sweep_fn = jacobi_sweep if opts.mode == "jacobi" else gauss_seidel_sweep
-    hinted = opts.mode == "jacobi" and Q.update_value is None
+    jacobi = opts.mode == "jacobi"
+    hinted = jacobi and Q.update_value is None
     predicts = hinted and opts.damping == 1.0
     trace = SolveTrace()
     p = p0
@@ -1217,12 +1222,14 @@ def solve(
     if rec.residual_sup <= opts.residual_tol:
         return p, trace
     steps, guess = (), None
+    runs = None if jacobi else Q._sweep_runs(opts.sweep_order)
     for t in range(1, opts.max_sweeps + 1):
-        if hinted:
-            # The module-level name, like sweep_fn, so a wrapper sees it.
-            p_next = jacobi_sweep(Q, p, opts, _hints=(excess, guess))
+        # The module-level names, so that a wrapper sees each sweep.
+        if jacobi:
+            hints = (excess, guess) if hinted else None
+            p_next = jacobi_sweep(Q, p, opts, _hints=hints)
         else:
-            p_next = sweep_fn(Q, p, opts)
+            p_next = gauss_seidel_sweep(Q, p, opts, _runs=runs)
         excess = Q._excess(p_next.values)
         rec = _record(Q, t, p_next, p, excess)
         trace.records.append(rec)
@@ -1404,8 +1411,11 @@ def _ordered_pairs(Q: EquilibriumMap, sample_count: int, rng_seed: int, box: flo
     """Draw ``sample_count`` i.i.d. uniform pairs ``(a, b)`` from ``[-box,
     box]`` per coordinate and yield ``(a, b, lo, hi, q_lo, q_hi)`` for each
     pair whose images are componentwise ordered: ``(lo, hi)`` is the pair
-    sorted so that ``q_lo = Q(lo) <= Q(hi) = q_hi``."""
+    sorted so that ``q_lo = Q(lo) <= Q(hi) = q_hi``. ``sample_count`` and
+    ``rng_seed`` must be non-negative integers, ``box`` finite and ``> 0``."""
     _require_count("sample_count", sample_count, 0)
+    _require_count("rng_seed", rng_seed, 0)
+    _require_nonneg("box", box, positive=True)
     rng = np.random.default_rng(rng_seed)
     n = len(Q.labels)
     for _ in range(sample_count):
@@ -1430,7 +1440,9 @@ def check_inverse_isotone(
 
     Draws i.i.d. uniform pairs from ``[-box, box]`` per coordinate; whenever
     the images are componentwise ordered, asserts the arguments are ordered
-    the same way, recording each failing pair.
+    the same way, recording each failing pair. ``sample_count`` and
+    ``rng_seed`` must be non-negative integers and ``box`` finite and
+    ``> 0`` (``ValueError`` otherwise).
     """
     comparable = 0
     violations: list[tuple[PriceVector, PriceVector]] = []
@@ -1454,8 +1466,11 @@ def check_m0_strong_set_order(
     """Sample pairs and test the strong-set-order property of ``Q^{-1}``.
 
     Whenever ``Q(p) <= Q(q)`` componentwise, asserts
-    ``Q(p meet q) = Q(p)`` and ``Q(p join q) = Q(q)`` within ``tol``.
+    ``Q(p meet q) = Q(p)`` and ``Q(p join q) = Q(q)`` within ``tol``, which
+    must be finite and ``>= 0``; the other arguments are checked as in
+    :func:`check_inverse_isotone`.
     """
+    _require_nonneg("tol", tol)
     comparable = 0
     violations: list[tuple[PriceVector, PriceVector]] = []
     for a, b, _, _, qlo, qhi in _ordered_pairs(Q, sample_count, rng_seed, box):

@@ -62,8 +62,8 @@ class HedonicMarket(_Frozen):
         m = _finite_vector("m", self.m, len(y_labels), positive=True)
         c = _finite_matrix("c", self.c, (len(x_labels), len(z_labels)))
         a = _finite_matrix("a", self.a, (len(y_labels), len(z_labels)))
-        self._set(x_labels=x_labels, y_labels=y_labels, z_labels=z_labels,
-                  n=n, m=m, c=c, a=a)
+        self._set(dict(x_labels=x_labels, y_labels=y_labels, z_labels=z_labels,
+                       n=n, m=m, c=c, a=a))
 
 
 # numpy reduces a last axis shorter than _SHORT_ROW by one fold in order;

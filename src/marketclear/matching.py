@@ -16,7 +16,6 @@ no blocking, and complementary slackness.
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -32,6 +31,7 @@ from .core import (
     _finite_vector,
     _labels,
     _require_count,
+    _require_nonneg,
     gauss_seidel_sweep,
     jacobi_sweep,
 )
@@ -87,13 +87,14 @@ class IndividualMarket(_Frozen):
         shape = (len(i_labels), len(j_labels))
         alpha = _finite_matrix("alpha", self.alpha, shape)
         gamma = _finite_matrix("gamma", self.gamma, shape)
-        for row in alpha:
-            if np.unique(row).size != row.size or np.any(row == 0.0):
-                raise ValueError("alpha rows must hold distinct nonzero values")
-        for col in gamma.T:
-            if np.unique(col).size != col.size or np.any(col == 0.0):
-                raise ValueError("gamma columns must hold distinct nonzero values")
-        self._set(i_labels=i_labels, j_labels=j_labels, alpha=alpha, gamma=gamma)
+        # The entries are finite, so a repeat is a zero step between sorted
+        # neighbours. (np.unique imports numpy.ma on first use, an import
+        # every CLI process on an individual market would pay.)
+        if np.any(alpha == 0.0) or np.any(np.diff(np.sort(alpha)) == 0.0):
+            raise ValueError("alpha rows must hold distinct nonzero values")
+        if np.any(gamma == 0.0) or np.any(np.diff(np.sort(gamma.T)) == 0.0):
+            raise ValueError("gamma columns must hold distinct nonzero values")
+        self._set(dict(i_labels=i_labels, j_labels=j_labels, alpha=alpha, gamma=gamma))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -128,7 +129,7 @@ class IndividualOutcome(_Frozen):
         mu = _validate_unit_matching(self.mu, (len(i_labels), len(j_labels)))
         u = _finite_vector("u", self.u, len(i_labels))
         v = _finite_vector("v", self.v, len(j_labels))
-        self._set(i_labels=i_labels, j_labels=j_labels, mu=mu, u=u, v=v)
+        self._set(dict(i_labels=i_labels, j_labels=j_labels, mu=mu, u=u, v=v))
 
     def worker_partner(self) -> Array:
         """Index of each worker's firm, -1 when unmatched."""
@@ -466,7 +467,9 @@ def lattice_join_I(
 
 @dataclass(frozen=True)
 class AggregateNTMarket(_Frozen):
-    """Divisible type masses with fixed per-cell payoffs and no transfers."""
+    """Divisible type masses with fixed per-cell payoffs and no transfers.
+    Every type's greedy walk (:func:`_walk_cells`) is built with the market
+    from its read-only ``alpha`` and ``gamma``, so it never goes stale."""
 
     x_labels: tuple[str, ...]
     y_labels: tuple[str, ...]
@@ -485,23 +488,11 @@ class AggregateNTMarket(_Frozen):
         m = _finite_vector("m", self.m, shape[1], positive=True)
         alpha = _finite_matrix("alpha", self.alpha, shape)
         gamma = _finite_matrix("gamma", self.gamma, shape)
-        self._set(x_labels=x_labels, y_labels=y_labels, n=n, m=m, alpha=alpha,
-                  gamma=gamma)
-
-    def __getstate__(self):
-        # The walks are rebuilt on first use, not pickled or copied; they
-        # rely on alpha and gamma staying read-only (_Frozen.__setstate__).
-        return {k: v for k, v in vars(self).items() if k != "_walks"}
-
-    @functools.cached_property
-    def _walks(self) -> _Walks:
-        """Every type's greedy walk, built on first use and kept with the
-        market. ``alpha`` and ``gamma`` are read-only, so the walks never go
-        stale, and ``dataclasses.replace`` builds a market without them."""
-        width = self.alpha.shape[1]
-        return _Walks(
-            _walk_cells(self.alpha, 1, width), _walk_cells(self.gamma.T, width, 1)
+        walks = _Walks(
+            _walk_cells(alpha, 1, shape[1]), _walk_cells(gamma.T, shape[1], 1)
         )
+        self._set(dict(x_labels=x_labels, y_labels=y_labels, n=n, m=m, alpha=alpha,
+                       gamma=gamma, _walks=walks))
 
 
 class _Walks(NamedTuple):
@@ -559,7 +550,7 @@ class AggregateNTOutcome(_Frozen):
             name: _finite_vector(name, getattr(self, name), count)
             for name, count in (("mu_x0", nx), ("mu_0y", ny), ("u", nx), ("v", ny))
         }
-        self._set(x_labels=x_labels, y_labels=y_labels, mu=mu, **vectors)
+        self._set(dict(x_labels=x_labels, y_labels=y_labels, mu=mu, **vectors))
 
 
 def is_equilibrium_matching(
@@ -576,8 +567,7 @@ def is_equilibrium_matching(
     are relative to ``tol`` scaled by the relevant magnitudes; ``tol`` must
     be finite and ``>= 0``.
     """
-    if not 0 <= tol < np.inf:
-        raise ValueError("tol must be finite and >= 0")
+    _require_nonneg("tol", tol)
     if (
         outcome.x_labels != market.x_labels
         or outcome.y_labels != market.y_labels
@@ -690,8 +680,8 @@ def proposal_phase(
     ``min(cap, remaining budget)`` until its mass is exhausted. With
     ``rows`` (integer row indices; negative ones count from the end, and
     repeats repeat the row) only those x-types propose, and the result is
-    their ``(len(rows), Y)`` block. The walk orders are built once per
-    market, on first use, and kept with it.
+    their ``(len(rows), Y)`` block. The walk orders are the market's, built
+    with it.
     """
     available = np.asarray(available, dtype=float)
     if available.shape != market.alpha.shape:
@@ -709,8 +699,8 @@ def disposal_phase(
     ``min(proposal, remaining capacity)`` until ``m_y`` is filled. With
     ``cols`` (integer column indices, as ``rows`` in
     :func:`proposal_phase`) only those y-types retain, and the result is
-    their ``(X, len(cols))`` block. The walk orders are built once per
-    market, on first use, and kept with it.
+    their ``(X, len(cols))`` block. The walk orders are the market's, built
+    with it.
     """
     proposals = np.asarray(proposals, dtype=float)
     if proposals.shape != market.gamma.shape:
@@ -758,8 +748,8 @@ def dalm(
     rounds are idle for as long as every rejected cell's availability
     stays at or above its proposal: each only subtracts the same rejection
     again, so it runs on the rejected cells alone and calls neither phase.
-    The phases walk each type's cells in an order built once per market,
-    on first use, and kept with it (a few ``X × Y`` index arrays).
+    The phases walk each type's cells in an order built with the market
+    and kept with it (a few ``X × Y`` index arrays).
 
     The outcome's ``rounds`` counts the rounds run, idle ones included. With
     ``return_trace=True`` also returns the availability matrices by round

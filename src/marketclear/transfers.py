@@ -30,6 +30,7 @@ from .core import (
     _finite_matrix,
     _finite_vector,
     _labels,
+    _require_nonneg,
     gauss_seidel_sweep,
 )
 from .errors import UnsupportedFrontier, InternalError
@@ -97,7 +98,8 @@ class TaxSchedule(_Frozen):
             raise ValueError("thresholds must be strictly increasing")
         if any(not 0.0 <= r < 1.0 for r in rates):
             raise ValueError("rates must lie in [0, 1)")
-        self._set(rates=tuple(rates.tolist()), thresholds=tuple(thresholds.tolist()))
+        self._set(dict(rates=tuple(rates.tolist()),
+                       thresholds=tuple(thresholds.tolist())))
 
     @classmethod
     def no_tax(cls) -> "TaxSchedule":
@@ -251,7 +253,7 @@ class CombinedFrontier(_FrontierBase, _Frozen):
             raise ValueError("mode must be 'intersection' or 'union'")
         if not self.parts:
             raise ValueError("at least one frontier is required")
-        self._set(parts=tuple(self.parts))
+        self._set(dict(parts=tuple(self.parts)))
 
     def distance(self, U, V):
         pick = np.maximum if self.mode == "intersection" else np.minimum
@@ -296,13 +298,13 @@ class FrontierGrid(_Frozen):
                 raise ValueError("'tu' grids take phi only")
             if self.schedule is not None:
                 raise ValueError("'tu' grids take no schedule")
-            self._set(phi=_finite_matrix("phi", self.phi))
+            self._set(dict(phi=_finite_matrix("phi", self.phi)))
         else:
             if self.alpha is None or self.gamma is None or self.phi is not None:
                 raise ValueError(f"'{self.kind}' grids take alpha and gamma")
             alpha = _finite_matrix("alpha", self.alpha)
             gamma = _finite_matrix("gamma", self.gamma, alpha.shape)
-            self._set(alpha=alpha, gamma=gamma)
+            self._set(dict(alpha=alpha, gamma=gamma))
             if self.kind == "taxes":
                 if not isinstance(self.schedule, TaxSchedule):
                     raise ValueError("'taxes' grids require a TaxSchedule")
@@ -393,7 +395,7 @@ class AggregateMarket(_Frozen):
             scale = max(1.0, abs(total_n), abs(total_m))
             if abs(total_n - total_m) > _BALANCE_RTOL * scale:
                 raise ValueError("total masses must balance without singles")
-        self._set(x_labels=x_labels, y_labels=y_labels, n=n, m=m, sigma=sigma)
+        self._set(dict(x_labels=x_labels, y_labels=y_labels, n=n, m=m, sigma=sigma))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -821,15 +823,16 @@ def recover_equilibrium(
     pass ``"ot"`` for maps built by :func:`build_ot_map`. For markets
     without singles a reduced price vector is first expanded with
     ``p_{y0} = pi``. Raises ``ValueError`` when the implied marginals miss
-    the masses by more than ``tol`` (relative). In the full-assignment
-    family the excess of the pinned column ``y0`` is minus the sum of the
-    other excesses (up to the mass imbalance), so its tolerance also allows
-    for that sum.
+    the masses by more than ``tol`` (relative; it must be finite and
+    ``>= 0``). In the full-assignment family the excess of the pinned
+    column ``y0`` is minus the sum of the other excesses (up to the mass
+    imbalance), so its tolerance also allows for that sum.
     """
     if model is None:
         model = "transfer"
     if model not in ("transfer", "ot"):
         raise ValueError("model must be 'transfer' or 'ot'")
+    _require_nonneg("tol", tol)
     grid = market.frontiers
     sigma, n, m = market.sigma, market.n, market.m
     nx = len(market.x_labels)
@@ -907,9 +910,11 @@ def recover_wages(
     The firm side pays the wage out of its cell surplus, ``w = gamma - V``
     (with ``gamma = phi`` under perfect transfers, where the worker's base
     ``alpha`` is 0). The worker-side identity ``U - alpha = N(w)`` is
-    verified as a cross-check. Fixed-split frontiers admit no wage
-    decomposition and raise :class:`UnsupportedFrontier`.
+    verified as a cross-check, within ``tol`` (relative, finite and
+    ``>= 0``). Fixed-split frontiers admit no wage decomposition and raise
+    :class:`UnsupportedFrontier`.
     """
+    _require_nonneg("tol", tol)
     if market.frontiers.kind == "ntu":
         raise UnsupportedFrontier("fixed-split frontiers have no wage decomposition")
     eq = recover_equilibrium(market, p, model=model, y0=y0, pi=pi)
@@ -1001,8 +1006,7 @@ def check_nonintegrability(
     this block). A large entry certifies that no potential function
     generates the map. ``fd_step`` must be finite and ``> 0``.
     """
-    if not 0 < fd_step < np.inf:
-        raise ValueError("fd_step must be finite and > 0")
+    _require_nonneg("fd_step", fd_step, positive=True)
     Q = build_transfer_map(market)
     if p.labels != Q.labels:
         raise ValueError("price vector labels do not match the market")

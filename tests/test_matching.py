@@ -951,8 +951,9 @@ def _outcome_bytes(market: AggregateNTMarket) -> list[bytes]:
 
 
 def test_walks_kept_on_a_market_give_a_fresh_markets_bits():
-    # Each market keeps its walk orders after first use; a market that has
-    # them, a copy of it, a pickled one and a fresh one agree bit for bit.
+    # Each market keeps the walk orders built with it; a market that has
+    # used them, a copy of it, a pickled one and a fresh one agree bit for
+    # bit.
     def build(**fields):
         base = oracle_market(275, 5, 7, False, False)
         return dataclasses.replace(base, **fields) if fields else base

@@ -1,13 +1,14 @@
 """Every class and builder that takes labels, masses or matrices refuses the
 same bad inputs: duplicate labels, a wrong length or shape, a non-finite
-entry and, where masses apply, a non-positive one. The sampling checks
-refuse a sample count that is not a non-negative integer, the Jacobian
-probe a step that is not finite and positive, the full-assignment routines
-a pinned price that is not finite, and the aggregate equilibrium check a
-tolerance that is not finite and non-negative. The routines that need a
-market with singles, or one without, refuse the other kind; those that
-take a state, a state with other labels; and the sub- and supersolution
-tests, a negative tolerance."""
+entry and, where masses apply, a non-positive one. A copy or a pickle of a
+value is built by its constructor, so it is refused for the same inputs.
+The sampling checks refuse a sample count or a seed that is not a
+non-negative integer and a box that is not finite and positive, the
+Jacobian probe a step that is not finite and positive, the full-assignment
+routines a pinned price that is not finite, and every routine that takes a
+tolerance one that is not finite and non-negative. The routines that need
+a market with singles, or one without, refuse the other kind; and those
+that take a state, a state with other labels."""
 
 from __future__ import annotations
 
@@ -57,6 +58,7 @@ from marketclear import (
     is_supersolution,
     linear_map,
     recover_equilibrium,
+    recover_wages,
     singles_subsolution,
     singles_supersolution,
     solve,
@@ -189,6 +191,16 @@ INVALID = [
      "must be unique"),
     ("IndividualMarket", "shape", dict(alpha=[[1.0, 2.0]]), "alpha"),
     ("IndividualMarket", "nonfinite", dict(gamma=[[1.0], [INF]]), "gamma"),
+    ("IndividualMarket", "alpha_row_repeat",
+     dict(j_labels=("f1", "f2"), alpha=[[1.0, 1.0], [2.0, 3.0]],
+          gamma=[[1.0, 2.0], [3.0, 4.0]]),
+     "alpha rows must hold distinct nonzero values"),
+    ("IndividualMarket", "gamma_column_repeat", dict(gamma=[[2.0], [2.0]]),
+     "gamma columns must hold distinct nonzero values"),
+    ("IndividualMarket", "alpha_zero", dict(alpha=[[1.0], [0.0]]),
+     "alpha rows must hold distinct nonzero values"),
+    ("IndividualMarket", "gamma_zero", dict(gamma=[[0.0], [2.0]]),
+     "gamma columns must hold distinct nonzero values"),
     ("IndividualOutcome", "duplicate", dict(i_labels=("w1", "w1")),
      "must be unique"),
     ("IndividualOutcome", "length", dict(u=[0.0]), "u"),
@@ -255,9 +267,9 @@ REFUSED = [
      lambda: damped_step(IndividualMarket(**VALID["IndividualMarket"][1]), FOREIGN),
      "state labels do not match"),
     ("is_subsolution", lambda: is_subsolution(LINEAR, LINEAR_ZEROS, tol=-1.0),
-     "tol must be >= 0"),
+     "tol must be finite and >= 0"),
     ("is_supersolution", lambda: is_supersolution(LINEAR, LINEAR_ZEROS, tol=-1.0),
-     "tol must be >= 0"),
+     "tol must be finite and >= 0"),
 ]
 
 
@@ -319,6 +331,50 @@ def test_arrays_stay_read_only_through_copies(name, how):
         assert value.tobytes() == before[key].tobytes(), key
 
 
+# Every value class VALID builds, the ones without arrays included.
+CLASSES = sorted(name for name in VALID if name[0].isupper())
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+@pytest.mark.parametrize("name", CLASSES)
+def test_copies_are_built_by_the_constructor(name, how, monkeypatch):
+    build, kwargs = VALID[name]
+    original = build(**kwargs)
+    cls = type(original)
+    post_init, built = cls.__post_init__, []
+
+    def counted(self):
+        built.append(type(self))
+        post_init(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counted)
+    twin = COPIES[how](original)
+    assert type(twin) is cls and built == [cls]
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+@pytest.mark.parametrize(
+    "name, replaced, names",
+    [pytest.param(name, replaced, names, id=f"{name}-{rule}")
+     for name, rule, replaced, names in INVALID if name[0].isupper()],
+)
+def test_copies_refuse_what_the_constructor_refuses(name, replaced, names, how):
+    # Fields forced past the checks, as a crafted pickle would carry them:
+    # a copy or an unpickled value meets the constructor's checks again.
+    build, kwargs = VALID[name]
+    broken = build(**kwargs)
+    for field, value in replaced.items():
+        object.__setattr__(broken, field, value)
+    payload = pickle.dumps(broken)
+    rebuild = {
+        "pickle": lambda: pickle.loads(payload),
+        "copy": lambda: copy.copy(broken),
+        "deepcopy": lambda: copy.deepcopy(broken),
+    }[how]
+    with pytest.raises(ValueError, match=names):
+        rebuild()
+
+
 # One instance of each public dataclass that VALID does not build.
 OTHERS = {
     "SolverOptions": SolverOptions,
@@ -359,6 +415,40 @@ def test_sample_counts_must_be_non_negative_integers(check, count):
     with pytest.raises(ValueError, match="sample_count must be a non-negative integer"):
         check(q, count, 0)
     assert check(q, 0, 0).samples == 0
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+@pytest.mark.parametrize("check", [check_inverse_isotone, check_m0_strong_set_order])
+def test_sample_seeds_must_be_non_negative_integers(check, seed):
+    with pytest.raises(ValueError, match="rng_seed must be a non-negative integer"):
+        check(LINEAR, 2, seed)
+    assert check(LINEAR, 2, np.int64(0)).samples == 2
+
+
+@pytest.mark.parametrize("box", [0.0, -1.0, NAN, INF])
+@pytest.mark.parametrize("check", [check_inverse_isotone, check_m0_strong_set_order])
+def test_sample_box_must_be_finite_and_positive(check, box):
+    with pytest.raises(ValueError, match="box must be finite and > 0"):
+        check(LINEAR, 2, 0, box=box)
+
+
+# Routine name -> call with a tolerance.
+TOLERANCES = {
+    "is_subsolution": lambda tol: is_subsolution(LINEAR, LINEAR_ZEROS, tol=tol),
+    "is_supersolution": lambda tol: is_supersolution(LINEAR, LINEAR_ZEROS, tol=tol),
+    "check_m0_strong_set_order":
+        lambda tol: check_m0_strong_set_order(LINEAR, 2, 0, tol=tol),
+    "recover_equilibrium": lambda tol: recover_equilibrium(SINGLES, CLEARED, tol=tol),
+    "recover_wages": lambda tol: recover_wages(SINGLES, CLEARED, tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [NAN, INF, -1.0])
+@pytest.mark.parametrize("name", sorted(TOLERANCES))
+def test_tolerances_must_be_finite_and_non_negative(name, tol):
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        TOLERANCES[name](tol)
+    TOLERANCES[name](1e-6)
 
 
 @pytest.mark.parametrize("fd_step", [0.0, -1e-4, NAN, INF, -INF])
