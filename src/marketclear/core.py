@@ -124,9 +124,10 @@ class _Frozen:
     without one stores its fields as given. It runs only while a value is
     being built: a pickle, ``copy.copy`` and ``copy.deepcopy`` rebuild a
     value through its constructor from its field values (``__reduce__``),
-    so a copy meets the same checks as the original. An array stored here
-    must be one no one else writes to: a validator's copy, or one just
-    computed."""
+    so a copy meets the same checks as the original, and a pickle that
+    carries a state dict instead is refused (``__setstate__``). An array
+    stored here must be one no one else writes to: a validator's copy, or
+    one just computed."""
 
     def _set(self, attrs: dict) -> None:
         # One attribute at a time, not vars(self).update(attrs): that gives
@@ -145,6 +146,14 @@ class _Frozen:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+    def __setstate__(self, state):
+        # __reduce__ writes no state, so only a pickle from an older
+        # marketclear gets here; loading it would skip every check.
+        raise ValueError(
+            f"refusing a {type(self).__name__} pickled as a state dict; "
+            "rebuild it from its fields"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -926,8 +935,8 @@ def _double_until(passes, start, upward: bool) -> Array:
 def _update_at(
     Q: EquilibriumMap, i: int, values: Array, opts: SolverOptions
 ) -> float:
-    # Callers hold np.errstate(over="ignore", invalid="ignore"), as for
-    # _damp and _run_updates.
+    # Callers hold np.errstate(over="ignore", divide="ignore",
+    # invalid="ignore"), as for _damp and _run_updates.
     if Q.update_value is not None:
         val = float(Q.update_value(i, i + 1, values)[0])
     else:
@@ -955,7 +964,7 @@ def coordinate_update(
     opts = opts or _DEFAULT_OPTIONS
     if p.labels != Q.labels:
         raise ValueError("price vector labels do not match the map")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         return _update_at(Q, Q.index(z), p.values, opts)
 
 
@@ -1054,9 +1063,10 @@ def _sweep(
     damping = opts.damping
     values = p.values.copy()
     read = p.values if frozen else values
-    # One errstate for the whole sweep: overflow and NaN in the updates and
-    # damped steps are checked below and raised as NonFiniteResidual.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # One errstate for the whole sweep: overflow, log(0) and NaN in the
+    # updates and damped steps are checked below and raised as
+    # NonFiniteResidual.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for lo, hi, visit in runs:
             if isinstance(visit, int):
                 new = _update_at(Q, lo, read, opts)
@@ -1068,7 +1078,7 @@ def _sweep(
             else:
                 new, errors = _run_updates(Q, lo, hi, read, opts, hints)
                 step = new if frozen else _damp(values[lo:hi], new, damping)
-                if not np.all(np.isfinite(step)):
+                if np.count_nonzero(np.isfinite(step)) < step.size:
                     _raise_first(Q, visit, lo, new, errors, None if frozen else step)
                 values[lo:hi] = step
         if frozen and damping != 1.0:
@@ -1135,20 +1145,19 @@ def _record(
     # _finite_excess without the ExcessVector or the label check (solve
     # checks p0's labels; every sweep keeps them), on excess = Q._excess(p).
     # Over finite values, min and max decide every all-coordinates test at
-    # once; NaN propagates through both. Prices are finite, so a >= b
-    # exactly when a - b >= 0, even when the difference overflows.
-    with np.errstate(over="ignore"):
-        step = None if prev is None else p.values - prev.values
+    # once and give the sup-norm; NaN propagates through both. Prices are
+    # finite, so no comparison of two of them meets a NaN.
     lo, hi = float(excess.min()), float(excess.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise _nonfinite_excess(Q, excess)
     return TraceRecord(
         sweep=sweep,
         prices=p,
-        # Not max(hi, -lo), which can be -0.0.
-        residual_sup=float(np.abs(excess).max()),
-        nondecreasing=step is None or bool(step.min() >= 0.0),
-        nonincreasing=step is None or bool(step.max() <= 0.0),
+        # + 0.0 turns -0.0 into the 0.0 that abs() would give.
+        residual_sup=max(hi, -lo) + 0.0,
+        # count_nonzero: one C call, where .any() takes three times as long.
+        nondecreasing=prev is None or not np.count_nonzero(p.values < prev.values),
+        nonincreasing=prev is None or not np.count_nonzero(p.values > prev.values),
         is_sub=hi <= 0.0,
         is_super=lo >= 0.0,
     )

@@ -33,7 +33,7 @@ from .core import (
     _require_nonneg,
     gauss_seidel_sweep,
 )
-from .errors import UnsupportedFrontier, InternalError
+from .errors import UnsupportedFrontier
 
 __all__ = [
     "TaxSchedule",
@@ -423,24 +423,47 @@ def _log_mass(z: Array, axis: int) -> Array:
     return np.logaddexp.reduce(z, axis=axis)
 
 
+def _target_terms(target: Array) -> tuple[Array, Array, Array]:
+    """The terms of target masses ``t`` that :func:`_share_price` reads:
+    ``log t``, ``2 t`` and ``2 sqrt(t)``."""
+    return np.log(target), 2.0 * target, 2.0 * np.sqrt(target)
+
+
 def _share_price(
-    log_s: Array, target: Array, scale: float, singles: bool, side: int
+    log_s: Array, target: tuple, scale: float, singles: bool, side: int
 ) -> Array:
     """Closed-form prices that clear rows (``side = 1``) or columns (``-1``).
 
     At price ``t`` a row (column) has matched mass ``a * exp(log_s)`` with
     ``a = exp(side * t / scale)``, plus single mass ``a**2`` with singles
-    (whose ``scale`` is ``2 sigma``); ``t`` brings the total to ``target``.
-    The quadratic is solved in its stable form, and in logs alone once
-    ``log_s`` exceeds ``_LOG_GUARD``.
+    (whose ``scale`` is ``2 sigma``); ``t`` brings the total to the target
+    mass, given by its :func:`_target_terms`. The quadratic is solved in its
+    stable form, and in logs alone once ``log_s`` exceeds ``_LOG_GUARD``.
+    ``log_s`` is overwritten.
     """
-    log_ratio = np.log(target) - log_s if side > 0 else log_s - np.log(target)
+    log_t, two_t, root_t = target
     if not singles:
-        return scale * log_ratio
+        if side > 0:
+            np.subtract(log_t, log_s, out=log_s)
+        else:
+            np.subtract(log_s, log_t, out=log_s)
+        log_s *= scale
+        return log_s
     big = log_s > _LOG_GUARD
-    s = np.exp(np.where(big, 0.0, log_s))
-    a = 2.0 * target / (s + np.hypot(s, 2.0 * np.sqrt(target)))
-    return np.where(big, scale * log_ratio, side * scale * np.log(a))
+    if np.count_nonzero(big):
+        log_ratio = log_t - log_s if side > 0 else log_s - log_t
+        s = np.exp(np.where(big, 0.0, log_s))
+        a = two_t / (s + np.hypot(s, root_t))
+        return np.where(big, scale * log_ratio, side * scale * np.log(a))
+    # No entry is big, so np.where would return the quadratic's operand bit
+    # for bit: the same operations, in place.
+    s = np.exp(log_s, out=log_s)
+    a = np.hypot(s, root_t)
+    a += s
+    np.divide(two_t, a, out=a)
+    np.log(a, out=a)
+    a *= side * scale
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -518,26 +541,35 @@ def _bipartite_map(
     """
     sigma, n, m = market.sigma, market.n, market.m
     singles, nx, ny, keep = layout.singles, layout.nx, layout.ny, layout.keep
+    m_y = m[keep]
 
-    # The x excess of kernel row masses and the y excess of column masses, at
-    # rows or columns (index arrays, or _ALL) priced at t.
-    def x_excess(mass: Array, rows, t: Array) -> Array:
+    # The x excess of kernel row masses and the y excess of column masses
+    # (fresh arrays, added to in place), with target masses ``target`` and
+    # prices ``t``; ``out`` as in numpy. t / -sigma is -t / sigma, bit for
+    # bit.
+    def x_excess(mass: Array, target: Array, t: Array, out=None) -> Array:
         if singles:
-            mass = mass + np.exp(t / sigma)
-        return mass - n[rows]
+            mass += np.exp(t / sigma)
+        return np.subtract(mass, target, out=out)
 
-    def y_excess(mass: Array, cols, t: Array) -> Array:
+    def y_excess(mass: Array, target: Array, t: Array, out=None) -> Array:
         if singles:
-            mass = mass + np.exp(-t / sigma)
-        return m[cols] - mass
+            mass += np.exp(t / -sigma)
+        return np.subtract(target, mass, out=out)
+
+    # The kernel at the cells pick(matrix) selects, exponentiated in place:
+    # log_kernel returns a fresh array.
+    def kernel(px, py, pick) -> Array:
+        K = log_kernel(px, py, pick)
+        return np.exp(K, out=K)
 
     def eval_values(values: Array) -> Array:
-        px, py = values[:nx], layout.py(values)
-        K = np.exp(log_kernel(px[:, None], py[None, :], _whole))
-        return np.concatenate([
-            x_excess(K.sum(axis=1), _ALL, px),
-            y_excess(_colsums(K), _ALL, py)[keep],
-        ])
+        K = kernel(values[:nx, None], layout.py(values)[None, :], _whole)
+        out = np.empty(values.size)
+        x_excess(K.sum(axis=1), n, values[:nx], out[:nx])
+        # values[nx:] are the free y-prices; a map with singles pins none.
+        y_excess(_colsums(K)[keep], m_y, values[nx:], out[nx:])
+        return out
 
     # One kernel row per x probe and one column per y probe; each is summed
     # along a contiguous axis, so every entry equals the row or column sum
@@ -560,25 +592,25 @@ def _bipartite_map(
         cells = stacked(
             rows[:, None] * ny + row_cells, col_cells + cols[:, None], np.intp
         )
-        K = np.exp(log_kernel(
+        K = kernel(
             stacked(tx[:, None], values[:nx]),
             stacked(layout.py(values), ty[:, None]),
             lambda a: a.ravel()[cells],
-        ))
+        )
         return (
-            x_excess(K[:split].reshape(len(rows), ny).sum(axis=1), rows, tx),
-            y_excess(K[split:].reshape(len(cols), nx).sum(axis=1), cols, ty),
+            x_excess(K[:split].reshape(len(rows), ny).sum(axis=1), n[rows], tx),
+            y_excess(K[split:].reshape(len(cols), nx).sum(axis=1), m[cols], ty),
         )
 
     def residual_block(idx: Array, t: Array, values: Array) -> Array:
         on_x = idx < nx
         if on_x.all():
-            K = np.exp(log_kernel(t[:, None], layout.py(values), lambda a: a[idx]))
-            return x_excess(K.sum(axis=1), idx, t)
+            K = kernel(t[:, None], layout.py(values), lambda a: a[idx])
+            return x_excess(K.sum(axis=1), n[idx], t)
         if not on_x.any():
             cols = layout.column(idx - nx)
-            K = np.exp(log_kernel(values[:nx, None], t, lambda a: a[:, cols]))
-            return y_excess(_colsums(K), cols, t)
+            K = kernel(values[:nx, None], t, lambda a: a[:, cols])
+            return y_excess(_colsums(K), m[cols], t)
         out = np.empty(len(idx))
         out[on_x], out[~on_x] = mixed_excess(
             idx[on_x], layout.column(idx[~on_x] - nx), t[on_x], t[~on_x], values
@@ -592,16 +624,21 @@ def _bipartite_map(
         # in the same order as along axis 1, and faster): phi[:, keep] alone
         # is F-ordered.
         phi_x = np.ascontiguousarray(phi.T)
-        phi_y, m_y = np.ascontiguousarray(phi[:, keep]), m[keep]
+        phi_y = np.ascontiguousarray(phi[:, keep])
+        x_terms, y_terms = _target_terms(n), _target_terms(m_y)
 
         def update(lo: int, hi: int, values: Array) -> Array:
             if lo < nx:
                 rows = slice(lo, hi)
-                z = (phi_x[:, rows] - layout.py(values)[:, None]) / scale
-                return _share_price(_log_mass(z, 0), n[rows], scale, singles, 1)
+                z = np.subtract(phi_x[:, rows], layout.py(values)[:, None])
+                z /= scale
+                terms = [a[rows] for a in x_terms]
+                return _share_price(_log_mass(z, 0), terms, scale, singles, 1)
             cols = slice(lo - nx, hi - nx)
-            z = (values[:nx, None] + phi_y[:, cols]) / scale
-            return _share_price(_log_mass(z, 0), m_y[cols], scale, singles, -1)
+            z = np.add(values[:nx, None], phi_y[:, cols])
+            z /= scale
+            terms = [a[cols] for a in y_terms]
+            return _share_price(_log_mass(z, 0), terms, scale, singles, -1)
 
     return EquilibriumMap(
         labels=layout.labels,
@@ -626,7 +663,8 @@ def _distance_map(market: AggregateMarket, layout: _Layout) -> EquilibriumMap:
     grid, sigma = market.frontiers, market.sigma
 
     def log_kernel(px, py, pick):
-        return -grid._distance(-px, py, pick) / sigma
+        # Division by -sigma is negation then division, bit for bit.
+        return grid._distance(-px, py, pick) / -sigma
 
     scale = 2.0 * sigma if grid.kind == "tu" else None
     return _bipartite_map(market, layout, log_kernel, scale)
@@ -848,21 +886,27 @@ def recover_equilibrium(
         _require_kind(market, "tu")
         if market.singles:
             raise ValueError("the 'ot' model applies to markets without singles")
-        mu = np.exp((grid.phi + px[:, None] - py[None, :]) / sigma)
         D = (-px[:, None] + py[None, :] - grid.phi) / 2.0
         u = -px
         v = py.copy()
     else:
         D = grid.distance_matrix(-px[:, None], py[None, :])
-        mu = np.exp(-D / sigma)
         u = -px + sigma * np.log(n)
         v = py + sigma * np.log(m)
-    if market.singles:
-        mu_x0 = np.exp(px / sigma)
-        mu_0y = np.exp(-py / sigma)
-    else:
-        mu_x0 = np.zeros(nx)
-        mu_0y = np.zeros(len(market.y_labels))
+    # A log kernel that overflows to -inf gives the mass 0 it stands for; one
+    # that overflows to +inf gives an infinite mass, which the clearing check
+    # below refuses.
+    with np.errstate(over="ignore"):
+        if model == "ot":
+            mu = np.exp((grid.phi + px[:, None] - py[None, :]) / sigma)
+        else:
+            mu = np.exp(-D / sigma)
+        if market.singles:
+            mu_x0 = np.exp(px / sigma)
+            mu_0y = np.exp(-py / sigma)
+        else:
+            mu_x0 = np.zeros(nx)
+            mu_0y = np.zeros(len(market.y_labels))
 
     rx = mu.sum(axis=1) + mu_x0 - n
     ry = mu.sum(axis=0) + mu_0y - m
@@ -911,8 +955,9 @@ def recover_wages(
     (with ``gamma = phi`` under perfect transfers, where the worker's base
     ``alpha`` is 0). The worker-side identity ``U - alpha = N(w)`` is
     verified as a cross-check, within ``tol`` (relative, finite and
-    ``>= 0``). Fixed-split frontiers admit no wage decomposition and raise
-    :class:`UnsupportedFrontier`.
+    ``>= 0``); prices whose payoffs miss it, as when a huge ``sigma``
+    rounds them away, raise ``ValueError``. Fixed-split frontiers admit no
+    wage decomposition and raise :class:`UnsupportedFrontier`.
     """
     _require_nonneg("tol", tol)
     if market.frontiers.kind == "ntu":
@@ -937,7 +982,7 @@ def _cell_wages(
     rhs = w if grid.kind == "tu" else grid.schedule.net_wage(w)
     scale = 1.0 + np.abs(lhs)
     if np.any(np.abs(lhs - rhs) > tol * scale):
-        raise InternalError("wage decomposition is inconsistent")
+        raise ValueError("wage decomposition is inconsistent within tolerance")
     return w
 
 

@@ -10,6 +10,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -909,6 +910,58 @@ class TestFlagValues:
         assert (report["error"], report["message"]) == (
             "ValueError", "--tol must be finite and >= 0"
         )
+
+
+def _edited_market(tmp_path, name: str, edit) -> str:
+    """A copy of a shipped market file after ``edit(data)``."""
+    data = json.loads((MARKETS / name).read_text())
+    edit(data)
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+class TestExtremeValues:
+    """Values at the ends of the float range give a typed exit and no numpy
+    warning, in-process (a RuntimeWarning is raised here as an error)."""
+
+    def solve(self, market: str, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["solve", market, "--out", str(tmp_path / "out")])
+        return code, json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("sigma", [1e30, 1e308])
+    def test_lost_wage_precision_exits_1(self, sigma, tmp_path, capsys):
+        # Payoffs that a huge sigma rounds away miss the wage cross-check.
+        market = _edited_market(
+            tmp_path, "ot_small.json", lambda d: d.update(sigma=sigma)
+        )
+        code, report = self.solve(market, tmp_path, capsys)
+        assert code == 1
+        assert (report["status"], report["error"]) == ("error", "ValueError")
+        assert report["message"].startswith("wage decomposition is inconsistent")
+
+    def test_underflowing_cell_recovers_quietly(self, tmp_path, capsys):
+        # The cell's log kernel overflows to -inf: its mass is 0.
+        def edit(data):
+            data["frontier"]["phi"][0][0] = -1e308
+
+        market = _edited_market(tmp_path, "ot_small.json", edit)
+        code, report = self.solve(market, tmp_path, capsys)
+        assert (code, report["status"]) == (0, "ok")
+        mu = (tmp_path / "out" / "mu.csv").read_text().splitlines()
+        assert mu[1].split(",")[1] == "0"
+
+    def test_subnormal_mass_exits_2_quietly(self, tmp_path, capsys):
+        # The closed form's log meets 0; the update is refused as non-finite.
+        def edit(data):
+            data["m"]["y1"] = 5e-324
+
+        market = _edited_market(tmp_path, "transfer_tu.json", edit)
+        code, report = self.solve(market, tmp_path, capsys)
+        assert (code, report["error"]) == (2, "NonFiniteResidual")
+        assert not (tmp_path / "out").exists()
 
 
 # A value for each tuning flag of ``solve``. A route that reads the flag

@@ -570,6 +570,17 @@ class TestRecovery:
         with pytest.raises(ValueError):
             recover_equilibrium(market, bad)
 
+    @pytest.mark.parametrize("model", ["transfer", "ot"])
+    def test_infinite_mass_fails_the_clearing_check(self, model):
+        # Row 0's kernel overflows to +inf, with no numpy warning.
+        market = random_tu_market(
+            np.random.default_rng(42), sigma=1e-3, singles=False
+        )
+        values = np.zeros(len(market.labels))
+        values[0] = 10.0
+        with pytest.raises(ValueError, match="do not clear"):
+            recover_equilibrium(market, PriceVector(market.labels, values), model=model)
+
     def test_full_assignment_small_numeraire_mass(self):
         # The pinned column's excess is minus the sum of the 59 others, about
         # 1.8e-9 here, above 1e-9 * (1 + m_y0) for this draw's m_y0 = 0.719.

@@ -13,7 +13,9 @@ that take a state, a state with other labels."""
 from __future__ import annotations
 
 import copy
+import copyreg
 import dataclasses
+import io
 import math
 import pickle
 
@@ -373,6 +375,27 @@ def test_copies_refuse_what_the_constructor_refuses(name, replaced, names, how):
     }[how]
     with pytest.raises(ValueError, match=names):
         rebuild()
+
+
+def state_dict_pickle(value) -> bytes:
+    """``value`` pickled as older versions wrote it: ``copyreg.__newobj__``
+    of its class, then its attributes as a state dict."""
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer)
+    pickler.dispatch_table = {type(value): lambda obj: (
+        copyreg.__newobj__, (type(obj),), dict(vars(obj))
+    )}
+    pickler.dump(value)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("name", ["PriceVector", "AggregateMarket"])
+def test_state_dict_pickles_are_refused(name):
+    # Loading such a pickle would skip every constructor check.
+    build, kwargs = VALID[name]
+    payload = state_dict_pickle(build(**kwargs))
+    with pytest.raises(ValueError, match="pickled as a state dict"):
+        pickle.loads(payload)
 
 
 # One instance of each public dataclass that VALID does not build.
