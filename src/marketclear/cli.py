@@ -285,9 +285,12 @@ def _structure_checks(q, samples: int, seed: int | None) -> dict:
 def _write_artifacts(out: str | None, artifacts) -> list[str]:
     """Make directory ``out`` and run each ``(file name, writer)`` pair of
     ``artifacts`` into it in order; the paths written. Without ``out``
-    nothing is made and ``artifacts`` is never started."""
+    nothing is made and ``artifacts`` is never started. The pairs are all
+    drawn (a route's recovery included) before the directory is made, so a
+    route that fails leaves no partial output."""
     if not out:
         return []
+    artifacts = list(artifacts)
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     files = []
@@ -323,7 +326,8 @@ def _payoffs(sides):
 # solve
 #
 # A route returns its report fields and a generator of (file name, writer)
-# pairs, which runs (recovery included) only when --out is given.
+# pairs, which runs (recovery included) only when --out is given, and to
+# its end before the first file is written.
 
 
 def _solve_engine(loaded: LoadedMarket, args):

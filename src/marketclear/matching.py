@@ -635,19 +635,15 @@ def _greedy_fill(caps: Array, gate: Array, budget: Array) -> Array:
     return np.maximum(take, 0.0, out=take)
 
 
-def _fill_walks(
-    matrix: Array, walks: tuple[Array, Array], budget: Array,
-    name: str, index, axis: int,
-) -> Array:
-    """The greedy fill of ``walks`` on ``matrix``'s caps: of every walk, or
-    of those ``index`` picks. The walks run along ``matrix``'s rows
-    (``axis=0``) or columns (``axis=1``), and the result holds the fill of
-    the picked rows or columns, in ``index`` order.
+def _gather_fill(
+    matrix: Array, walks: tuple[Array, Array], budget: Array, name: str, index,
+) -> tuple[Array, Array]:
+    """The flat cells of ``walks`` on ``matrix`` and their greedy fill on
+    its caps, both ``(steps, walks)``: of every walk, or of those ``index``
+    picks, in ``index`` order.
 
-    The fill is scattered into an array shaped like ``matrix`` (it needs no
-    zeros first: each walk covers its whole row or column), and the block
-    is gathered from it. ``index`` is checked by its dtype, not by a scan;
-    an out-of-range one is found by the gather of its walks.
+    ``index`` is checked by its dtype, not by a scan; an out-of-range one
+    is found by the gather of its walks.
     """
     cells, gate = walks
     if index is not None:
@@ -665,13 +661,36 @@ def _fill_walks(
                 f"{name} index out of range for {len(budget)} types"
             ) from None
         gate, budget = gate.take(index, axis=1), budget[index]
+    return cells, _greedy_fill(matrix.take(cells), gate, budget)
+
+
+def _fill_walks(
+    matrix: Array, walks: tuple[Array, Array], budget: Array,
+    name: str, index, axis: int, into: Array | None,
+) -> Array:
+    """The greedy fill of ``walks`` on ``matrix``'s caps (of every walk, or
+    of those ``index`` picks) by :func:`_gather_fill`. The walks run along
+    ``matrix``'s rows (``axis=0``) or columns (``axis=1``), and the result
+    holds the fill of the picked rows or columns, in ``index`` order.
+
+    The fill is scattered into an array shaped like ``matrix`` (it needs no
+    zeros first: each walk covers its whole row or column), and the block
+    is gathered from it. With ``into``, :func:`dalm`'s flat ``X·Y`` array of
+    the last fill, the fill is written into it in place instead, and the
+    result is the flat cells whose value changed.
+    """
+    cells, fill = _gather_fill(matrix, walks, budget, name, index)
+    if into is not None:
+        changed = fill != into.take(cells)
+        into.put(cells, fill)
+        return cells[changed]
     out = np.empty(matrix.shape)
-    out.put(cells, _greedy_fill(matrix.take(cells), gate, budget))
+    out.put(cells, fill)
     return out if index is None else out.take(index, axis=axis)
 
 
 def proposal_phase(
-    market: AggregateNTMarket, available: Array, *, rows=None
+    market: AggregateNTMarket, available: Array, *, rows=None, _into=None
 ) -> Array:
     """Greedy row proposals under per-cell availability caps.
 
@@ -681,16 +700,20 @@ def proposal_phase(
     ``rows`` (integer row indices; negative ones count from the end, and
     repeats repeat the row) only those x-types propose, and the result is
     their ``(len(rows), Y)`` block. The walk orders are the market's, built
-    with it.
+    with it. ``_into`` is :func:`dalm`'s own: its flat proposal array, which
+    the fill is written into in place, and the result is then the flat
+    cells whose proposal changed.
     """
     available = np.asarray(available, dtype=float)
     if available.shape != market.alpha.shape:
         raise ValueError("availability matrix has the wrong shape")
-    return _fill_walks(available, market._walks.rows, market.n, "rows", rows, 0)
+    return _fill_walks(
+        available, market._walks.rows, market.n, "rows", rows, 0, _into
+    )
 
 
 def disposal_phase(
-    market: AggregateNTMarket, proposals: Array, *, cols=None
+    market: AggregateNTMarket, proposals: Array, *, cols=None, _into=None
 ) -> Array:
     """Greedy column retention of proposed mass.
 
@@ -700,12 +723,23 @@ def disposal_phase(
     ``cols`` (integer column indices, as ``rows`` in
     :func:`proposal_phase`) only those y-types retain, and the result is
     their ``(X, len(cols))`` block. The walk orders are the market's, built
-    with it.
+    with it. ``_into`` is :func:`dalm`'s own: its flat kept array, which the
+    fill is written into in place, and the result is then the flat cells
+    whose kept mass changed.
     """
     proposals = np.asarray(proposals, dtype=float)
     if proposals.shape != market.gamma.shape:
         raise ValueError("proposal matrix has the wrong shape")
-    return _fill_walks(proposals, market._walks.cols, market.m, "cols", cols, 1)
+    return _fill_walks(
+        proposals, market._walks.cols, market.m, "cols", cols, 1, _into
+    )
+
+
+def _rows_with_mass(rejected: Array, ones: Array) -> Array:
+    """The rows of ``rejected`` that hold a nonzero entry, found by one
+    product with ``ones`` (its width): no entry is negative, so a row sums
+    to zero exactly when every entry in it is zero."""
+    return (rejected @ ones).nonzero()[0]
 
 
 def _lowest_filled(pay: Array, mass: Array, outside: Array, tol: float) -> Array:
@@ -749,7 +783,16 @@ def dalm(
     stays at or above its proposal: each only subtracts the same rejection
     again, so it runs on the rejected cells alone and calls neither phase.
     The phases walk each type's cells in an order built with the market
-    and kept with it (a few ``X × Y`` index arrays).
+    and kept with it (a few ``X × Y`` index arrays of flat cells).
+
+    The state is kept in that walk order: flat ``X·Y`` views of the
+    availability, proposal and kept matrices. Each round that runs the
+    phases calls :func:`proposal_phase` and :func:`disposal_phase` once
+    each; after the first, through their ``_into`` keyword (this
+    function's own), which writes the fill into the flat proposal (kept)
+    array in place and returns the cells that changed. The changed
+    columns are read off those cells, and the rejecting rows off one row
+    sum of the rejection, which is never negative.
 
     The outcome's ``rounds`` counts the rounds run, idle ones included. With
     ``return_trace=True`` also returns the availability matrices by round
@@ -762,24 +805,32 @@ def dalm(
     available = np.minimum.outer(market.n, market.m)
     threshold = 1e-12 * (1.0 + float(available.max()))
     trace = [available.copy()] if return_trace else None
+    ny = available.shape[1]
+    ones = np.ones(ny)
     rows = cols = None
     rounds = 0
     while rounds < max_rounds:
         rounds += 1
-        offers = proposal_phase(market, available, rows=rows)
         if rows is None:
-            proposed = offers
+            proposed = proposal_phase(market, available)
+            kept = disposal_phase(market, proposed)
+            # Flat views of the state: the later phases fill them in place,
+            # and the idle rounds index them by cell.
+            flat_available, flat_proposed, flat_kept = (
+                a.reshape(-1) for a in (available, proposed, kept)
+            )
         else:
-            cols = np.flatnonzero((offers != proposed[rows]).any(axis=0))
-            proposed[rows] = offers
-        retained = disposal_phase(market, proposed, cols=cols)
-        if cols is None:
-            kept = retained
-        else:
-            kept[:, cols] = retained
+            changed = proposal_phase(
+                market, available, rows=rows, _into=flat_proposed
+            )
+            # The changed columns, sorted and unique (np.unique would
+            # import numpy.ma on first use).
+            cols = np.bincount(changed % ny, minlength=ny).nonzero()[0]
+            disposal_phase(market, proposed, cols=cols, _into=flat_kept)
         rejected = proposed - kept
-        rows = np.flatnonzero(rejected.any(axis=1))
-        available[rows] -= rejected[rows]
+        rows = _rows_with_mass(rejected, ones)
+        # A row without rejection subtracts +0.0, which changes no bit.
+        available -= rejected
         if return_trace:
             trace.append(available.copy())
         if float(rejected.max(initial=0.0)) <= threshold:
@@ -797,17 +848,18 @@ def dalm(
             # availability stays at or above its proposal: until then a
             # round only subtracts the same rejection from the same cells.
             # On Python floats, which subtract bitwise as numpy does.
-            cells = np.nonzero(rejected)
+            cells = np.flatnonzero(rejected)
             left, step, floor = (
-                a[cells].tolist() for a in (available, rejected, proposed)
+                a.take(cells).tolist()
+                for a in (flat_available, rejected, flat_proposed)
             )
             while rounds < max_rounds and all(map(operator.ge, left, floor)):
                 left = list(map(operator.sub, left, step))
                 rounds += 1
                 if return_trace:
-                    available[cells] = left
+                    flat_available[cells] = left
                     trace.append(available.copy())
-            available[cells] = left
+            flat_available[cells] = left
     raise MaxRoundsExceeded(
         f"no settlement after {max_rounds} proposal/disposal rounds",
         trace=trace if return_trace else [available],

@@ -470,6 +470,17 @@ class TestPinnedArtifacts:
         assert json.loads(capsys.readouterr().out)["error"] == "NonFiniteResidual"
         assert not out.exists()
 
+    def test_failed_recovery_writes_nothing(self, tmp_path, capsys):
+        # A loose tolerance stops the solve at prices that the recovery
+        # refuses; the trace is not written before that refusal.
+        out = tmp_path / "out"
+        name = str(MARKETS / "transfer_tu.json")
+        assert cli.main(["solve", name, "--tol", "1e-2", "--out", str(out)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"] == "ValueError"
+        assert "do not clear the market within tolerance" in report["message"]
+        assert not out.exists()
+
 
 class TestRouteTable:
     @pytest.mark.parametrize(
@@ -941,6 +952,8 @@ class TestExtremeValues:
         assert code == 1
         assert (report["status"], report["error"]) == ("error", "ValueError")
         assert report["message"].startswith("wage decomposition is inconsistent")
+        # The recovery fails before any artifact is written.
+        assert not (tmp_path / "out").exists()
 
     def test_underflowing_cell_recovers_quietly(self, tmp_path, capsys):
         # The cell's log kernel overflows to -inf: its mass is 0.

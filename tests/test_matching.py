@@ -906,6 +906,51 @@ def test_greedy_fill_edge_cases_equal_the_loop():
             assert not np.signbit(got).any()
 
 
+@given(**market_args, frac=st.floats(0.0, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_in_place_fill_equals_the_block(seed, nx, ny, coarse, unit, frac):
+    # dalm's own path: the fill of sorted unique rows (columns) written in
+    # place into the last fill, as flat cells, and the changed cells
+    # returned. Bit for bit what the public block gives.
+    market = oracle_market(seed, nx, ny, coarse, unit)
+    caps = oracle_caps(seed, (nx, ny), coarse)
+    rng = np.random.default_rng([seed, 3])
+    earlier = np.where(rng.random((nx, ny)) < 0.5, caps,
+                       oracle_caps(seed + 1, (nx, ny), coarse))
+    for phase, size, key in ((proposal_phase, nx, "rows"),
+                             (disposal_phase, ny, "cols")):
+        for pick in (np.flatnonzero(rng.random(size) < frac),
+                     np.array([], np.intp)):
+            into = phase(market, earlier).reshape(-1)
+            before = into.copy()
+            changed = phase(market, caps, **{key: pick}, _into=into)
+            want = before.reshape(nx, ny).copy()
+            block = phase(market, caps, **{key: pick})
+            if key == "rows":
+                want[pick] = block
+            else:
+                want[:, pick] = block
+            assert into.tobytes() == want.tobytes()
+            assert changed.dtype.kind == "i"
+            assert np.sort(changed).tolist() == np.flatnonzero(
+                into != before).tolist()
+            if not pick.size:
+                assert not changed.size
+
+
+def test_rows_with_mass_sees_the_smallest_rejection():
+    # A row's sum is zero exactly when every entry is, as no rejection is
+    # negative: the smallest subnormal anywhere in a row still counts.
+    for width in (1, 5, 64):
+        ones = np.ones(width)
+        assert matching._rows_with_mass(np.zeros((3, width)), ones).size == 0
+        for col in range(width):
+            rejected = np.zeros((3, width))
+            rejected[1, col] = 5e-324
+            got = matching._rows_with_mass(rejected, ones)
+            assert got.tolist() == [1]
+
+
 @given(**market_args)
 @settings(max_examples=200, deadline=None)
 # Markets with long idle streaks (rounds where no proposal changes): 829 of
@@ -1005,6 +1050,9 @@ def test_dalm_skips_the_phases_on_idle_rounds(monkeypatch):
     out = dalm(market)
     assert out.rounds > 100
     assert calls["proposal_phase"] == calls["disposal_phase"] < out.rounds
+    # Each phase exactly once per round that runs them: 37 of 181 rounds.
+    assert out.rounds == 181
+    assert calls == {"proposal_phase": 37, "disposal_phase": 37}
     first = dict(calls)
     out, trace = dalm(market, return_trace=True)
     assert len(trace) == out.rounds + 1
